@@ -95,7 +95,8 @@ def theta_value(a: int, b: int, c: int, cache: EvalCache | None = None) -> Fract
     """Value of the two-vertex network whose three edges carry a, b, c."""
     if not vertex_admissible(a, b, c):
         raise InadmissibleTriple(a, b, c)
-    cache = cache or default_cache()
+    if cache is None:
+        cache = default_cache()
     key = ("theta",) + tuple(sorted((a, b, c)))
     return cache.get_or(key, lambda: _theta(a, b, c))
 
@@ -145,7 +146,8 @@ def tet_value(a: int, b: int, c: int, d: int, e: int, f: int, cache: EvalCache |
     for triple in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)):
         if not vertex_admissible(*triple):
             raise InadmissibleTriple(*triple)
-    cache = cache or default_cache()
+    if cache is None:
+        cache = default_cache()
     key = ("tet",) + tet_canonical_key(a, b, c, d, e, f)
     return cache.get_or(key, lambda: _tet(a, b, c, d, e, f))
 
@@ -299,19 +301,6 @@ class _MGraph:
         for slot, (e, side) in enumerate(ports):
             self.eports[e][side] = (v, slot)
         return v
-
-    def check(self) -> None:
-        for e, ports in self.eports.items():
-            for side, port in enumerate(ports):
-                if port is None:
-                    assert self.elabel[e] == 0, "stub on a non-zero edge"
-                    continue
-                v, slot = port
-                assert self.vports[v][slot] == (e, side), "port tables disagree"
-        for v, ports in self.vports.items():
-            assert len(ports) == 3, "vertex must stay trivalent"
-            for slot, (e, side) in enumerate(ports):
-                assert self.eports[e][side] == (v, slot), "port tables disagree"
 
 
 def _eliminate_zero_edge(g: _MGraph, e: int) -> None:
@@ -564,7 +553,8 @@ def evaluate_closed(net: SpinNetwork, cache: EvalCache | None = None) -> Fractio
     implementation picks a deterministic schedule.
     """
     _require_closed_valid(net)
-    cache = cache or default_cache()
+    if cache is None:
+        cache = default_cache()
     g = _MGraph.from_network(net)
     value = Fraction(1)
     for comp in _components(g):

@@ -199,7 +199,8 @@ def join_free_ends(
     for end in (end_a, end_b):
         if not net.is_free(end):
             raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
-    cache = cache or default_cache()
+    if cache is None:
+        cache = default_cache()
     a, b = net.label(end_a), net.label(end_b)
 
     weights: dict[int, Fraction] = {}
@@ -314,7 +315,8 @@ def angle_matrix(
             raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
         if net.label(end) < 1:
             raise InadmissibleSplit(f"end {end.edge}:{end.side} has label 0, no unit to split")
-    cache = cache or default_cache()
+    if cache is None:
+        cache = default_cache()
 
     pairs = [(i, j) for i in range(len(chosen)) for j in range(i + 1, len(chosen))]
 
@@ -390,7 +392,8 @@ def stability_measure(
             f"end {end_a.edge}:{end_a.side} (label {net.label(end_a)}) would reach 0 "
             f"before {repetitions} repetitions complete"
         )
-    cache = cache or default_cache()
+    if cache is None:
+        cache = default_cache()
     rng = random.Random(rng_seed)
 
     angles: list[float] = []

@@ -3,18 +3,29 @@
 This module never rewrites a network.  It reads a network as a tensor
 contraction of Clebsch-Gordan intertwiners over irreducible SU(2)
 representations and computes outcome probabilities by the Born rule, so
-it provides a check of the combinatorial evaluator from first principles.
-Scalars are ``Radical`` values (signed square roots of rationals), kept
-exact end to end; floating point appears only in convenience converters.
+it provides a check of the combinatorial evaluator from first principles:
+its coefficients come from Racah's formulas, never from the evaluator's
+closed forms.
 
 Conventions: Condon-Shortley phases throughout; a label-n end carries the
 spin-n/2 representation with basis index k = 0..n meaning m = n/2 - k
 (descending m); each edge carries one copy of the invariant bilinear
 pairing K[k, n-k] = (-1)^k between its two ends.
+
+Networks are contracted in the spinor-polynomial basis of Bargmann (Rev.
+Mod. Phys. 34, 829, 1962) and Penrose (1971), in which basis vector k of a
+label-n end is rescaled by sqrt(C(n, k)).  There every Clebsch-Gordan and
+3j tensor is one square root times an integer tensor, so a network
+contracts to a tensor of Python ints times one global scale, and Born
+weights are exact ``Fraction`` values.  ``Radical`` scalars (sums of
+square roots of rationals) remain only in the public ``clebsch_gordan``,
+``wigner_3j`` and ``wigner_6j`` and in the entries of a ``LinearMapRep``.
+Floating point appears only in convenience converters.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,7 +77,8 @@ def clebsch_gordan(j1, m1, j2, m2, j, m, cache: EvalCache | None = None) -> Radi
     j1, m1, j2, m2, j, m = (_half_integer(x) for x in (j1, m1, j2, m2, j, m))
     if j1 < 0 or j2 < 0 or j < 0:
         raise MalformedArguments("total spin cannot be negative")
-    cache = cache or default_cache()
+    if cache is None:
+        cache = default_cache()
     key = ("cg", j1, m1, j2, m2, j, m)
     return cache.get_or(key, lambda: _cg(j1, m1, j2, m2, j, m))
 
@@ -78,33 +90,32 @@ def _cg(j1, m1, j2, m2, j, m) -> Radical:
     for jj, mm in ((j1, m1), (j2, m2), (j, m)):
         if abs(mm) > jj or (jj - mm).denominator != 1:
             return zero
-    delta = _triangle_factor(j1, j2, j)
-    if delta is None:
+    if _triangle_factor(j1, j2, j) is None:
         return zero
-    prefactor = (
-        (2 * j + 1)
-        * delta
-        * math.factorial(int(j + m))
-        * math.factorial(int(j - m))
-        * math.factorial(int(j1 - m1))
-        * math.factorial(int(j1 + m1))
-        * math.factorial(int(j2 - m2))
-        * math.factorial(int(j2 + m2))
-    )
-    t_min = int(max(Fraction(0), j2 - j - m1, j1 + m2 - j))
-    t_max = int(min(j1 + j2 - j, j1 - m1, j2 + m2))
+    a, b, c = int(2 * j1), int(2 * j2), int(2 * j)
+    ka, kb, km = int(j1 - m1), int(j2 - m2), int(j - m)
+    binomials = math.comb(a, ka) * math.comb(b, kb) * math.comb(c, km)
+    return Radical.sqrt(_racah_prefactor(a, b, c) / binomials) * _racah_sum(a, b, c, ka, kb)
+
+
+def _racah_prefactor(a: int, b: int, c: int) -> Fraction:
+    """(c+1) Delta a! b! c!: Racah's prefactor for <a/2 m_a; b/2 m_b | c/2 M>
+    without the factorials of the magnetic numbers."""
+    delta = _triangle_factor(Fraction(a, 2), Fraction(b, 2), Fraction(c, 2))
+    return (c + 1) * delta * math.factorial(a) * math.factorial(b) * math.factorial(c)
+
+
+def _racah_sum(a: int, b: int, c: int, ka: int, kb: int) -> Fraction:
+    """Racah's alternating sum for <a/2 m_a; b/2 m_b | c/2 M> at indices
+    k_a, k_b; an admissible triple and k_M = k_a + k_b - (a+b-c)/2 in
+    0..c are assumed."""
+    f = math.factorial
+    s, u = (a + b - c) // 2, (a - b + c) // 2
     total = Fraction(0)
-    for t in range(t_min, t_max + 1):
-        den = (
-            math.factorial(t)
-            * math.factorial(int(j1 + j2 - j) - t)
-            * math.factorial(int(j1 - m1) - t)
-            * math.factorial(int(j2 + m2) - t)
-            * math.factorial(int(j - j2 + m1) + t)
-            * math.factorial(int(j - j1 - m2) + t)
-        )
+    for t in range(max(0, ka - u, s - kb), min(s, ka, b - kb) + 1):
+        den = f(t) * f(s - t) * f(ka - t) * f(b - kb - t) * f(u - ka + t) * f(kb - s + t)
         total += Fraction(-1 if t % 2 else 1, den)
-    return Radical.sqrt(prefactor) * total
+    return total
 
 
 def wigner_3j(j1, j2, j3, m1, m2, m3, cache: EvalCache | None = None) -> Radical:
@@ -128,7 +139,8 @@ def wigner_6j(j1, j2, j3, j4, j5, j6, cache: EvalCache | None = None) -> Radical
     js = tuple(_half_integer(x) for x in (j1, j2, j3, j4, j5, j6))
     if any(j < 0 for j in js):
         raise MalformedArguments("total spin cannot be negative")
-    cache = cache or default_cache()
+    if cache is None:
+        cache = default_cache()
     key = ("6j",) + js
     return cache.get_or(key, lambda: _six_j(*js))
 
@@ -151,57 +163,111 @@ def _six_j(j1, j2, j3, j4, j5, j6) -> Radical:
     return Radical.sqrt(math.prod(deltas)) * total
 
 
-# -- network contraction ---------------------------------------------------
+# -- network contraction in the Bargmann basis -------------------------------
+#
+# A tensor here is a pair (B, s): B an integer object array and s a
+# positive rational scale, such that the standard-basis tensor is
+# sqrt(s) * B[k_1, ..., k_m] / sqrt(C(n_1, k_1) ... C(n_m, k_m)).
+# Contracting a standard-basis axis then means contracting the Bargmann
+# axes through the metric 1/C(n, k), which is n!/(k!(n-k)!): the builders
+# fold it into the edge pairings, and the Born projection applies it to
+# the axes it sums over.  Cached arrays are read-only.
 
 
-def _metric(n: int, cache: EvalCache) -> np.ndarray:
-    """The invariant pairing on a label-n edge: K[k, n-k] = (-1)^k."""
-
-    def build() -> np.ndarray:
-        arr = np.full((n + 1, n + 1), Radical(0), dtype=object)
-        for k in range(n + 1):
-            arr[k, n - k] = Radical(-1 if k % 2 else 1)
-        return arr
-
-    return cache.get_or(("pairing", n), build)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
-def _vertex_tensor(a: int, b: int, c: int, cache: EvalCache) -> np.ndarray:
-    """Wigner 3j tensor of a vertex, indexed by the three ends' k-indices."""
+def _bargmann_metric(n: int, cache: EvalCache) -> np.ndarray:
+    """k!(n-k)! for k = 0..n: the metric 1/C(n, k) of a label-n axis, times n!."""
+    return cache.get_or(
+        ("bargmann-metric", n),
+        lambda: _frozen(np.array(
+            [math.factorial(k) * math.factorial(n - k) for k in range(n + 1)], dtype=object
+        )),
+    )
 
-    def build() -> np.ndarray:
-        ja, jb, jc = Fraction(a, 2), Fraction(b, 2), Fraction(c, 2)
-        arr = np.full((a + 1, b + 1, c + 1), Radical(0), dtype=object)
-        for ka in range(a + 1):
-            for kb in range(b + 1):
-                m_c = -(ja - ka) - (jb - kb)
-                kc = jc - m_c
-                if kc.denominator != 1 or not 0 <= kc <= c:
-                    continue
-                arr[ka, kb, int(kc)] = wigner_3j(ja, jb, jc, ja - ka, jb - kb, m_c, cache)
-        return arr
+
+def _racah_tensor(a: int, b: int, c: int) -> tuple[np.ndarray, Fraction]:
+    """Bargmann form (T, r) of the CG tensor of an admissible triple.
+
+    <a/2 m_a; b/2 m_b | c/2 M> * sqrt(C(a, k_a) C(b, k_b) C(c, k_M)) =
+    sqrt(r) * T[k_a, k_b, k_M]: the binomials cancel the factorials of the
+    magnetic numbers in Racah's formula, leaving the prefactor and the
+    sum, which T holds over its common denominator.
+    """
+    s = (a + b - c) // 2
+    sums = {
+        (ka, kb, ka + kb - s): _racah_sum(a, b, c, ka, kb)
+        for ka in range(a + 1)
+        for kb in range(max(0, s - ka), min(b, c + s - ka) + 1)
+    }
+    lcd = math.lcm(*(q.denominator for q in sums.values()))
+    arr = np.zeros((a + 1, b + 1, c + 1), dtype=object)
+    for index, q in sums.items():
+        arr[index] = q.numerator * (lcd // q.denominator)
+    return arr, _racah_prefactor(a, b, c) / lcd**2
+
+
+def _vertex_tensor(a: int, b: int, c: int, cache: EvalCache) -> tuple[np.ndarray, Fraction]:
+    """Bargmann form of the Wigner 3j tensor of a vertex, indexed by its ends' k.
+
+    (a/2 b/2 c/2; m_a m_b m_c) is (-1)^(a/2 - b/2 - m_c) / sqrt(c + 1)
+    times <a/2 m_a; b/2 m_b | c/2, -m_c>, and -m_c has index c - k_c.
+    """
+
+    def build() -> tuple[np.ndarray, Fraction]:
+        t, r = _racah_tensor(a, b, c)
+        phase = (a - b - c) // 2
+        sign = np.array([-1 if (phase + k) % 2 else 1 for k in range(c + 1)], dtype=object)
+        return _frozen(t[:, :, ::-1] * sign), r / (c + 1)
 
     return cache.get_or(("vertex-3j", a, b, c), build)
 
 
+def _pairing(n: int, free: int, cache: EvalCache) -> tuple[np.ndarray, Fraction]:
+    """Bargmann form of the pairing on a label-n edge with `free` free ends.
+
+    The metric of each end that meets a vertex is folded in, which leaves
+    (-1)^k C(n, k)^(free - 1) at [k, n-k].  With one free end that is the
+    standard pairing itself; an internal edge keeps integers by moving a
+    1/n! into the scale.
+    """
+
+    def build() -> tuple[np.ndarray, Fraction]:
+        arr = np.zeros((n + 1, n + 1), dtype=object)
+        for k in range(n + 1):
+            weight = (math.factorial(k) * math.factorial(n - k), 1, math.comb(n, k))[free]
+            arr[k, n - k] = -weight if k % 2 else weight
+        return _frozen(arr), Fraction(1, math.factorial(n) ** 2) if free == 0 else Fraction(1)
+
+    return cache.get_or(("pairing", n, free), build)
+
+
 def _contract_network(
     net: SpinNetwork, cache: EvalCache
-) -> tuple[np.ndarray, list[End]]:
+) -> tuple[np.ndarray, list[End], Fraction]:
     """Contract all vertex tensors through the edge pairings.
 
-    Returns the state tensor and the free ends labelling its axes.  Each
-    attached end is an axis shared by exactly one vertex tensor and its
-    edge's pairing; free ends survive as axes of the result.
+    Returns the Bargmann form (B, free ends labelling its axes, scale) of
+    the state.  Each attached end is an axis shared by exactly one vertex
+    tensor and its edge's pairing; free ends survive as axes of B.
     """
     tensors: list[tuple[np.ndarray, list[End]]] = []
+    scale = Fraction(1)
     for v in net.vertices:
-        labels = tuple(net.label(end) for end in v.ends)
-        tensors.append((_vertex_tensor(*labels, cache), list(v.ends)))
+        arr, s = _vertex_tensor(*(net.label(end) for end in v.ends), cache)
+        tensors.append((arr, list(v.ends)))
+        scale *= s
     for e in net.edges:
-        tensors.append((_metric(e.label, cache), [End(e.id, 0), End(e.id, 1)]))
+        ends = [End(e.id, 0), End(e.id, 1)]
+        arr, s = _pairing(e.label, sum(map(net.is_free, ends)), cache)
+        tensors.append((arr, ends))
+        scale *= s
 
     if not tensors:
-        return np.array(Radical(1), dtype=object), []
+        return np.array(1, dtype=object), [], scale
     acc, keys = tensors[0]
     pending = tensors[1:]
     while pending:
@@ -220,7 +286,12 @@ def _contract_network(
             acc = np.multiply.outer(acc, arr)
             keys = keys + ks
     assert set(keys) == set(net.free_ends), "contraction lost track of free ends"
-    return acc, keys
+    return acc, keys, scale
+
+
+def _outer_all(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """The outer product of integer vectors, as an object array (0-d if none)."""
+    return functools.reduce(np.multiply.outer, vectors, np.array(1, dtype=object))
 
 
 # -- Hilbert-space views ----------------------------------------------------
@@ -296,17 +367,27 @@ def network_to_linear_map(
         raise InvalidPartition(
             "in_ends and out_ends must be disjoint and cover every free end"
         )
-    cache = cache or default_cache()
-    acc, keys = _contract_network(net, cache)
+    if cache is None:
+        cache = default_cache()
+    acc, keys, scale = _contract_network(net, cache)
     if combined:
         acc = np.transpose(acc, [keys.index(end) for end in combined])
     for in_end in ins:
         # axes sit as outs + pending ins; folding the pairing into the
-        # first pending axis reappends it last, preserving the in order
-        acc = np.tensordot(acc, _metric(net.label(in_end), cache), ([len(outs)], [0]))
+        # first pending axis reappends it last, preserving the in order.
+        # The standard pairing maps Bargmann forms to Bargmann forms, since
+        # C(n, k) = C(n, n-k).
+        pairing, _ = _pairing(net.label(in_end), 1, cache)
+        acc = np.tensordot(acc, pairing, ([len(outs)], [0]))
+    binomials = _outer_all(
+        [np.array([math.comb(n, k) for k in range(n + 1)], dtype=object)
+         for n in (net.label(end) for end in combined)]
+    )
+    roots = {d: Radical.sqrt(scale / d) for d in set(binomials.flat)}
+    entries = [roots[d] * x for x, d in zip(acc.flat, binomials.flat)]
     out_dim = math.prod(net.label(end) + 1 for end in outs)
     in_dim = math.prod(net.label(end) + 1 for end in ins)
-    matrix = acc.reshape(out_dim, in_dim)
+    matrix = np.array(entries, dtype=object).reshape(out_dim, in_dim)
     return LinearMapRep(
         tuple(net.label(end) for end in ins),
         tuple(net.label(end) for end in outs),
@@ -347,21 +428,12 @@ def intertwiner_residual(rep: LinearMapRep) -> float:
 # -- Born-rule join ---------------------------------------------------------
 
 
-def _cg_tensor(a: int, b: int, c: int, cache: EvalCache) -> np.ndarray:
-    """CG coefficients <a/2 m_a; b/2 m_b | c/2 M> indexed [k_a, k_b, k_M]."""
+def _cg_tensor(a: int, b: int, c: int, cache: EvalCache) -> tuple[np.ndarray, Fraction]:
+    """Bargmann form (T, r) of <a/2 m_a; b/2 m_b | c/2 M>, indexed [k_a, k_b, k_M]."""
 
-    def build() -> np.ndarray:
-        ja, jb, jc = Fraction(a, 2), Fraction(b, 2), Fraction(c, 2)
-        arr = np.full((a + 1, b + 1, c + 1), Radical(0), dtype=object)
-        for ka in range(a + 1):
-            for kb in range(b + 1):
-                km = jc - (ja - ka) - (jb - kb)
-                if km.denominator != 1 or not 0 <= km <= c:
-                    continue
-                arr[ka, kb, int(km)] = clebsch_gordan(
-                    ja, ja - ka, jb, jb - kb, jc, (ja - ka) + (jb - kb), cache
-                )
-        return arr
+    def build() -> tuple[np.ndarray, Fraction]:
+        arr, r = _racah_tensor(a, b, c)
+        return _frozen(arr), r
 
     return cache.get_or(("cg-tensor", a, b, c), build)
 
@@ -384,22 +456,26 @@ def born_join_distribution(
     for end in (end_a, end_b):
         if not net.is_free(end):
             raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
-    cache = cache or default_cache()
+    if cache is None:
+        cache = default_cache()
     a, b = net.label(end_a), net.label(end_b)
 
-    acc, keys = _contract_network(net, cache)
+    acc, keys, _scale = _contract_network(net, cache)
     rest = [end for end in keys if end not in (end_a, end_b)]
     psi = np.transpose(acc, [keys.index(end) for end in [end_a, end_b] + rest])
-    psi = psi.reshape(a + 1, b + 1, -1)
+    # the projection contracts the two joined axes and the squared norm
+    # sums over the rest, each through its metric; the scale of the state
+    # and the n! in each metric are common to all channels
+    joined = _outer_all([_bargmann_metric(a, cache), _bargmann_metric(b, cache)])
+    psi = psi.reshape(a + 1, b + 1, -1) * joined[:, :, None]
+    rest_metric = _outer_all([_bargmann_metric(net.label(end), cache) for end in rest])
 
     weights: dict[int, Fraction] = {}
     for c in admissible_couplings(a, b):
-        cg = _cg_tensor(a, b, c, cache)
+        cg, r = _cg_tensor(a, b, c, cache)
         amp = np.tensordot(cg, psi, ([0, 1], [0, 1]))  # [k_M, rest]
-        total = Radical(0)
-        for value in amp.reshape(-1):
-            total = total + value * value
-        weights[c] = total.as_fraction()
+        total = _bargmann_metric(c, cache).dot((amp * amp).dot(rest_metric.reshape(-1)))
+        weights[c] = r * total / math.factorial(c)
 
     nonzero = {c: w for c, w in weights.items() if w}
     if not nonzero:

@@ -10,8 +10,11 @@ import itertools
 import math
 import random
 
-from spinnet.experiments import split_unit
+import networkx as nx
+
+from spinnet.experiments import _mirror_closure, split_unit
 from spinnet.model import (
+    End,
     SpinNetwork,
     admissible_couplings,
     merge_free_ends,
@@ -175,3 +178,31 @@ def grown_network(
 def open_corpus(count: int = 220, seed: int = 20260815) -> list[SpinNetwork]:
     rng = random.Random(seed)
     return [grown_network(rng) for _ in range(count)]
+
+
+def free_end_pairs(nets: list[SpinNetwork]) -> list[tuple[SpinNetwork, End, End]]:
+    """Every unordered pair of free ends of every network."""
+    return [
+        (net, end_a, end_b)
+        for net in nets
+        for end_a, end_b in itertools.combinations(net.free_ends, 2)
+    ]
+
+
+def mirror_closures_planar(net: SpinNetwork, end_a: End, end_b: End) -> bool:
+    """Whether every closed network the join of two free ends evaluates is planar.
+
+    Label-0 edges are left out, as the evaluator removes them (welding
+    the two edges each one held apart) before any other move.
+    """
+    for c in admissible_couplings(net.label(end_a), net.label(end_b)):
+        closed, _circles = _mirror_closure(merge_free_ends(net, end_a, end_b, c))
+        owner = {end: v.id for v in closed.vertices for end in v.ends}
+        graph = nx.Graph()
+        graph.add_nodes_from(v.id for v in closed.vertices)
+        graph.add_edges_from(
+            (owner[End(e.id, 0)], owner[End(e.id, 1)]) for e in closed.edges if e.label
+        )
+        if not nx.check_planarity(graph)[0]:
+            return False
+    return True

@@ -153,6 +153,25 @@ def test_cold_and_warm_cache_agree():
     assert cold == first == warm
 
 
+def test_an_empty_cache_passed_in_records_the_traffic():
+    # an empty EvalCache has length 0, so it must not be mistaken for None
+    from spinnet.experiments import join_free_ends
+    from spinnet.hilbert import born_join_distribution
+
+    triplet = SpinNetwork.from_spec({"a": 1, "b": 1, "t": 2}, [("v", ("a", "b", "t"))])
+    requests = [
+        lambda cache: evaluate_closed(tet_net(2, 2, 2, 2, 2, 2), cache),
+        lambda cache: join_free_ends(triplet, End("a", 1), End("b", 1), cache),
+        lambda cache: born_join_distribution(triplet, End("a", 1), End("b", 1), cache),
+    ]
+    for request in requests:
+        cache = EvalCache()
+        request(cache)
+        assert cache.misses > 0 and len(cache) == cache.misses
+        request(cache)
+        assert cache.hits > 0 and len(cache) == cache.misses
+
+
 def _hilbert_six_j(a, b, c, d, e, f):
     from fractions import Fraction as F
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -7,14 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netgen import theta_net
+from netgen import free_end_pairs, theta_net
+from spinnet import evaluator
 from spinnet.errors import (
     InvalidNetwork,
     InvalidPartition,
     MalformedArguments,
     NullState,
 )
+from spinnet.evaluator import EvalCache
 from spinnet.hilbert import (
+    _cg_tensor,
+    _vertex_tensor,
     born_join_distribution,
     clebsch_gordan,
     intertwiner_residual,
@@ -22,7 +27,7 @@ from spinnet.hilbert import (
     wigner_3j,
     wigner_6j,
 )
-from spinnet.model import Edge, End, SpinNetwork, Vertex
+from spinnet.model import Edge, End, SpinNetwork, Vertex, admissible_couplings
 from spinnet.radical import Radical
 
 half_integers = st.integers(min_value=0, max_value=6).map(lambda n: F(n, 2))
@@ -274,12 +279,140 @@ def test_born_null_state():
         born_join_distribution(net, End("x", 0), End("y", 0))
 
 
+@functools.cache
+def _float_symbol(symbol, a: int, b: int, c: int) -> np.ndarray:
+    """symbol(j_a, m_a, j_b, m_b, j_c, m_c) in floats, indexed [k_a, k_b, k_c]."""
+    js = (F(a, 2), F(b, 2), F(c, 2))
+    arr = np.zeros((a + 1, b + 1, c + 1))
+    for ks in itertools.product(range(a + 1), range(b + 1), range(c + 1)):
+        arr[ks] = float(symbol(*(x for j, k in zip(js, ks) for x in (j, j - k))))
+    return arr
+
+
+def _three_j(ja, ma, jb, mb, jc, mc):
+    return wigner_3j(ja, jb, jc, ma, mb, mc)
+
+
+def _standard_born(net, end_a, end_b):
+    """Born weights from the definition, in floats: 3j tensors and the
+    pairing (-1)^k in the standard basis, projected by CG coefficients."""
+    axis: dict[End, int] = {}
+    operands = []
+    for v in net.vertices:
+        operands += [_float_symbol(_three_j, *(net.label(e) for e in v.ends)),
+                     [axis.setdefault(e, len(axis)) for e in v.ends]]
+    for e in net.edges:
+        n = e.label
+        pairing = np.zeros((n + 1, n + 1))
+        for k in range(n + 1):
+            pairing[k, n - k] = (-1) ** k
+        operands += [pairing, [axis.setdefault(End(e.id, s), len(axis)) for s in (0, 1)]]
+    rest = [end for end in net.free_ends if end not in (end_a, end_b)]
+    psi = np.einsum(*operands, [axis[end] for end in [end_a, end_b] + rest], optimize=True)
+    a, b = net.label(end_a), net.label(end_b)
+    psi = psi.reshape(a + 1, b + 1, -1)
+    weights = {}
+    for c in admissible_couplings(a, b):
+        cg = _float_symbol(clebsch_gordan, a, b, c)
+        weights[c] = float(np.sum(np.tensordot(cg, psi, ([0, 1], [0, 1])) ** 2))
+    return weights
+
+
 def test_born_sums_to_one_on_corpus(open_nets):
-    for net in open_nets[:40]:
-        ends = net.free_ends
+    """Every pair of free ends on every corpus network, against the
+    standard-basis definition.  The pairs cover the three edge pairings
+    of the Bargmann contraction (internal, one free end, both free) and
+    label-0 ends."""
+    seen = set()
+    for net, end_a, end_b in free_end_pairs(open_nets):
+        for e in net.edges:
+            seen.add(f"edge with {sum(net.is_free(End(e.id, s)) for s in (0, 1))} free ends")
+        for end in (end_a, end_b):
+            seen.add("joined bare edge" if net.is_free(end.opposite()) else "joined vertex end")
+            if net.label(end) == 0:
+                seen.add("joined label-0 end")
+        want = _standard_born(net, end_a, end_b)
         try:
-            dist = born_join_distribution(net, ends[0], ends[1])
+            dist = born_join_distribution(net, end_a, end_b)
         except NullState:
+            assert max(want.values()) < 1e-20
             continue
         assert sum(dist.entries.values()) == 1
         assert all(0 <= p <= 1 for p in dist.entries.values())
+        total = sum(want.values())
+        for c, w in want.items():
+            assert float(dist.entries.get(c, 0)) == pytest.approx(w / total, abs=1e-9)
+    assert seen == {
+        "edge with 0 free ends", "edge with 1 free ends", "edge with 2 free ends",
+        "joined bare edge", "joined vertex end", "joined label-0 end",
+    }
+
+
+def test_bargmann_tensors_match_public_symbols():
+    cache = EvalCache()
+    for a, b in itertools.product(range(6), repeat=2):
+        for c in admissible_couplings(a, b):
+            cg, r = _cg_tensor(a, b, c, cache)
+            three_j, s = _vertex_tensor(a, b, c, cache)
+            ja, jb, jc = F(a, 2), F(b, 2), F(c, 2)
+            for ka, kb, kc in itertools.product(range(a + 1), range(b + 1), range(c + 1)):
+                binomials = math.comb(a, ka) * math.comb(b, kb) * math.comb(c, kc)
+                assert Radical.sqrt(r / binomials) * cg[ka, kb, kc] == clebsch_gordan(
+                    ja, ja - ka, jb, jb - kb, jc, jc - kc
+                )
+                assert Radical.sqrt(s / binomials) * three_j[ka, kb, kc] == wigner_3j(
+                    ja, jb, jc, ja - ka, jb - kb, jc - kc
+                )
+
+
+def test_cached_tensors_are_read_only(open_nets):
+    cache = EvalCache()
+    for net in open_nets[:20]:
+        ends = net.free_ends
+        try:
+            born_join_distribution(net, ends[0], ends[1], cache)
+        except NullState:
+            pass
+        network_to_linear_map(net, ends[:1], ends[1:], cache)
+    arrays = [
+        part
+        for value in cache._data.values()
+        for part in (value if isinstance(value, tuple) else (value,))
+        if isinstance(part, np.ndarray)
+    ]
+    assert arrays
+    assert not any(arr.flags.writeable for arr in arrays)
+
+
+def test_linear_map_does_not_alias_the_cache():
+    net = SpinNetwork.from_spec({"e": 2})
+    ends = [End("e", 0), End("e", 1)]
+    cache = EvalCache()
+    rep = network_to_linear_map(net, [], ends, cache)
+    before = rep.matrix.copy()
+    rep.matrix[0] = Radical(7)
+    again = network_to_linear_map(net, [], ends, cache)
+    assert list(again.matrix.ravel()) == list(before.ravel())
+
+
+def test_born_path_needs_no_radicals_and_no_closed_forms(open_nets, monkeypatch):
+    """The check path stays exact in integers and independent of the
+    evaluator: it builds no Radical and calls no theta or tet value."""
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the Born path must not reach this")
+
+    for name in ("__init__", "_from_terms", "sqrt", "__add__", "__radd__", "__mul__",
+                 "__rmul__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(Radical, name, forbidden)
+    for name in ("theta_value", "tet_value", "evaluate_closed"):
+        monkeypatch.setattr(evaluator, name, forbidden)
+    cache = EvalCache()  # empty, so every tensor is built under the patches
+    answered = 0
+    for net, end_a, end_b in free_end_pairs(open_nets[:40]):
+        try:
+            born_join_distribution(net, end_a, end_b, cache)
+        except NullState:
+            continue
+        answered += 1
+    assert answered > 40
