@@ -61,7 +61,6 @@ class RunConfig:
     numeric: str = "exact"  # exact | float
     tol: float = 1e-9
     seed: int = 0
-    jobs: int | None = None
 
 
 class _Failure(Exception):
@@ -152,7 +151,7 @@ def _cmd_exchange(cfg: RunConfig, args) -> int:
 def _angles_for(cfg: RunConfig, args):
     net = _load_network(args.file)
     ends = [_resolve_end(net, text) for text in args.ends] or None
-    return angle_matrix(net, ends, jobs=cfg.jobs)
+    return angle_matrix(net, ends)
 
 
 def _cmd_angles(cfg: RunConfig, args) -> int:
@@ -280,13 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("angles", parents=[common], help="pairwise emergent angles between free ends")
     p.add_argument("file")
     p.add_argument("ends", nargs="*")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(handler=_cmd_angles)
 
     p = sub.add_parser("geometry", parents=[common], help="rank-3 embeddability of the angle matrix")
     p.add_argument("file")
     p.add_argument("ends", nargs="*")
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(handler=_cmd_geometry)
 
@@ -320,7 +317,6 @@ def main(argv: list[str] | None = None) -> int:
         numeric=args.numeric,
         tol=getattr(args, "tol", 1e-9),
         seed=getattr(args, "seed", 0),
-        jobs=getattr(args, "jobs", None),
     )
     try:
         return args.handler(cfg, args)

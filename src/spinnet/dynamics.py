@@ -8,8 +8,10 @@ over short postselection sequences for ones whose induced action on a
 system register (with ancillas prepared and read back in a reference
 state) approximates a chosen unitary.
 
-Projector entries are exact (Radical scalars); states and the search run
-in complex double precision with identities checked to 1e-12.
+Every projector entry is 0, +-1/2 or 1.  One index builder lays them out
+as a float matrix; pair_projector wraps the same entries as exact Radical
+scalars, which is exact because they are dyadic.  States and the search
+run in complex double precision with identities checked to 1e-12.
 """
 
 from __future__ import annotations
@@ -77,38 +79,35 @@ class MeasurementSequence:
             raise BadIndices("ancilla count must leave at least one system qubit")
 
 
-def _singlet_outer() -> np.ndarray:
-    """Exact |singlet><singlet| on two qubits (basis 00, 01, 10, 11)."""
-    r = Radical.sqrt(Fraction(1, 2))
-    vec = [Radical(0), r, -r, Radical(0)]
-    arr = np.full((4, 4), Radical(0), dtype=object)
-    for r_i in range(4):
-        for c_i in range(4):
-            arr[r_i, c_i] = vec[r_i] * vec[c_i]
-    return arr
+_SINGLET_4 = np.array(
+    [[0.0, 0.0, 0.0, 0.0], [0.0, 0.5, -0.5, 0.0], [0.0, -0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]]
+)  # |singlet><singlet| on two qubits (basis 00, 01, 10, 11)
+_PAIR_4 = {SINGLET: _SINGLET_4, TRIPLET: np.eye(4) - _SINGLET_4}
+
+
+def _pair_matrix(n_qubits: int, i: int, j: int, channel: PairChannel) -> np.ndarray:
+    """The pair projector as a float matrix on the whole register."""
+    dim = 1 << n_qubits
+    shift_i, shift_j = n_qubits - 1 - i, n_qubits - 1 - j
+    x = np.arange(dim)
+    base = x & ~(1 << shift_i) & ~(1 << shift_j)
+    pair_x = 2 * ((x >> shift_i) & 1) + ((x >> shift_j) & 1)
+    full = np.zeros((dim, dim))
+    for pair_y in range(4):
+        y = base | ((pair_y >> 1) << shift_i) | ((pair_y & 1) << shift_j)
+        full[x, y] = _PAIR_4[channel][pair_x, pair_y]
+    return full
 
 
 def pair_projector(n_qubits: int, i: int, j: int, channel: PairChannel) -> PairProjector:
     """Projector onto the singlet (rank 1) or triplet (rank 3) of qubits i, j."""
     if not 0 <= i < j < n_qubits:
         raise BadIndices(f"need 0 <= i < j < n_qubits, got i={i}, j={j}, n={n_qubits}")
-    four = _singlet_outer()
-    if channel is TRIPLET:
-        eye4 = np.full((4, 4), Radical(0), dtype=object)
-        for d in range(4):
-            eye4[d, d] = Radical(1)
-        four = eye4 - four
-    dim = 1 << n_qubits
-    full = np.full((dim, dim), Radical(0), dtype=object)
-    shift_i, shift_j = n_qubits - 1 - i, n_qubits - 1 - j
-    for x in range(dim):
-        bi, bj = (x >> shift_i) & 1, (x >> shift_j) & 1
-        base = x & ~(1 << shift_i) & ~(1 << shift_j)
-        for bi2, bj2 in itertools.product((0, 1), repeat=2):
-            y = base | (bi2 << shift_i) | (bj2 << shift_j)
-            full[x, y] = four[2 * bi + bj, 2 * bi2 + bj2]
+    full = _pair_matrix(n_qubits, i, j, channel)
+    exact = {v: Radical(Fraction(v)) for v in np.unique(full).tolist()}  # dyadic, so exact
     labels = (1,) * n_qubits
-    return PairProjector((i, j), channel, LinearMapRep(labels, labels, full))
+    rep = LinearMapRep(labels, labels, np.vectorize(exact.__getitem__, otypes=[object])(full))
+    return PairProjector((i, j), channel, rep)
 
 
 def apply_postselected(state: StateVector, p: PairProjector) -> tuple[StateVector, float]:
@@ -183,17 +182,19 @@ def default_ancilla_state(ancillas: int) -> StateVector:
     return StateVector((1,) * ancillas, vec)
 
 
-def _map_fidelity(target: np.ndarray, induced: np.ndarray) -> float:
-    """Scale-invariant overlap: |tr(U^H A)| / (dim * sigma_max(A)).
+def _map_fidelities(target: np.ndarray, induced: np.ndarray) -> np.ndarray:
+    """Scale-invariant overlaps |tr(U^H A)| / (dim * sigma_max(A)) of a stack.
 
-    Postselected maps are meaningful up to positive scale, so the induced
+    Postselected maps are meaningful up to positive scale, so each induced
     map is compared after normalizing by its largest singular value; the
     result is 1 exactly when A is proportional to the target.
     """
-    top = float(np.linalg.svd(induced, compute_uv=False)[0])
-    if top < 1e-300:
-        return 0.0
-    return float(abs(np.trace(target.conj().T @ induced))) / (target.shape[0] * top)
+    top = np.linalg.svd(induced, compute_uv=False)[:, 0]
+    overlap = np.abs(np.einsum("ij,bij->b", target.conj(), induced))
+    live = top >= 1e-300
+    fids = np.zeros(len(induced))
+    fids[live] = overlap[live] / (target.shape[0] * top[live])
+    return fids
 
 
 def approximate_unitary_search(
@@ -209,12 +210,19 @@ def approximate_unitary_search(
 
     The system register holds the target's qubits; ancillas are appended,
     prepared in ancilla_state (default: singlet pairs) and read back in the
-    same state, so a sequence M induces A = (I (x) <anc|) M (I (x) |anc>)
-    on the system.  Breadth-first over sequences up to max_len (consecutive
-    repeats of a projector are skipped as no-ops); when beam_width is set
-    only the best beam_width prefixes per length are extended.  Fidelity is
-    _map_fidelity; success_prob is the mean squared norm of M applied to
-    basis system states with the prepared ancilla.
+    same state, so with the embedding E = I (x) |anc> a sequence M induces
+    A = E^H M E on the system.  Breadth-first over sequences up to max_len
+    (consecutive repeats of a projector are skipped as no-ops); when
+    beam_width is set only the best beam_width prefixes per length are
+    extended.  Fidelity is _map_fidelities; success_prob is ||M E||^2 / 2^k,
+    the mean squared norm of M applied to basis system states with the
+    prepared ancilla.
+
+    Both only use the lift M E, so the search carries lifts (2^n x 2^k)
+    instead of sequences' matrices, and scores a whole level at once: one
+    stacked matmul makes every child, one batched SVD scores them.  The
+    node budget counts the root and every child, and is checked before a
+    level is computed.
     """
     target = np.asarray(target, dtype=np.complex128)
     if target.ndim != 2 or target.shape[0] != target.shape[1]:
@@ -242,53 +250,48 @@ def approximate_unitary_search(
         for i, j in itertools.combinations(range(n), 2)
         for ch in (SINGLET, TRIPLET)
     ]
-    mats = {op: pair_projector(n, op[0], op[1], op[2]).rep.to_complex() for op in ops}
+    mats = np.array(
+        [_pair_matrix(n, i, j, ch) for i, j, ch in ops], dtype=np.complex128
+    ).reshape(len(ops), 1 << n, 1 << n)
 
-    def induced(m: np.ndarray) -> np.ndarray:
-        return embed.conj().T @ m @ embed
+    def score(lifts: np.ndarray) -> list[float]:
+        return _map_fidelities(target, embed.conj().T @ lifts).tolist()
 
-    def success(m: np.ndarray) -> float:
-        lifted = m @ embed
-        return float(np.sum(np.abs(lifted) ** 2)) / (1 << k)
-
-    identity = np.eye(1 << n, dtype=np.complex128)
-    best_fid = _map_fidelity(target, induced(identity))
-    best_seq: tuple = ()
-    best_mat = identity
+    # Sequences are tuples of indices into ops.  ops is listed in
+    # (i, j, channel value) order, so comparing index tuples orders the beam
+    # exactly as comparing the steps' (i, j, channel value) lists would.
+    lifts = embed[None]  # the lifts M E of the frontier, in frontier order
+    seqs: list[tuple[int, ...]] = [()]
+    last = np.array([-1])  # index in ops of each sequence's last step
+    best_fid = score(lifts)[0]
+    best_seq: tuple[int, ...] = ()
+    best_lift = embed
     best_by_length = [best_fid]
-    frontier: list[tuple[float, tuple, np.ndarray]] = [(best_fid, (), identity)]
     nodes = 1
     for _level in range(max_len):
-        grown: list[tuple[float, tuple, np.ndarray]] = []
-        for _fid, seq, mat in frontier:
-            for op in ops:
-                if seq and seq[-1] == op:
-                    continue  # projectors are idempotent
-                nodes += 1
-                if nodes > node_budget:
-                    raise BudgetExceeded(
-                        f"search exceeded the node budget of {node_budget}"
-                    )
-                new_mat = mats[op] @ mat
-                new_seq = seq + (op,)
-                fid = _map_fidelity(target, induced(new_mat))
-                if fid > best_fid + 1e-15:
-                    best_fid, best_seq, best_mat = fid, new_seq, new_mat
-                grown.append((fid, new_seq, new_mat))
+        keep = np.arange(len(ops))[None, :] != last[:, None]
+        nodes += int(keep.sum())
+        if nodes > node_budget:
+            raise BudgetExceeded(f"search exceeded the node budget of {node_budget}")
+        parent, last = np.nonzero(keep)  # children in parent-then-op order
+        lifts = np.matmul(mats[None], lifts[:, None]).reshape(-1, *embed.shape)[keep.ravel()]
+        seqs = [seqs[p] + (o,) for p, o in zip(parent.tolist(), last.tolist())]
+        fids = score(lifts)
+        for child, fid in enumerate(fids):
+            if fid > best_fid + 1e-15:
+                best_fid, best_seq, best_lift = fid, seqs[child], lifts[child]
         if beam_width is not None:
-            grown.sort(
-                key=lambda item: (-item[0], [(i, j, ch.value) for i, j, ch in item[1]])
-            )
-            grown = grown[:beam_width]
-        frontier = grown
+            order = sorted(range(len(seqs)), key=lambda c: (-fids[c], seqs[c]))[:beam_width]
+            lifts, last = lifts[order], last[order]
+            seqs = [seqs[c] for c in order]
         best_by_length.append(best_fid)
-        if not frontier:
+        if not seqs:
             break
 
-    steps = tuple(pair_projector(n, i, j, ch) for i, j, ch in best_seq)
+    steps = tuple(pair_projector(n, *ops[o]) for o in best_seq)
     return SearchReport(
         MeasurementSequence(steps, ancilla_count=ancillas),
         best_fid,
-        success(best_mat),
+        float(np.sum(np.abs(best_lift) ** 2)) / (1 << k),
         tuple(best_by_length),
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -296,14 +295,12 @@ def angle_matrix(
     net: SpinNetwork,
     ends: Sequence[End] | None = None,
     *,
-    jobs: int | None = None,
     cache: EvalCache | None = None,
 ) -> AngleMatrix:
     """Angles between every pair of the given free ends (default: all).
 
     Each pair is measured counterfactually on the original network, so
-    the order of pairs cannot matter; pairs may be evaluated in parallel
-    worker threads sharing one cache.
+    the order of pairs cannot matter.
     """
     chosen = tuple(ends) if ends is not None else net.free_ends
     if len(chosen) < 2:
@@ -318,21 +315,11 @@ def angle_matrix(
     if cache is None:
         cache = default_cache()
 
-    pairs = [(i, j) for i in range(len(chosen)) for j in range(i + 1, len(chosen))]
-
-    def one(pair: tuple[int, int]) -> float:
-        i, j = pair
-        return exchange_experiment(net, chosen[i], chosen[j], cache).theta
-
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            thetas = list(pool.map(one, pairs))
-    else:
-        thetas = [one(p) for p in pairs]
-
     matrix = np.zeros((len(chosen), len(chosen)))
-    for (i, j), theta in zip(pairs, thetas):
-        matrix[i, j] = matrix[j, i] = theta
+    for i in range(len(chosen)):
+        for j in range(i + 1, len(chosen)):
+            theta = exchange_experiment(net, chosen[i], chosen[j], cache).theta
+            matrix[i, j] = matrix[j, i] = theta
     return AngleMatrix(chosen, matrix)
 
 

@@ -209,14 +209,6 @@ def test_angle_matrix_triplet_fixture():
     assert np.array_equal(am.angles, am.angles.T)
 
 
-def test_angle_matrix_parallel_matches_serial():
-    net = aligned_triple(2)
-    serial = angle_matrix(net)
-    parallel = angle_matrix(net, jobs=4)
-    assert serial.ends == parallel.ends
-    assert np.array_equal(serial.angles, parallel.angles)
-
-
 def test_angle_matrix_preconditions():
     with pytest.raises(TooFewEnds):
         angle_matrix(SpinNetwork.from_spec({"a": 2}), [End("a", 0)])
