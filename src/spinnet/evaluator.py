@@ -13,6 +13,7 @@ coefficients are the closed forms below.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -42,11 +43,13 @@ class EvalCache:
         self.misses = 0
 
     def get_or(self, key, compute: Callable[[], Fraction]) -> Fraction:
+        """The cached value for key, else compute() stored under it.  A
+        compute() that raises stores nothing and counts as no miss."""
         try:
             value = self._data[key]
         except KeyError:
-            self.misses += 1
             value = compute()
+            self.misses += 1
             self._data[key] = value
             if self.max_entries is not None:
                 while len(self._data) > self.max_entries:
@@ -77,7 +80,11 @@ def default_cache() -> EvalCache:
     global _default_cache
     if _default_cache is None:
         bound = os.environ.get(_ENV_CACHE_SIZE)
-        _default_cache = EvalCache(int(bound) if bound else None)
+        try:
+            max_entries = int(bound) if bound else None
+        except ValueError:
+            raise OutOfRange(f"{_ENV_CACHE_SIZE} must be an integer, got {bound!r}") from None
+        _default_cache = EvalCache(max_entries)
     return _default_cache
 
 
@@ -93,8 +100,6 @@ def loop_value(n: int) -> Fraction:
 
 def theta_value(a: int, b: int, c: int, cache: EvalCache | None = None) -> Fraction:
     """Value of the two-vertex network whose three edges carry a, b, c."""
-    if not vertex_admissible(a, b, c):
-        raise InadmissibleTriple(a, b, c)
     if cache is None:
         cache = default_cache()
     key = ("theta",) + tuple(sorted((a, b, c)))
@@ -102,6 +107,10 @@ def theta_value(a: int, b: int, c: int, cache: EvalCache | None = None) -> Fract
 
 
 def _theta(a: int, b: int, c: int) -> Fraction:
+    # checked on a cache miss only: a key is stored only for admissible
+    # labels, and admissibility does not depend on their order
+    if not vertex_admissible(a, b, c):
+        raise InadmissibleTriple(a, b, c)
     s = (a + b + c) // 2
     m, n, p = s - c, s - a, s - b
     num = math.factorial(s + 1) * math.factorial(m) * math.factorial(n) * math.factorial(p)
@@ -135,6 +144,7 @@ def _tet_symmetries() -> tuple[tuple[int, ...], ...]:
 _TET_SYMMETRIES = _tet_symmetries()
 
 
+@functools.lru_cache(maxsize=4096)  # asked for on every tet lookup, hits included
 def tet_canonical_key(a: int, b: int, c: int, d: int, e: int, f: int) -> tuple[int, ...]:
     labels = (a, b, c, d, e, f)
     return min(tuple(labels[i] for i in perm) for perm in _TET_SYMMETRIES)
@@ -143,9 +153,6 @@ def tet_canonical_key(a: int, b: int, c: int, d: int, e: int, f: int) -> tuple[i
 def tet_value(a: int, b: int, c: int, d: int, e: int, f: int, cache: EvalCache | None = None) -> Fraction:
     """Value of the tetrahedral network with vertex triples
     (a,d,e), (b,c,e), (a,b,f), (c,d,f)."""
-    for triple in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)):
-        if not vertex_admissible(*triple):
-            raise InadmissibleTriple(*triple)
     if cache is None:
         cache = default_cache()
     key = ("tet",) + tet_canonical_key(a, b, c, d, e, f)
@@ -153,6 +160,11 @@ def tet_value(a: int, b: int, c: int, d: int, e: int, f: int, cache: EvalCache |
 
 
 def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
+    # checked on a cache miss only, as for _theta: the 24 symmetries only
+    # permute the four vertex triples
+    for triple in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)):
+        if not vertex_admissible(*triple):
+            raise InadmissibleTriple(*triple)
     half_sums = ((a + d + e) // 2, (b + c + e) // 2, (a + b + f) // 2, (c + d + f) // 2)
     pair_sums = ((b + d + e + f) // 2, (a + c + e + f) // 2, (a + b + c + d) // 2)
     interior = 1
@@ -327,38 +339,51 @@ def _eliminate_zero_edge(g: _MGraph, e: int) -> None:
         g.weld(a, b)
 
 
-def _find_zero_edge(g: _MGraph) -> int | None:
+def _next_move(g: _MGraph) -> tuple[str, object] | None:
+    """The schedule's next direct move, from one scan of the edges in id order.
+
+    In order of priority:
+    - ("zero", e): the lowest-id zero-labelled edge;
+    - ("loop", v): the lowest vertex holding a self-loop;
+    - ("parallel", (u, v, edges)): the bundle between u < v, edges by id,
+      the lowest (u, v) with three edges (a whole theta component), else
+      the lowest with two;
+    - ("triangle", (t1, t2, t3, p, q, r)): the lexicographically first
+      3-cycle t1 < t2 < t3, where p = t1t2, q = t2t3, r = t3t1.
+    None means none applies: the graph has girth at least 4.
+    """
+    nbrs: dict[int, dict[int, int]] = {v: {} for v in g.vports}  # first edge to each neighbour
+    loop = None
+    bundles: dict[tuple[int, int], list[int]] = {}
+    tri = None
     for e in sorted(g.elabel):
         if g.elabel[e] == 0:
-            return e
+            return "zero", e
+        (u, _), (v, _) = g.eports[e]  # only zero edges carry stubs
+        if u == v:
+            if loop is None or u < loop:
+                loop = u
+            continue
+        row_u, row_v = nbrs[u], nbrs[v]
+        if v in row_u:
+            bundles.setdefault((u, v) if u < v else (v, u), [row_u[v]]).append(e)
+            continue
+        for w in row_u:
+            if w in row_v:  # e closes the triangle u, v, w
+                t = tuple(sorted((u, v, w)))
+                if tri is None or t < tri:
+                    tri = t
+        row_u[v] = row_v[u] = e
+    if loop is not None:
+        return "loop", loop
+    if bundles:
+        pairs = sorted(bundles)
+        u, v = next((p for p in pairs if len(bundles[p]) == 3), pairs[0])
+        return "parallel", (u, v, bundles[u, v])
+    if tri is not None:
+        t1, t2, t3 = tri
+        return "triangle", (t1, t2, t3, nbrs[t1][t2], nbrs[t2][t3], nbrs[t3][t1])
     return None
-
-
-def _find_self_loop(g: _MGraph) -> int | None:
-    for v in sorted(g.vports):
-        edges = [e for e, _ in g.vports[v]]
-        if len(set(edges)) < 3:
-            return v
-    return None
-
-
-def _parallel_groups(g: _MGraph) -> dict[tuple[int, int], list[int]]:
-    groups: dict[tuple[int, int], list[int]] = {}
-    for e in sorted(g.elabel):
-        u, v = g.endpoints(e)
-        assert u is not None and v is not None
-        groups.setdefault((min(u, v), max(u, v)), []).append(e)
-    return groups
-
-
-def _find_parallel_pair(g: _MGraph) -> tuple[int, int, list[int]] | None:
-    best = None
-    for (u, v), edges in sorted(_parallel_groups(g).items()):
-        if len(edges) == 3:
-            return u, v, edges  # a whole theta component, take it first
-        if len(edges) == 2 and best is None:
-            best = (u, v, edges)
-    return best
 
 
 def _collapse_parallel(g: _MGraph, u: int, v: int, edges: list[int], cache: EvalCache) -> Fraction | None:
@@ -387,26 +412,6 @@ def _collapse_parallel(g: _MGraph, u: int, v: int, edges: list[int], cache: Eval
     return theta_value(x, y, cu, cache) / loop_value(cu)
 
 
-def _find_triangle(g: _MGraph) -> tuple[int, int, int, int, int, int] | None:
-    """A 3-cycle as (t1, t2, t3, p, q, r) with p=t1t2, q=t2t3, r=t3t1."""
-    adj: dict[int, dict[int, int]] = {}
-    for e in sorted(g.elabel):
-        u, v = g.endpoints(e)
-        if u == v:
-            continue
-        adj.setdefault(u, {}).setdefault(v, e)
-        adj.setdefault(v, {}).setdefault(u, e)
-    for t1 in sorted(adj):
-        for t2 in sorted(adj[t1]):
-            if t2 <= t1:
-                continue
-            for t3 in sorted(adj[t2]):
-                if t3 <= t1 or t3 == t2 or t3 not in adj[t1]:
-                    continue
-                return t1, t2, t3, adj[t1][t2], adj[t2][t3], adj[t3][t1]
-    return None
-
-
 def _contract_triangle(g: _MGraph, tri: tuple[int, int, int, int, int, int], cache: EvalCache) -> Fraction | None:
     """Replace a 3-cycle by a single vertex.  Returns the scalar factor, or
     None when the outer labels cannot meet at a vertex (value zero)."""
@@ -431,7 +436,14 @@ def _contract_triangle(g: _MGraph, tri: tuple[int, int, int, int, int, int], cac
 
 
 def _shortest_cycle(g: _MGraph) -> tuple[list[int], list[int]] | None:
-    """Shortest cycle as (vertices, edges); edges[i] joins vertices[i], [i+1]."""
+    """Shortest cycle as (vertices, edges); edges[i] joins vertices[i], [i+1].
+
+    Of the shortest cycles, the one through the lowest edge id wins.  The
+    graph must have girth at least 4 (the direct moves have removed every
+    loop, bubble and triangle): the first 4-cycle found ends the search, and
+    each BFS stops at the depth past which it could no longer beat the best
+    cycle so far.
+    """
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vports}
     for e in sorted(g.elabel):
         u, v = g.endpoints(e)
@@ -440,11 +452,13 @@ def _shortest_cycle(g: _MGraph) -> tuple[list[int], list[int]] | None:
     best: tuple[list[int], list[int]] | None = None
     for e0 in sorted(g.elabel):
         u0, v0 = g.endpoints(e0)
-        # shortest path u0 -> v0 avoiding e0 closes the shortest cycle via e0
+        # shortest path u0 -> v0 avoiding e0 closes the shortest cycle via e0;
+        # only a path of at most `limit` edges closes a strictly shorter one
+        limit = len(best[1]) - 2 if best is not None else len(g.vports)
         dist = {u0: 0}
         parent: dict[int, tuple[int, int]] = {}
         frontier = [u0]
-        while frontier and v0 not in dist:
+        while frontier and v0 not in dist and dist[frontier[0]] < limit:
             nxt = []
             for x in frontier:
                 for y, e in adj[x]:
@@ -467,8 +481,9 @@ def _shortest_cycle(g: _MGraph) -> tuple[list[int], list[int]] | None:
         verts.reverse()
         edges.reverse()
         edges.append(e0)  # closes verts[-1] -> verts[0]
-        if best is None or len(edges) < len(best[1]):
-            best = (verts, edges)
+        best = (verts, edges)
+        if len(edges) == 4:
+            break
     return best
 
 
@@ -549,23 +564,39 @@ def _require_closed_valid(net: SpinNetwork) -> None:
 def evaluate_closed(net: SpinNetwork, cache: EvalCache | None = None) -> Fraction:
     """Exact value of a closed network.
 
-    The result does not depend on the order rewrites are applied in; the
-    implementation picks a deterministic schedule.
+    The rewrites follow a deterministic schedule.  On planar networks the
+    result does not depend on that schedule; on nonplanar ones it does, and
+    the value returned there is not to be trusted.
+
+    Within one call, the total over the recoupling branches is memoised by
+    the exact graph state at the recoupling step (labels and ports, ids
+    included, since the schedule reads them): once a new channel edge has
+    been absorbed, the graph left is often the same for every channel.  The
+    memo is dropped when the call returns.
     """
     _require_closed_valid(net)
     if cache is None:
         cache = default_cache()
     g = _MGraph.from_network(net)
+    memo: dict[tuple, Fraction] = {}
     value = Fraction(1)
     for comp in _components(g):
-        value *= _eval_graph(comp, cache)
+        value *= _eval_graph(comp, cache, memo)
         if value == 0:
             return Fraction(0)
     return value
 
 
-def _eval_graph(g: _MGraph, cache: EvalCache) -> Fraction:
-    """Value of one connected component (recursing over recoupling branches)."""
+def _state_key(g: _MGraph) -> tuple:
+    """The exact state of g that the schedule reads: edge labels and ports,
+    with their ids.  vports is the inverse of eports, so it adds nothing;
+    circles are always flushed before a recoupling step."""
+    return tuple((e, g.elabel[e], *g.eports[e]) for e in sorted(g.elabel))
+
+
+def _eval_graph(g: _MGraph, cache: EvalCache, memo: dict[tuple, Fraction]) -> Fraction:
+    """Value of one connected component, recursing over recoupling branches;
+    memo maps the state at a recoupling step to its branch total."""
     acc = Fraction(1)
     while True:
         if g.circles:
@@ -575,37 +606,34 @@ def _eval_graph(g: _MGraph, cache: EvalCache) -> Fraction:
         if g.empty():
             return acc
 
-        zero = _find_zero_edge(g)
-        if zero is not None:
-            _eliminate_zero_edge(g, zero)
-            continue
-
-        if _find_self_loop(g) is not None:
-            # a bundle closing onto its own vertex forces the third label
-            # to zero; zero edges are gone here, so the component vanishes
-            return Fraction(0)
-
-        pair = _find_parallel_pair(g)
-        if pair is not None:
-            factor = _collapse_parallel(g, *pair, cache)
+        move = _next_move(g)
+        if move is not None:
+            kind, arg = move
+            if kind == "zero":
+                _eliminate_zero_edge(g, arg)
+                continue
+            if kind == "loop":
+                # a bundle closing onto its own vertex forces the third label
+                # to zero; zero edges are gone here, so the component vanishes
+                return Fraction(0)
+            if kind == "parallel":
+                factor = _collapse_parallel(g, *arg, cache)
+            else:
+                factor = _contract_triangle(g, arg, cache)
             if factor is None:
                 return Fraction(0)
             acc *= factor
             continue
 
-        tri = _find_triangle(g)
-        if tri is not None:
-            factor = _contract_triangle(g, tri, cache)
-            if factor is None:
-                return Fraction(0)
-            acc *= factor
-            continue
-
-        cycle = _shortest_cycle(g)
-        assert cycle is not None, "a closed trivalent graph always has a cycle"
-        total = Fraction(0)
-        for coeff, branch in _recoupling_branches(g, cycle, cache):
-            total += coeff * _eval_graph(branch, cache)
+        key = _state_key(g)
+        total = memo.get(key)
+        if total is None:
+            cycle = _shortest_cycle(g)
+            assert cycle is not None, "a closed trivalent graph always has a cycle"
+            total = Fraction(0)
+            for coeff, branch in _recoupling_branches(g, cycle, cache):
+                total += coeff * _eval_graph(branch, cache, memo)
+            memo[key] = total
         return acc * total
 
 

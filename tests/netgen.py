@@ -96,6 +96,63 @@ def aligned_triple(n: int) -> SpinNetwork:
     )
 
 
+def random_cubic_graph(rng: random.Random, n: int, min_girth: int = 3) -> nx.Graph:
+    """A random connected, bridgeless, simple cubic graph on n vertices."""
+    while True:
+        graph = nx.random_regular_graph(3, n, seed=rng.randrange(2**32))
+        if (
+            nx.is_connected(graph)
+            and not nx.has_bridges(graph)
+            and nx.girth(graph) >= min_girth
+        ):
+            return graph
+
+
+def cycle_labelled_net(rng: random.Random, graph: nx.Graph, extra: int = 0) -> SpinNetwork:
+    """The closed network of a bridgeless cubic graph, labelled by superposed cycles.
+
+    Each cycle, through an uncovered edge until every edge is covered and
+    then through `extra` random edges, adds 1 along its edges.  A cycle
+    meets a vertex in two of its three edges, so every vertex stays
+    admissible and no edge is left at label zero.  Edge and vertex ids
+    follow a random declaration order.
+    """
+    edges = [tuple(sorted(e)) for e in graph.edges]
+    rng.shuffle(edges)
+    labels = dict.fromkeys(edges, 0)
+
+    def add_cycle(edge):
+        # the edge closes the tree path of a random-order DFS between its ends
+        a, b = edge
+        parent = {b: None}
+        stack = [b]
+        while a not in parent:
+            x = stack.pop()
+            nbrs = [y for y in graph[x] if {x, y} != {a, b}]
+            rng.shuffle(nbrs)
+            for y in nbrs:
+                if y not in parent:
+                    parent[y] = x
+                    stack.append(y)
+        labels[edge] += 1
+        while parent[a] is not None:
+            labels[tuple(sorted((a, parent[a])))] += 1
+            a = parent[a]
+
+    for edge in edges:
+        if labels[edge] == 0:
+            add_cycle(edge)
+    for _ in range(extra):
+        add_cycle(rng.choice(edges))
+    name = {edge: f"e{k}" for k, edge in enumerate(edges)}
+    vertices = list(graph.nodes)
+    rng.shuffle(vertices)
+    return SpinNetwork.from_spec(
+        [(name[edge], labels[edge]) for edge in edges],
+        [(f"v{v}", [name[tuple(sorted((v, w)))] for w in graph[v]]) for v in vertices],
+    )
+
+
 def closed_corpus(max_strands: int = MAX_STRANDS) -> list[SpinNetwork]:
     """Every closed fixture family, label sums capped for the strand oracle."""
     nets: list[SpinNetwork] = [SpinNetwork((), ())]

@@ -66,6 +66,17 @@ def test_eval_open_network_is_domain_error(fx, capsys):
     assert "HasFreeEnds" in err
 
 
+@pytest.mark.parametrize("bound", ["abc", "1.5", "0", "-2"])
+def test_eval_bad_cache_size_is_domain_error(fx, capsys, monkeypatch, bound):
+    from spinnet import evaluator
+
+    monkeypatch.setattr(evaluator, "_default_cache", None)
+    monkeypatch.setenv("SPINNET_CACHE_SIZE", bound)
+    code, out, err = run(["eval", fx["theta"]], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("OutOfRange:")
+
+
 def test_eval_missing_file_is_io_error(fx, capsys):
     code, _, err = run(["eval", fx["theta"] + ".nope"], capsys)
     assert code == 1

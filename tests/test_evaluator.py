@@ -1,18 +1,31 @@
+import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from netgen import cube_net, dumbbell_net, prism_net, tet_net, theta_net
+from netgen import (
+    cube_net,
+    cycle_labelled_net,
+    dumbbell_net,
+    prism_net,
+    random_cubic_graph,
+    tet_net,
+    theta_net,
+)
+from spinnet import evaluator as ev
 from spinnet.errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, TooLarge
 from spinnet.evaluator import (
+    _TET_SYMMETRIES,
     EvalCache,
     evaluate_closed,
     loop_value,
     recoupling_coefficient,
     recoupling_six_j_magnitude,
     strand_expansion_oracle,
+    tet_canonical_key,
     tet_value,
     theta_value,
 )
@@ -42,8 +55,12 @@ def test_theta_with_zero_leg_is_a_loop(n):
 
 
 def test_theta_rejects_inadmissible():
+    # labels are checked when a lookup misses; a refused call leaves no trace
+    cache = EvalCache()
+    theta_value(1, 1, 2, cache)
     with pytest.raises(InadmissibleTriple):
-        theta_value(1, 1, 1)
+        theta_value(1, 1, 1, cache)
+    assert cache.stats == {"size": 1, "hits": 0, "misses": 1}
 
 
 @pytest.mark.parametrize("labels", THETA_CASES)
@@ -54,8 +71,11 @@ def test_theta_matches_strand_oracle(labels):
 
 
 def test_tet_rejects_inadmissible_vertex():
+    cache = EvalCache()
+    tet_value(1, 1, 1, 1, 2, 2, cache)
     with pytest.raises(InadmissibleTriple):
-        tet_value(1, 1, 1, 1, 1, 1)
+        tet_value(1, 1, 1, 1, 1, 1, cache)
+    assert cache.stats == {"size": 1, "hits": 0, "misses": 1}
 
 
 def test_degenerate_tet_reduces_to_theta():
@@ -69,6 +89,14 @@ def test_tet_matches_strand_oracle(labels):
     want = tet_value(*labels)
     assert strand_expansion_oracle(net) == want
     assert evaluate_closed(net) == want
+
+
+@given(st.tuples(*[st.integers(min_value=0, max_value=12)] * 6))
+def test_tet_canonical_key_is_the_least_relabeling(labels):
+    key = tet_canonical_key(*labels)
+    assert key == min(tuple(labels[i] for i in perm) for perm in _TET_SYMMETRIES)
+    for perm in _TET_SYMMETRIES:
+        assert tet_canonical_key(*(labels[i] for i in perm)) == key
 
 
 def test_tet_symmetry_under_vertex_relabelings():
@@ -207,3 +235,307 @@ def test_six_j_bridge_sweep():
                             ) == pytest.approx(_hilbert_six_j(a, b, c, d, e, f), abs=1e-12)
                             checked += 1
     assert checked > 50
+
+
+# -- the per-call memo, the capped cycle search and the one-scan finder -------
+#
+# The reference is the plain reduction: the module's own moves, a separate
+# finder per kind of direct move, no memo, and a BFS from every edge to full
+# depth.  The evaluator must follow its schedule exactly, and so give every
+# value it gives.
+
+
+def _ref_zero_edge(g):
+    for e in sorted(g.elabel):
+        if g.elabel[e] == 0:
+            return e
+    return None
+
+
+def _ref_self_loop(g):
+    for v in sorted(g.vports):
+        edges = [e for e, _ in g.vports[v]]
+        if len(set(edges)) < 3:
+            return v
+    return None
+
+
+def _ref_parallel_pair(g):
+    groups = {}
+    for e in sorted(g.elabel):
+        u, v = g.endpoints(e)
+        groups.setdefault((min(u, v), max(u, v)), []).append(e)
+    best = None
+    for (u, v), edges in sorted(groups.items()):
+        if len(edges) == 3:
+            return u, v, edges
+        if len(edges) == 2 and best is None:
+            best = (u, v, edges)
+    return best
+
+
+def _ref_triangle(g):
+    adj = {}
+    for e in sorted(g.elabel):
+        u, v = g.endpoints(e)
+        if u == v:
+            continue
+        adj.setdefault(u, {}).setdefault(v, e)
+        adj.setdefault(v, {}).setdefault(u, e)
+    for t1 in sorted(adj):
+        for t2 in sorted(adj[t1]):
+            if t2 <= t1:
+                continue
+            for t3 in sorted(adj[t2]):
+                if t3 <= t1 or t3 == t2 or t3 not in adj[t1]:
+                    continue
+                return t1, t2, t3, adj[t1][t2], adj[t2][t3], adj[t3][t1]
+    return None
+
+
+def _ref_move(g):
+    zero = _ref_zero_edge(g)
+    if zero is not None:
+        return "zero", zero
+    loop = _ref_self_loop(g)
+    if loop is not None:
+        return "loop", loop
+    pair = _ref_parallel_pair(g)
+    if pair is not None:
+        return "parallel", pair
+    tri = _ref_triangle(g)
+    if tri is not None:
+        return "triangle", tri
+    return None
+
+
+def _uncapped_shortest_cycle(g):
+    adj = {v: [] for v in g.vports}
+    for e in sorted(g.elabel):
+        u, v = g.endpoints(e)
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    best = None
+    for e0 in sorted(g.elabel):
+        u0, v0 = g.endpoints(e0)
+        dist = {u0: 0}
+        parent = {}
+        frontier = [u0]
+        while frontier and v0 not in dist:
+            nxt = []
+            for x in frontier:
+                for y, e in adj[x]:
+                    if e == e0 or y in dist:
+                        continue
+                    dist[y] = dist[x] + 1
+                    parent[y] = (x, e)
+                    nxt.append(y)
+            frontier = nxt
+        if v0 not in dist:
+            continue
+        verts, edges, x = [v0], [], v0
+        while x != u0:
+            x, pe = parent[x]
+            edges.append(pe)
+            verts.append(x)
+        verts.reverse()
+        edges.reverse()
+        edges.append(e0)
+        if best is None or len(edges) < len(best[1]):
+            best = (verts, edges)
+    return best
+
+
+def _reference_eval_graph(g, cache):
+    acc = Fraction(1)
+    while True:
+        for lbl in g.circles:
+            acc *= loop_value(lbl)
+        g.circles.clear()
+        if g.empty():
+            return acc
+        move = _ref_move(g)
+        if move is not None:
+            kind, arg = move
+            if kind == "zero":
+                ev._eliminate_zero_edge(g, arg)
+                continue
+            if kind == "loop":
+                return Fraction(0)
+            if kind == "parallel":
+                factor = ev._collapse_parallel(g, *arg, cache)
+            else:
+                factor = ev._contract_triangle(g, arg, cache)
+            if factor is None:
+                return Fraction(0)
+            acc *= factor
+            continue
+        cycle = _uncapped_shortest_cycle(g)
+        total = Fraction(0)
+        for coeff, branch in ev._recoupling_branches(g, cycle, cache):
+            total += coeff * _reference_eval_graph(branch, cache)
+        return acc * total
+
+
+def _reference_value(net):
+    cache = EvalCache()
+    value = Fraction(1)
+    for comp in ev._components(ev._MGraph.from_network(net)):
+        value *= _reference_eval_graph(comp, cache)
+        if value == 0:
+            return Fraction(0)
+    return value
+
+
+def _full_state(g):
+    return (
+        tuple(sorted(g.elabel.items())),
+        tuple(sorted((e, tuple(ports)) for e, ports in g.eports.items())),
+        tuple(sorted((v, tuple(ports)) for v, ports in g.vports.items())),
+        tuple(g.circles),
+    )
+
+
+def _traced(monkeypatch, evaluate, net):
+    """The value, the (state, cycle) of each recoupling step in order, and
+    the number of recoupling coefficients computed."""
+    steps = []
+    coefficients = 0
+    branches, coefficient = ev._recoupling_branches, ev.recoupling_coefficient
+
+    def spy_branches(g, cycle, cache):
+        steps.append((_full_state(g), tuple(map(tuple, cycle))))
+        return branches(g, cycle, cache)
+
+    def spy_coefficient(*args):
+        nonlocal coefficients
+        coefficients += 1
+        return coefficient(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ev, "_recoupling_branches", spy_branches)
+        patch.setattr(ev, "recoupling_coefficient", spy_coefficient)
+        value = evaluate(net)
+    return value, steps, coefficients
+
+
+def _cubic_nets():
+    rng = random.Random(20261018)
+    nets = [
+        cycle_labelled_net(rng, random_cubic_graph(rng, n), extra)
+        for n in (8, 10, 12, 14, 14, 16, 16, 18, 18)
+        for extra in (0, 1)
+    ]
+    nets += [cycle_labelled_net(rng, nx.circular_ladder_graph(r), r % 2) for r in (4, 5, 6, 7)]
+    return nets
+
+
+CUBIC_NETS = _cubic_nets()
+
+
+def _planar(net):
+    owner = {end: v.id for v in net.vertices for end in v.ends}
+    graph = nx.MultiGraph()
+    graph.add_edges_from((owner[End(e.id, 0)], owner[End(e.id, 1)]) for e in net.edges)
+    return nx.check_planarity(graph)[0]
+
+
+def test_cubic_corpus_is_planar_and_nonplanar():
+    planar = [_planar(net) for net in CUBIC_NETS]
+    assert 3 <= sum(planar) <= len(planar) - 3
+
+
+@pytest.mark.parametrize("k", range(len(CUBIC_NETS)))
+def test_memo_and_capped_search_keep_the_schedule(monkeypatch, k):
+    # the evaluator recouples exactly the reference's states, each once, in
+    # the order the reference first meets them, and so gets the same value
+    net = CUBIC_NETS[k]
+    want, ref_steps, _ = _traced(monkeypatch, _reference_value, net)
+    got, steps, _ = _traced(monkeypatch, lambda n: evaluate_closed(n, EvalCache()), net)
+    assert got == want
+    assert steps == list(dict.fromkeys(ref_steps))
+
+
+@pytest.mark.parametrize("rungs, seed", [(6, 6), (8, 33)])
+def test_memo_saves_recoupling_work_on_a_ladder(monkeypatch, rungs, seed):
+    # most labelled ladders reduce by direct moves after one recoupling
+    # step, leaving the memo nothing to reuse; these two recurse
+    net = cycle_labelled_net(random.Random(seed), nx.circular_ladder_graph(rungs), seed % 3)
+    want, _, ref_count = _traced(monkeypatch, _reference_value, net)
+    got, _, count = _traced(monkeypatch, lambda n: evaluate_closed(n, EvalCache()), net)
+    assert got == want
+    assert count < ref_count
+
+
+def _relabelled(g, rng, emap=None, vmap=None):
+    """g with its edge and vertex ids sent to random distinct integers, or
+    through the maps given."""
+    emap = emap or dict(zip(g.elabel, rng.sample(range(4 * len(g.elabel)), len(g.elabel))))
+    vmap = vmap or dict(zip(g.vports, rng.sample(range(4 * len(g.vports)), len(g.vports))))
+    h = ev._MGraph()
+    for e, label in g.elabel.items():
+        h.elabel[emap[e]] = label
+        h.eports[emap[e]] = [(vmap[v], slot) for v, slot in g.eports[e]]
+    for v, ports in g.vports.items():
+        h.vports[vmap[v]] = [(emap[e], side) for e, side in ports]
+    return h
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(min_value=0, max_value=2**30), st.sampled_from([6, 8, 10, 12, 14, 16]))
+def test_capped_shortest_cycle_matches_full_search(seed, n):
+    # the reducer only searches graphs of girth >= 4
+    rng = random.Random(seed)
+    graph = random_cubic_graph(rng, n, min_girth=4)
+    g = _relabelled(ev._MGraph.from_network(cycle_labelled_net(rng, graph)), rng)
+    assert ev._shortest_cycle(g) == _uncapped_shortest_cycle(g)
+
+
+def test_memo_key_tells_apart_ids_and_labels():
+    # on nonplanar graphs the value depends on the schedule, which reads ids
+    g = ev._MGraph.from_network(cube_net(1, 2))
+    es, vs = sorted(g.elabel), sorted(g.vports)
+    same_e, same_v = dict(zip(es, es)), dict(zip(vs, vs))
+    states = [g]
+    for a, b in itertools.combinations(es, 2):
+        states.append(_relabelled(g, None, {**same_e, a: b, b: a}, same_v))
+    for a, b in itertools.combinations(vs, 2):
+        states.append(_relabelled(g, None, same_e, {**same_v, a: b, b: a}))
+    for e in es:
+        h = _relabelled(g, None, same_e, same_v)
+        h.elabel[e] += 2
+        states.append(h)
+    assert len({_full_state(h) for h in states}) == len(states)
+    assert len({ev._state_key(h) for h in states}) == len(states)
+
+
+def _random_multigraph(rng, n, labels):
+    """A random trivalent multigraph on n vertices, loops and parallel edges
+    allowed, with random ids."""
+    points = [(v, slot) for v in range(n) for slot in range(3)]
+    rng.shuffle(points)
+    g = ev._MGraph()
+    g.vports = {v: [None] * 3 for v in range(n)}
+    for e in range(len(points) // 2):
+        g.elabel[e] = rng.choice(labels)
+        g.eports[e] = [points[2 * e], points[2 * e + 1]]
+        for side, (v, slot) in enumerate(g.eports[e]):
+            g.vports[v][slot] = (e, side)
+    return _relabelled(g, rng)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    st.integers(min_value=0, max_value=2**30),
+    st.sampled_from([2, 4, 6, 8, 10, 12]),
+    st.sampled_from(["multigraph", "multigraph without zeros", "simple"]),
+)
+@example(93, 6, "multigraph without zeros")  # a theta outranks a bubble of lower (u, v)
+def test_one_scan_picks_what_the_reference_finders_pick(seed, n, kind):
+    rng = random.Random(seed)
+    if kind == "simple":
+        net = cycle_labelled_net(rng, random_cubic_graph(rng, max(n, 4)))
+        g = _relabelled(ev._MGraph.from_network(net), rng)
+    else:
+        g = _random_multigraph(rng, n, (0, 1, 2) if kind == "multigraph" else (1, 2))
+    assert ev._next_move(g) == _ref_move(g)
