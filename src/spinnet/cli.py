@@ -1,12 +1,13 @@
 """Command-line front end for spin-network experiments.
 
-Subcommands wrap the library one-to-one: eval, join, exchange, angles,
-geometry, stability, dynamics.  Networks are read from `.snet` files (or
-stdin as `-`); results print as human-readable lines or as json-lines
-(`--format jsonl`, one record per line, keys sorted, byte-deterministic
-for a fixed seed).  Exact mode prints probabilities as `p/q`; `--numeric
-float` switches to decimals.  Exit codes: 0 ok, 1 I/O, 2 usage or parse
-errors, 3 domain violations (invalid or unsuitable network).
+Subcommands wrap the library one-to-one: eval, join, born, exchange,
+angles, geometry, stability, dynamics.  Networks are read from `.snet`
+files (or stdin as `-`); results print as human-readable lines or as
+json-lines (`--format jsonl`, one record per line, keys sorted,
+byte-deterministic for a fixed seed).  Exact mode prints probabilities
+as `p/q`; `--numeric float` switches to decimals.  Exit codes: 0 ok, 1
+I/O, 2 usage or parse errors, 3 domain violations (invalid or unsuitable
+network, or a request over its size bound).
 
 Free ends are named by edge id, with an optional `:side` suffix (`e1:0`)
 when both sides of the edge are free.
@@ -34,7 +35,7 @@ from .experiments import (
     join_free_ends,
     stability_measure,
 )
-from .hilbert import StateVector
+from .hilbert import StateVector, born_join_distribution
 from .model import End, SpinNetwork
 
 EXIT_OK = 0
@@ -123,13 +124,23 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_join(cfg: RunConfig, args) -> int:
-    net = _load_network(args.file)
-    dist = join_free_ends(net, _resolve_end(net, args.end_a), _resolve_end(net, args.end_b))
+def _emit_distribution(cfg: RunConfig, dist) -> int:
     record = {str(label): _rational(p, cfg) for label, p in dist.entries.items()}
     human = " ".join(f"c={label} p={_rational(dist.entries[label], cfg)}" for label in dist.support)
     _emit(cfg, record, human)
     return EXIT_OK
+
+
+def _cmd_join(cfg: RunConfig, args) -> int:
+    net = _load_network(args.file)
+    ends = (_resolve_end(net, args.end_a), _resolve_end(net, args.end_b))
+    return _emit_distribution(cfg, join_free_ends(net, *ends))
+
+
+def _cmd_born(cfg: RunConfig, args) -> int:
+    net = _load_network(args.file)
+    ends = (_resolve_end(net, args.end_a), _resolve_end(net, args.end_b))
+    return _emit_distribution(cfg, born_join_distribution(net, *ends))
 
 
 def _cmd_exchange(cfg: RunConfig, args) -> int:
@@ -269,6 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("end_a")
     p.add_argument("end_b")
     p.set_defaults(handler=_cmd_join)
+
+    p = sub.add_parser("born", parents=[common], help="the same distribution by the Born rule (the check path)")
+    p.add_argument("file")
+    p.add_argument("end_a")
+    p.add_argument("end_b")
+    p.set_defaults(handler=_cmd_born)
 
     p = sub.add_parser("exchange", parents=[common], help="unit-exchange probabilities and angle")
     p.add_argument("file")

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,7 @@ def fx(tmp_path_factory):
         "triplet": serialize_network(triplet),
         "aligned": serialize_network(aligned_triple(2)),
         "open": "edge a 1\nedge b 1\n",
+        "huge": "".join(f"edge e{i} 200\n" for i in range(4)),
         "bad": "edge a -1\nfrob\n",
     }
     paths = {}
@@ -132,6 +136,27 @@ def test_join_occupied_end_is_domain_error(fx, capsys):
     code, _, err = run(["join", fx["singlet"], "a:0", "b:1"], capsys)
     assert code == 3
     assert "NotAFreeEnd" in err
+
+
+def test_born_matches_join_on_fixtures(fx, capsys):
+    for name, ends in (("singlet", ["a", "b"]), ("triplet", ["a", "b"]), ("open", ["a:0", "b:1"])):
+        for fmt in ("human", "jsonl"):
+            joined = run(["join", fx[name], *ends, "--format", fmt], capsys)
+            assert joined[0] == 0
+            assert run(["born", fx[name], *ends, "--format", fmt], capsys) == joined
+
+
+def test_born_state_above_the_bound_exits_3(fx):
+    """`python -m spinnet born` on four bare label-200 edges refuses the
+    201^8-entry state at once."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinnet", "born", fx["huge"], "e0:0", "e1:0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("TooLarge:")
 
 
 def test_exchange_singlet_human(fx, capsys):

@@ -4,21 +4,27 @@ import math
 import random
 from fractions import Fraction as F
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netgen import free_end_pairs, theta_net
-from spinnet import evaluator
+from netgen import cycle_labelled_net, free_end_pairs, random_cubic_graph, theta_net
+from spinnet import evaluator, hilbert
 from spinnet.errors import (
     InvalidNetwork,
     InvalidPartition,
     MalformedArguments,
     NullState,
+    TooLarge,
 )
-from spinnet.evaluator import EvalCache
+from spinnet.evaluator import EvalCache, evaluate_closed, theta_value
 from spinnet.hilbert import (
     _cg_tensor,
+    _contract_network,
+    _project,
+    _racah_tensor,
+    _skew,
     _vertex_tensor,
     born_join_distribution,
     clebsch_gordan,
@@ -352,12 +358,17 @@ def test_bargmann_tensors_match_public_symbols():
     cache = EvalCache()
     for a, b in itertools.product(range(6), repeat=2):
         for c in admissible_couplings(a, b):
-            cg, r = _cg_tensor(a, b, c, cache)
+            band, r = _cg_tensor(a, b, c, cache)
             three_j, s = _vertex_tensor(a, b, c, cache)
             ja, jb, jc = F(a, 2), F(b, 2), F(c, 2)
+            shift = (a + b - c) // 2
+            for ka, kc in itertools.product(range(a + 1), range(c + 1)):
+                if not 0 <= kc + shift - ka <= b:
+                    assert band[ka, kc] == 0
             for ka, kb, kc in itertools.product(range(a + 1), range(b + 1), range(c + 1)):
                 binomials = math.comb(a, ka) * math.comb(b, kb) * math.comb(c, kc)
-                assert Radical.sqrt(r / binomials) * cg[ka, kb, kc] == clebsch_gordan(
+                cg = band[ka, kc] if kb == kc + shift - ka else 0
+                assert Radical.sqrt(r / binomials) * cg == clebsch_gordan(
                     ja, ja - ka, jb, jb - kb, jc, jc - kc
                 )
                 assert Radical.sqrt(s / binomials) * three_j[ka, kb, kc] == wigner_3j(
@@ -416,3 +427,172 @@ def test_born_path_needs_no_radicals_and_no_closed_forms(open_nets, monkeypatch)
             continue
         answered += 1
     assert answered > 40
+
+
+# -- the sparse kernels against the dense forms they replaced -----------------
+
+
+def _dense_projection(psi, a, b, c):
+    """Channel-c amplitudes [k_M, rest] by a tensordot over the whole CG tensor."""
+    cg, r = _racah_tensor(a, b, c)
+    return np.tensordot(cg, psi, ([0, 1], [0, 1])), r
+
+
+def test_banded_projection_equals_dense_reference():
+    rng = random.Random(17)
+    cache = EvalCache()
+    for a, b in itertools.product(range(9), repeat=2):
+        rest = rng.randint(1, 3)
+        entries = [rng.randint(-99, 99) for _ in range((a + 1) * (b + 1) * rest)]
+        psi = np.array(entries, dtype=object).reshape(a + 1, b + 1, rest)
+        diag = _skew(psi)
+        for c in admissible_couplings(a, b):
+            amp, r = _project(diag, a, b, c, cache)
+            want, want_r = _dense_projection(psi, a, b, c)
+            assert r == want_r
+            assert amp.shape == want.shape and amp.tolist() == want.tolist()
+
+
+def _dense_pairing(n, free):
+    """The pairing of a label-n edge with `free` free ends as a dense
+    matrix: (-1)^k C(n, k)^(free - 1) at [k, n-k], metric folded in."""
+    arr = np.zeros((n + 1, n + 1), dtype=object)
+    for k in range(n + 1):
+        weight = (math.factorial(k) * math.factorial(n - k), 1, math.comb(n, k))[free]
+        arr[k, n - k] = -weight if k % 2 else weight
+    return arr, F(1, math.factorial(n) ** 2) if free == 0 else F(1)
+
+
+def _reference_contraction(net, cache):
+    """Every vertex tensor and every dense edge pairing, contracted in
+    turn with the first pending tensor that shares an axis."""
+    tensors = []
+    scale = F(1)
+    for v in net.vertices:
+        arr, s = _vertex_tensor(*(net.label(end) for end in v.ends), cache)
+        tensors.append((arr, list(v.ends)))
+        scale *= s
+    for e in net.edges:
+        ends = [End(e.id, 0), End(e.id, 1)]
+        arr, s = _dense_pairing(e.label, sum(map(net.is_free, ends)))
+        tensors.append((arr, ends))
+        scale *= s
+    acc, keys = tensors[0]
+    pending = tensors[1:]
+    while pending:
+        pick = next((i for i, (_, ks) in enumerate(pending) if any(k in keys for k in ks)), 0)
+        arr, ks = pending.pop(pick)
+        shared = [k for k in ks if k in keys]
+        acc = np.tensordot(
+            acc, arr, ([keys.index(k) for k in shared], [ks.index(k) for k in shared])
+        )
+        keys = [k for k in keys if k not in shared] + [k for k in ks if k not in shared]
+    return acc, keys, scale
+
+
+def _edge_kinds(net):
+    kinds = set()
+    for e in net.edges:
+        owners = [net.attachment(End(e.id, side)) for side in (0, 1)]
+        free = owners.count(None)
+        kinds.add(("internal", "one free end", "bare")[free])
+        if free == 0 and owners[0] == owners[1]:
+            kinds.add("self-loop")
+        if e.label == 0:
+            kinds.add("label 0")
+    return kinds
+
+
+def test_contraction_equals_dense_reference(open_nets):
+    """Pairings applied as flips and the size-greedy order give exactly
+    the state, the axis order (the free ends') and the scale of the dense,
+    first-shared-axis contraction."""
+    cache = EvalCache()
+    kinds = set()
+    for net in open_nets:
+        kinds |= _edge_kinds(net)
+        got, keys, scale = _contract_network(net, cache)
+        want, want_keys, want_scale = _reference_contraction(net, cache)
+        assert keys == list(net.free_ends)
+        assert scale == want_scale
+        want = np.transpose(want, [want_keys.index(end) for end in keys])
+        assert got.shape == want.shape and got.tolist() == want.tolist()
+    assert kinds == {"internal", "self-loop", "one free end", "bare", "label 0"}
+
+
+def _dodecahedron():
+    return cycle_labelled_net(random.Random(1), nx.dodecahedral_graph())
+
+
+def test_greedy_order_keeps_every_step_small(monkeypatch):
+    """On the cycle-labelled dodecahedron the size-greedy order's largest
+    step has 972 entries; taking the first tensor that shares an axis
+    needs 419,904, and the one sharing the most axes 5,760.  Each step is
+    checked against the bound before it is allocated."""
+    net = _dodecahedron()
+    want = _contract_network(net, EvalCache())
+    monkeypatch.setattr(hilbert, "_MAX_ENTRIES", 972)
+    got = _contract_network(net, EvalCache())
+    assert (got[0].tolist(), got[1:]) == (want[0].tolist(), want[1:])
+    monkeypatch.setattr(hilbert, "_MAX_ENTRIES", 971)
+    with pytest.raises(TooLarge, match="contraction step"):
+        _contract_network(net, EvalCache())
+
+
+def test_born_refuses_a_state_above_the_bound():
+    """Four bare label-200 edges make a state of 201^8 entries: refused
+    before any tensor is built."""
+    net = SpinNetwork.from_spec({f"e{i}": 200 for i in range(4)})
+    cache = EvalCache()
+    with pytest.raises(TooLarge, match="network state"):
+        born_join_distribution(net, End("e0", 0), End("e1", 0), cache)
+    assert not cache._data
+    with pytest.raises(TooLarge):
+        network_to_linear_map(net, [End("e0", 0)], [e for e in net.free_ends if e != End("e0", 0)])
+
+
+# -- the Born-path contraction against the evaluator on closed networks -------
+
+
+def _contraction_identity_holds(net):
+    """value^2 = scale * B^2 * prod_v |theta(a_v, b_v, c_v)|, exactly: the
+    contraction is the standard-basis network of 3j tensors, each of which
+    is the evaluator's vertex normalised by its theta."""
+    cache = EvalCache()
+    state, _, scale = _contract_network(net, cache)
+    thetas = math.prod(
+        abs(theta_value(*(net.label(end) for end in v.ends), cache)) for v in net.vertices
+    )
+    return evaluate_closed(net, cache) ** 2 == scale * state[()] ** 2 * thetas
+
+
+def _planar_closed_nets():
+    rng = random.Random(23)
+    nets = [_dodecahedron()]
+    for rungs in range(3, 9):
+        for extra in (0, 1, 2):
+            nets.append(cycle_labelled_net(rng, nx.circular_ladder_graph(rungs), extra))
+    for n in (6, 8, 10, 12, 14):
+        found = 0
+        while found < 3:
+            graph = random_cubic_graph(rng, n)
+            if nx.check_planarity(graph)[0]:
+                nets.append(cycle_labelled_net(rng, graph, found % 2))
+                found += 1
+    return nets
+
+
+def test_evaluator_equals_contraction_on_planar_closed_nets():
+    nets = _planar_closed_nets()
+    assert len(nets) == 34
+    for net in nets:
+        assert _contraction_identity_holds(net)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: evaluate_closed is wrong on nonplanar networks",
+)
+def test_evaluator_equals_contraction_on_k33():
+    net = cycle_labelled_net(random.Random(1), nx.complete_bipartite_graph(3, 3))
+    assert _contraction_identity_holds(net)
