@@ -9,9 +9,10 @@ system register (with ancillas prepared and read back in a reference
 state) approximates a chosen unitary.
 
 Every projector entry is 0, +-1/2 or 1.  One index builder lays them out
-as a float matrix; pair_projector wraps the same entries as exact Radical
-scalars, which is exact because they are dyadic.  States and the search
-run in complex double precision with identities checked to 1e-12.
+as a float matrix; pair_projector and sequence_channel hold the same
+entries as exact ``Fraction`` values, which is exact because they are
+dyadic.  States and the search run in complex double precision with
+identities checked to 1e-12.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import (
     ZeroProbability,
 )
 from .hilbert import LinearMapRep, StateVector
-from .radical import Radical
 
 _PROB_FLOOR = 1e-18  # squared norms below this count as impossible
 
@@ -104,7 +104,7 @@ def pair_projector(n_qubits: int, i: int, j: int, channel: PairChannel) -> PairP
     if not 0 <= i < j < n_qubits:
         raise BadIndices(f"need 0 <= i < j < n_qubits, got i={i}, j={j}, n={n_qubits}")
     full = _pair_matrix(n_qubits, i, j, channel)
-    exact = {v: Radical(Fraction(v)) for v in np.unique(full).tolist()}  # dyadic, so exact
+    exact = {v: Fraction(v) for v in np.unique(full).tolist()}  # dyadic, so exact
     labels = (1,) * n_qubits
     rep = LinearMapRep(labels, labels, np.vectorize(exact.__getitem__, otypes=[object])(full))
     return PairProjector((i, j), channel, rep)
@@ -124,34 +124,27 @@ def apply_postselected(state: StateVector, p: PairProjector) -> tuple[StateVecto
 
 
 def sequence_channel(
-    seq: MeasurementSequence,
-    in_dims: Sequence[int] | None = None,
-    out_dims: Sequence[int] | None = None,
+    seq: MeasurementSequence, in_dims: Sequence[int] | None = None
 ) -> LinearMapRep:
     """The single linear map a projector sequence composes to (exact entries).
 
     Later steps multiply on the left.  The result is a contraction
-    (operator norm at most 1) but generally not a projector.  in_dims and
-    out_dims, when given, must restate the register's qubit dimensions;
-    they exist so callers can assert the space they believe they act on.
+    (operator norm at most 1) but generally not a projector.  The map is
+    square; in_dims, when given, must restate the register's qubit
+    dimensions, so callers can assert the space they believe they act on.
+    An empty sequence needs in_dims to fix the register.
     """
-    if not seq.steps:
-        if in_dims is None and out_dims is None:
-            raise MalformedArguments(
-                "an empty sequence needs in_dims/out_dims to fix the register size"
-            )
-        dims = tuple(in_dims if in_dims is not None else out_dims)
-        n = len(dims)
+    if seq.steps:
+        dims = (2,) * seq.steps[0].n_qubits
+    elif in_dims is None:
+        raise MalformedArguments("an empty sequence needs in_dims to fix the register size")
     else:
-        n = seq.steps[0].n_qubits
-        dims = (2,) * n
-    for given, name in ((in_dims, "in_dims"), (out_dims, "out_dims")):
-        if given is not None and tuple(given) != dims:
-            raise MalformedArguments(f"{name} {tuple(given)} does not match register {dims}")
-    size = 1 << n
-    acc = np.full((size, size), Radical(0), dtype=object)
-    for d in range(size):
-        acc[d, d] = Radical(1)
+        dims = tuple(in_dims)
+    if in_dims is not None and tuple(in_dims) != dims:
+        raise MalformedArguments(f"in_dims {tuple(in_dims)} does not match register {dims}")
+    n = len(dims)
+    acc = np.full((1 << n, 1 << n), Fraction(0), dtype=object)
+    np.fill_diagonal(acc, Fraction(1))
     for step in seq.steps:
         acc = step.rep.matrix @ acc
     labels = (1,) * n

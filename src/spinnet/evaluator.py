@@ -19,20 +19,27 @@ import math
 import os
 from collections import OrderedDict
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 import networkx as nx
 
 from .errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, OutOfRange, TooLarge
 from .model import End, SpinNetwork, admissible_couplings, validate_network, vertex_admissible
 
-ExactScalar = Fraction
-
 _ENV_CACHE_SIZE = "SPINNET_CACHE_SIZE"
+
+_T = TypeVar("_T")
 
 
 class EvalCache:
-    """LRU memo for the scalar primitives, shareable across evaluations."""
+    """LRU memo shareable across evaluations, keyed by tuples.
+
+    It holds the evaluator's theta and tet values (``Fraction``), the
+    ``hilbert`` coefficients ``cg`` and ``6j`` (``Radical``) and the
+    ``hilbert`` tensors with their scales (``cg-band``, ``vertex-3j``,
+    ``pairing``, ``bargmann-metric``), whose arrays are read-only because
+    every caller shares them.
+    """
 
     def __init__(self, max_entries: int | None = None):
         if max_entries is not None and max_entries < 1:
@@ -42,7 +49,7 @@ class EvalCache:
         self.hits = 0
         self.misses = 0
 
-    def get_or(self, key, compute: Callable[[], Fraction]) -> Fraction:
+    def get_or(self, key, compute: Callable[[], _T]) -> _T:
         """The cached value for key, else compute() stored under it.  A
         compute() that raises stores nothing and counts as no miss."""
         try:

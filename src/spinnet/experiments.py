@@ -43,8 +43,6 @@ from .model import (
     validate_network,
 )
 
-ExactScalar = Fraction
-
 
 # -- result types --------------------------------------------------------
 

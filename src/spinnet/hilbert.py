@@ -17,9 +17,11 @@ Mod. Phys. 34, 829, 1962) and Penrose (1971), in which basis vector k of a
 label-n end is rescaled by sqrt(C(n, k)).  There every Clebsch-Gordan and
 3j tensor is one square root times an integer tensor, so a network
 contracts to a tensor of Python ints times one global scale, and Born
-weights are exact ``Fraction`` values.  ``Radical`` scalars (sums of
-square roots of rationals) remain only in the public ``clebsch_gordan``,
-``wigner_3j`` and ``wigner_6j`` and in the entries of a ``LinearMapRep``.
+weights are exact ``Fraction`` values.  ``Radical`` scalars (one signed
+square root of a rational each) remain only in the public
+``clebsch_gordan``, ``wigner_3j`` and ``wigner_6j`` and in the entries
+``network_to_linear_map`` returns, which are sqrt(scale / C) times an
+integer for C a product of binomials.
 Floating point appears only in convenience converters.
 """
 
@@ -399,8 +401,9 @@ class LinearMapRep:
     """A linear map between tensor products of irreps, with exact entries.
 
     matrix[row, col] is indexed row-major by the out ends and column-major
-    by the in ends, in the orders given at construction; entries are
-    Radical scalars.
+    by the in ends, in the orders given at construction.  Entries are
+    exact scalars: ``Radical`` from ``network_to_linear_map``, ``Fraction``
+    from the ``dynamics`` projectors.
     """
 
     in_labels: tuple[int, ...]
@@ -417,11 +420,6 @@ class LinearMapRep:
 
     def to_complex(self) -> np.ndarray:
         return np.vectorize(float, otypes=[np.complex128])(self.matrix)
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.labels != self.in_labels:
-            raise MalformedArguments(f"state labels {state.labels} != {self.in_labels}")
-        return StateVector(self.out_labels, self.to_complex() @ state.amplitudes)
 
 
 def network_to_linear_map(

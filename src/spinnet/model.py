@@ -165,9 +165,6 @@ class SpinNetwork:
                     out.append(end)
         return tuple(out)
 
-    def is_closed(self) -> bool:
-        return not self.free_ends
-
     def fresh_id(self, prefix: str) -> str:
         """Smallest prefixN not already used as an edge or vertex id."""
         used = set(self._edge_by_id) | set(self._vertex_by_id)

@@ -1,11 +1,14 @@
-"""Exact arithmetic for sums of square roots of rationals.
+"""Exact signed square roots of rationals.
 
-Angular-momentum coefficients are signed square roots of rationals, and
-contracting networks of them produces sums of such terms.  A ``Radical``
-keeps those sums exact as a map from squarefree integers r to rational
-coefficients, representing sum(q_r * sqrt(r)); the squarefree keys never
-interact under addition, so equality, rationality, and conversion back to
-``Fraction`` are all decidable without floating point.
+Every angular-momentum coefficient the package produces is a single real
+number +-sqrt(q) with q a nonnegative rational: a Clebsch-Gordan, 3j or
+6j coefficient is one square root times a rational sum.  A ``Radical`` is
+such a number, stored canonically as its signed square x*|x|, a
+``Fraction``.  Products and quotients multiply and divide that store
+exactly, equality and hashing compare it, and no factoring is needed.
+A sum is exact only when the two roots have a rational ratio, and is
+refused with ``ValueError`` otherwise: sqrt(2) + sqrt(3) is not a
+single signed root.
 """
 
 from __future__ import annotations
@@ -15,43 +18,30 @@ from fractions import Fraction
 from numbers import Rational
 
 
-def sqrt_decompose(n: int) -> tuple[int, int]:
-    """Write n = s**2 * r with r squarefree; return (s, r)."""
-    if n < 0:
-        raise ValueError("negative argument has no real square root")
-    if n == 0:
-        return 0, 1
-    s, r = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            power = 0
-            while n % d == 0:
-                n //= d
-                power += 1
-            s *= d ** (power // 2)
-            if power % 2:
-                r *= d
-        d += 1 if d == 2 else 2
-    return s, r * n
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The square root of q >= 0 if it is rational, else None."""
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if n * n != q.numerator or d * d != q.denominator:
+        return None
+    return Fraction(n, d)
 
 
 class Radical:
-    """An exact sum of rational multiples of square roots of integers."""
+    """One exact real number +-sqrt(q), q a nonnegative rational."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_square",)  # the signed square x*|x| of the value x
 
     def __init__(self, value: Rational | Radical = 0):
         if isinstance(value, Radical):
-            self._terms = dict(value._terms)
+            self._square = value._square
         else:
             q = Fraction(value)
-            self._terms = {1: q} if q else {}
+            self._square = q * abs(q)
 
     @classmethod
-    def _from_terms(cls, terms: dict[int, Fraction]) -> Radical:
+    def _from_square(cls, square: Fraction) -> Radical:
         out = cls.__new__(cls)
-        out._terms = {r: q for r, q in terms.items() if q}
+        out._square = square
         return out
 
     @classmethod
@@ -60,23 +50,27 @@ class Radical:
         q = Fraction(value)
         if q < 0:
             raise ValueError("negative argument has no real square root")
-        # sqrt(p/d) = sqrt(p*d)/d
-        s, r = sqrt_decompose(q.numerator * q.denominator)
-        return cls._from_terms({r: Fraction(s, q.denominator)})
+        return cls._from_square(q)
 
-    # -- ring operations --------------------------------------------------
+    # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> Radical:
         other = other if isinstance(other, Radical) else Radical(other)
-        terms = dict(self._terms)
-        for r, q in other._terms.items():
-            terms[r] = terms.get(r, Fraction(0)) + q
-        return Radical._from_terms(terms)
+        if not other._square:
+            return self
+        # ratio = r*|r| for r = self/other, so r is rational iff |ratio| is
+        # a rational square, and then self + other = (r + 1) * other.
+        ratio = self._square / other._square
+        size = _rational_sqrt(abs(ratio))  # |r|
+        if size is None:
+            raise ValueError(f"{self} + {other} is not a single signed square root")
+        s = (size if ratio > 0 else -size) + 1
+        return Radical._from_square(s * abs(s) * other._square)
 
     __radd__ = __add__
 
     def __neg__(self) -> Radical:
-        return Radical._from_terms({r: -q for r, q in self._terms.items()})
+        return Radical._from_square(-self._square)
 
     def __sub__(self, other) -> Radical:
         return self + (-(other if isinstance(other, Radical) else Radical(other)))
@@ -86,64 +80,56 @@ class Radical:
 
     def __mul__(self, other) -> Radical:
         other = other if isinstance(other, Radical) else Radical(other)
-        terms: dict[int, Fraction] = {}
-        for r1, q1 in self._terms.items():
-            for r2, q2 in other._terms.items():
-                # sqrt(r1)*sqrt(r2) = g*sqrt(r1*r2/g^2) with g = gcd(r1,r2)
-                g = math.gcd(r1, r2)
-                r = (r1 // g) * (r2 // g)
-                q = q1 * q2 * g
-                terms[r] = terms.get(r, Fraction(0)) + q
-        return Radical._from_terms(terms)
+        return Radical._from_square(self._square * other._square)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> Radical:
         other = other if isinstance(other, Radical) else Radical(other)
-        if len(other._terms) != 1:
-            raise ZeroDivisionError("division only by a single-term radical") \
-                if not other._terms else ValueError(
-                    "division by a multi-term radical is not supported")
-        ((r, q),) = other._terms.items()
-        # 1/(q*sqrt(r)) = sqrt(r)/(q*r)
-        return self * Radical._from_terms({r: Fraction(1, 1) / (q * r)})
+        if not other._square:
+            raise ZeroDivisionError("division by a zero radical")
+        return Radical._from_square(self._square / other._square)
 
-    # -- inspection --------------------------------------------------------
+    # -- inspection ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._square
 
     def is_rational(self) -> bool:
-        return all(r == 1 for r in self._terms)
+        return _rational_sqrt(abs(self._square)) is not None
 
     def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
+        root = _rational_sqrt(abs(self._square))
+        if root is None:
             raise ValueError(f"{self} is irrational")
-        return self._terms[1]
+        return root if self._square >= 0 else -root
 
     def __float__(self) -> float:
-        return float(sum(float(q) * math.sqrt(r) for r, q in self._terms.items()))
+        # The root of the integer p*4^e/q carries about 64 significant bits
+        # whatever the size of p/q, so neither p/q nor its root has to fit
+        # a float on the way.
+        p, q = abs(self._square.numerator), self._square.denominator
+        if not p:
+            return 0.0
+        e = 64 - (p.bit_length() - q.bit_length()) // 2
+        n = (p << 2 * e) // q if e >= 0 else p // (q << -2 * e)
+        root = math.ldexp(math.isqrt(n), -e)
+        return root if self._square > 0 else -root
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._square)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Radical):
-            return self._terms == other._terms
+            return self._square == other._square
         if isinstance(other, Rational):
-            return self._terms == Radical(other)._terms
+            return self._square == Radical(other)._square
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(self._square)
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "Radical(0)"
-        parts = []
-        for r in sorted(self._terms):
-            q = self._terms[r]
-            parts.append(str(q) if r == 1 else f"{q}*sqrt({r})")
-        return f"Radical({' + '.join(parts)})"
+        root = _rational_sqrt(abs(self._square))
+        body = str(root) if root is not None else f"sqrt({abs(self._square)})"
+        return f"Radical({'-' if self._square < 0 else ''}{body})"

@@ -1,6 +1,7 @@
 import pytest
 
 from netgen import closed_corpus, open_corpus
+from spinnet.radical import Radical
 
 
 @pytest.fixture(scope="session")
@@ -11,3 +12,15 @@ def closed_nets():
 @pytest.fixture(scope="session")
 def open_nets():
     return open_corpus()
+
+
+@pytest.fixture
+def no_radicals(monkeypatch):
+    """Make every way to build or combine a Radical raise."""
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("this path must not build a Radical")
+
+    for name in ("__init__", "_from_square", "sqrt", "__add__", "__radd__", "__mul__",
+                 "__rmul__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(Radical, name, forbidden)

@@ -55,18 +55,27 @@ def qubit_state(*amps: np.ndarray) -> StateVector:
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pair_projector_algebra_is_exact(n):
-    eye = np.full((1 << n, 1 << n), Radical(0), dtype=object)
-    for d in range(1 << n):
-        eye[d, d] = Radical(1)
+    eye = np.eye(1 << n, dtype=int).astype(object)
     for i, j in itertools.combinations(range(n), 2):
         sing = pair_projector(n, i, j, SINGLET).rep.matrix
         trip = pair_projector(n, i, j, TRIPLET).rep.matrix
         assert ((sing @ sing) == sing).all()
         assert ((trip @ trip) == trip).all()
-        assert ((sing @ trip) == Radical(0)).all()
+        assert ((sing @ trip) == 0).all()
         assert ((sing + trip) == eye).all()
-        assert sum(sing[d, d] for d in range(1 << n)) == Radical(1 << (n - 2))
-        assert sum(trip[d, d] for d in range(1 << n)) == Radical(3 << (n - 2))
+        assert sum(sing[d, d] for d in range(1 << n)) == 1 << (n - 2)
+        assert sum(trip[d, d] for d in range(1 << n)) == 3 << (n - 2)
+
+
+def test_dynamics_builds_no_radicals(no_radicals):
+    # Projector entries are dyadic, so the exact side stays in Fraction.
+    steps = (pair_projector(3, 0, 1, SINGLET), pair_projector(3, 1, 2, TRIPLET))
+    for rep in (steps[0].rep, sequence_channel(MeasurementSequence(steps)),
+                sequence_channel(MeasurementSequence(()), in_dims=(2, 2))):
+        assert all(type(x) is Fraction for x in rep.matrix.flat)
+    anc = StateVector((1, 1), np.kron(PLUS, UP))
+    report = approximate_unitary_search(X_GATE, 2, max_len=2, ancilla_state=anc)
+    assert report.best_sequence.steps  # the report built its projectors too
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

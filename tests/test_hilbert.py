@@ -406,16 +406,13 @@ def test_linear_map_does_not_alias_the_cache():
     assert list(again.matrix.ravel()) == list(before.ravel())
 
 
-def test_born_path_needs_no_radicals_and_no_closed_forms(open_nets, monkeypatch):
+def test_born_path_needs_no_radicals_and_no_closed_forms(open_nets, no_radicals, monkeypatch):
     """The check path stays exact in integers and independent of the
     evaluator: it builds no Radical and calls no theta or tet value."""
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("the Born path must not reach this")
 
-    for name in ("__init__", "_from_terms", "sqrt", "__add__", "__radd__", "__mul__",
-                 "__rmul__", "__sub__", "__truediv__"):
-        monkeypatch.setattr(Radical, name, forbidden)
     for name in ("theta_value", "tet_value", "evaluate_closed"):
         monkeypatch.setattr(evaluator, name, forbidden)
     cache = EvalCache()  # empty, so every tensor is built under the patches

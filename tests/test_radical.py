@@ -4,19 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from spinnet.radical import Radical, sqrt_decompose
+from spinnet.radical import Radical
 
 rationals = st.fractions(
     min_value=Fraction(0), max_value=Fraction(10_000), max_denominator=200
 )
-
-
-@given(st.integers(min_value=1, max_value=200_000))
-def test_sqrt_decompose_squarefree(n):
-    s, r = sqrt_decompose(n)
-    assert s * s * r == n
-    for p in range(2, int(math.isqrt(r)) + 1):
-        assert r % (p * p) != 0
+signed = st.fractions(
+    min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
+)
 
 
 @given(rationals)
@@ -26,27 +21,39 @@ def test_sqrt_squares_back(q):
     assert math.isclose(float(root), math.sqrt(q), abs_tol=1e-12)
 
 
-def test_sum_of_roots_squares():
-    s = Radical.sqrt(2) + Radical.sqrt(3)
-    assert s * s == Radical(5) + Radical(2) * Radical.sqrt(6)
+def test_large_prime_squares_back():
+    # No factoring: a root of a large prime is as cheap as any other.
+    p = 2**61 - 1
+    root = Radical.sqrt(p)
+    assert root * root == Radical(p)
+    assert not root.is_rational()
+    assert abs(float(root) - math.sqrt(p)) <= math.ulp(math.sqrt(p))
 
 
 def test_product_collapses_to_rational():
     assert Radical.sqrt(2) * Radical.sqrt(8) == Radical(4)
-    assert (Radical(1) + Radical.sqrt(2)) * (Radical(1) - Radical.sqrt(2)) == Radical(-1)
+    assert Radical.sqrt(Fraction(2, 3)) * -Radical.sqrt(6) == Radical(-2)
 
 
 def test_division_by_single_term():
-    x = Radical(1) + Radical.sqrt(3)
+    x = Radical(-5) * Radical.sqrt(3)
     assert (x / Radical.sqrt(3)) * Radical.sqrt(3) == x
-    with pytest.raises(ValueError):
-        x / (Radical.sqrt(2) + Radical.sqrt(3))
+    assert x / Radical.sqrt(12) == Radical(Fraction(-5, 2))
     with pytest.raises(ZeroDivisionError):
         x / Radical(0)
 
 
+def test_sum_of_incommensurable_roots_is_refused():
+    with pytest.raises(ValueError):
+        Radical.sqrt(2) + Radical.sqrt(3)
+    with pytest.raises(ValueError):
+        Radical(1) - Radical.sqrt(2)
+
+
 def test_as_fraction_only_for_rationals():
     assert Radical(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
+    assert Radical(Fraction(-3, 4)).as_fraction() == Fraction(-3, 4)
+    assert (Radical.sqrt(2) * Radical.sqrt(18)).as_fraction() == 6
     with pytest.raises(ValueError):
         Radical.sqrt(2).as_fraction()
 
@@ -58,10 +65,33 @@ def test_equality_and_hash():
     assert Radical(0).is_zero() and not Radical.sqrt(7).is_zero()
 
 
-@given(rationals, rationals, rationals)
-def test_field_identities(a, b, c):
-    x, y, z = Radical.sqrt(a), Radical.sqrt(b), Radical(c)
+@given(rationals, signed, signed)
+def test_commensurable_sums(a, s, t):
+    # sqrt(a s^2) + sqrt(a t^2) == sqrt(a (s + t)^2), each root signed
+    root = Radical.sqrt(a)
+    assert Radical(s) * root + Radical(t) * root == Radical(s + t) * root
+    assert Radical(s) * root - Radical(t) * root == Radical(s - t) * root
+
+
+@given(rationals, rationals, signed, signed)
+def test_field_identities(a, b, s, t):
+    x = Radical.sqrt(b)
+    y, z = Radical(s) * Radical.sqrt(a), Radical(t) * Radical.sqrt(a)
     assert x * (y + z) == x * y + x * z
-    assert x + y == y + x
-    assert (x - y) + y == x
-    assert math.isclose(float(x * y), math.sqrt(a) * math.sqrt(b), abs_tol=1e-9)
+    assert y + z == z + y
+    assert (y - z) + z == y
+    assert y + 0 == 0 + y == y
+    assert math.isclose(float(x * y), math.sqrt(b) * float(s) * math.sqrt(a), abs_tol=1e-9)
+
+
+@given(st.fractions(min_value=0, max_value=10**300, max_denominator=10**300))
+def test_float_within_an_ulp_of_math_sqrt(q):
+    expected = math.sqrt(q)
+    assert abs(float(Radical.sqrt(q)) - expected) <= math.ulp(expected)
+    assert float(-Radical.sqrt(q)) == -float(Radical.sqrt(q))
+
+
+def test_float_of_roots_beyond_the_float_range_of_their_squares():
+    assert float(Radical.sqrt(Fraction(1, 10**400))) == 1e-200
+    assert float(Radical.sqrt(10**400)) == 1e200
+    assert float(-Radical.sqrt(10**400)) == -1e200
