@@ -11,8 +11,10 @@ state) approximates a chosen unitary.
 Every projector entry is 0, +-1/2 or 1.  One index builder lays them out
 as a float matrix; pair_projector and sequence_channel hold the same
 entries as exact ``Fraction`` values, which is exact because they are
-dyadic.  States and the search run in complex double precision with
-identities checked to 1e-12.
+dyadic.  States run in complex double precision with identities checked
+to 1e-12.  The search runs in real double precision when the ancilla
+state is real, as every named one is, and in complex double precision
+otherwise.
 """
 
 from __future__ import annotations
@@ -79,24 +81,19 @@ class MeasurementSequence:
             raise BadIndices("ancilla count must leave at least one system qubit")
 
 
-_SINGLET_4 = np.array(
-    [[0.0, 0.0, 0.0, 0.0], [0.0, 0.5, -0.5, 0.0], [0.0, -0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]]
-)  # |singlet><singlet| on two qubits (basis 00, 01, 10, 11)
-_PAIR_4 = {SINGLET: _SINGLET_4, TRIPLET: np.eye(4) - _SINGLET_4}
-
-
 def _pair_matrix(n_qubits: int, i: int, j: int, channel: PairChannel) -> np.ndarray:
-    """The pair projector as a float matrix on the whole register."""
+    """The pair projector as a float matrix on the whole register.
+
+    The singlet projector is (1 - SWAP)/2 and the triplet one (1 + SWAP)/2,
+    where SWAP exchanges qubits i and j.
+    """
     dim = 1 << n_qubits
     shift_i, shift_j = n_qubits - 1 - i, n_qubits - 1 - j
     x = np.arange(dim)
-    base = x & ~(1 << shift_i) & ~(1 << shift_j)
-    pair_x = 2 * ((x >> shift_i) & 1) + ((x >> shift_j) & 1)
-    full = np.zeros((dim, dim))
-    for pair_y in range(4):
-        y = base | ((pair_y >> 1) << shift_i) | ((pair_y & 1) << shift_j)
-        full[x, y] = _PAIR_4[channel][pair_x, pair_y]
-    return full
+    differ = ((x >> shift_i) ^ (x >> shift_j)) & 1
+    swap = np.eye(dim)[x ^ (differ << shift_i) ^ (differ << shift_j)]
+    eye = np.eye(dim)
+    return (eye - swap if channel is SINGLET else eye + swap) / 2
 
 
 def pair_projector(n_qubits: int, i: int, j: int, channel: PairChannel) -> PairProjector:
@@ -132,7 +129,8 @@ def sequence_channel(
     (operator norm at most 1) but generally not a projector.  The map is
     square; in_dims, when given, must restate the register's qubit
     dimensions, so callers can assert the space they believe they act on.
-    An empty sequence needs in_dims to fix the register.
+    An empty sequence needs in_dims to fix the register, and every entry
+    must be 2: the register holds qubits.
     """
     if seq.steps:
         dims = (2,) * seq.steps[0].n_qubits
@@ -140,6 +138,8 @@ def sequence_channel(
         raise MalformedArguments("an empty sequence needs in_dims to fix the register size")
     else:
         dims = tuple(in_dims)
+        if any(d != 2 for d in dims):
+            raise MalformedArguments(f"in_dims {dims} are not all qubit dimensions 2")
     if in_dims is not None and tuple(in_dims) != dims:
         raise MalformedArguments(f"in_dims {tuple(in_dims)} does not match register {dims}")
     n = len(dims)
@@ -175,19 +175,63 @@ def default_ancilla_state(ancillas: int) -> StateVector:
     return StateVector((1,) * ancillas, vec)
 
 
+def _sigma_max(maps: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack of 2x2 matrices.
+
+    sigma_max^2 is the larger eigenvalue of A^H A = [[p, q], [q*, r]],
+    (p + r)/2 + hypot((p - r)/2, |q|): a sum of two nonnegative terms, so
+    nothing cancels.  Each matrix is first scaled by the power of two that
+    brings its largest entry magnitude into [1/2, 1), which is exact and
+    keeps p, q and r from underflowing or overflowing.
+    """
+    flat = np.ascontiguousarray(maps).reshape(-1, 4)  # rows a, b, c, d: float64 or complex128
+    mag = np.abs(flat)
+    top = np.maximum(np.maximum(mag[:, 0], mag[:, 1]), np.maximum(mag[:, 2], mag[:, 3]))
+    _, exp = np.frexp(top)
+    unit = np.ldexp(flat.view(np.float64), -exp[:, None]).view(flat.dtype)
+    sq = (unit * unit.conj()).real
+    p, r = sq[:, 0] + sq[:, 2], sq[:, 1] + sq[:, 3]  # squared column norms
+    q = np.abs(unit[:, 0].conj() * unit[:, 1] + unit[:, 2].conj() * unit[:, 3])
+    return np.ldexp(np.sqrt((p + r) / 2 + np.hypot((p - r) / 2, q)), exp)
+
+
 def _map_fidelities(target: np.ndarray, induced: np.ndarray) -> np.ndarray:
     """Scale-invariant overlaps |tr(U^H A)| / (dim * sigma_max(A)) of a stack.
 
     Postselected maps are meaningful up to positive scale, so each induced
     map is compared after normalizing by its largest singular value; the
-    result is 1 exactly when A is proportional to the target.
+    result is 1 exactly when A is proportional to the target.  A 2x2 map
+    takes sigma_max in closed form, a larger one from a batched SVD.
     """
-    top = np.linalg.svd(induced, compute_uv=False)[:, 0]
+    if induced.shape[1:] == (2, 2):
+        top = _sigma_max(induced)
+    else:
+        top = np.linalg.svd(induced, compute_uv=False)[:, 0]
     overlap = np.abs(np.einsum("ij,bij->b", target.conj(), induced))
     live = top >= 1e-300
     fids = np.zeros(len(induced))
     fids[live] = overlap[live] / (target.shape[0] * top[live])
     return fids
+
+
+def _serial_best(fids: np.ndarray, best: float) -> tuple[int, float]:
+    """The scan `for c, f in enumerate(fids): if f > best + 1e-15: best = f`.
+
+    Returns the last child the scan takes (-1 for none) and the best after
+    it.  Only children above the starting best can be taken; each step
+    jumps to the first later one that beats the current best by 1e-15.
+    """
+    cand = np.flatnonzero(fids > best + 1e-15)
+    vals = fids[cand]
+    taken = -1  # position in cand
+    while taken + 1 < len(vals):
+        ahead = vals[taken + 1:] > best + 1e-15
+        step = int(ahead.argmax())
+        if not ahead[step]:
+            break
+        taken += 1 + step
+        best = float(vals[taken])
+    return (int(cand[taken]) if taken >= 0 else -1), best
 
 
 def approximate_unitary_search(
@@ -213,9 +257,11 @@ def approximate_unitary_search(
 
     Both only use the lift M E, so the search carries lifts (2^n x 2^k)
     instead of sequences' matrices, and scores a whole level at once: one
-    stacked matmul makes every child, one batched SVD scores them.  The
-    node budget counts the root and every child, and is checked before a
-    level is computed.
+    stacked matmul makes every child, and sigma_max comes in closed form
+    for a one-qubit target, from one batched SVD for a larger one.  Lifts
+    are float64 when the ancilla amplitudes are real, complex128
+    otherwise.  The node budget counts the root and every child, and is
+    checked before a level is computed.
     """
     target = np.asarray(target, dtype=np.complex128)
     if target.ndim != 2 or target.shape[0] != target.shape[1]:
@@ -235,8 +281,12 @@ def approximate_unitary_search(
         ancilla_state = default_ancilla_state(ancillas)
     if ancilla_state.labels != (1,) * ancillas:
         raise MalformedArguments(f"ancilla state must be {ancillas} qubits")
-    anc = ancilla_state.amplitudes / (ancilla_state.norm or 1.0)
+    anc = np.asarray(ancilla_state.amplitudes, dtype=np.complex128)
+    anc = anc / (ancilla_state.norm or 1.0)
+    if not anc.imag.any():
+        anc = anc.real  # then every lift is real: carry float64
     embed = np.kron(np.eye(1 << k), anc[:, None])  # (2^n, 2^k)
+    embed_h = embed.conj().T
 
     ops = [
         (i, j, ch)
@@ -244,21 +294,20 @@ def approximate_unitary_search(
         for ch in (SINGLET, TRIPLET)
     ]
     mats = np.array(
-        [_pair_matrix(n, i, j, ch) for i, j, ch in ops], dtype=np.complex128
+        [_pair_matrix(n, i, j, ch) for i, j, ch in ops], dtype=embed.dtype
     ).reshape(len(ops), 1 << n, 1 << n)
 
-    def score(lifts: np.ndarray) -> list[float]:
-        return _map_fidelities(target, embed.conj().T @ lifts).tolist()
+    def score(lifts: np.ndarray) -> np.ndarray:
+        return _map_fidelities(target, embed_h @ lifts)
 
-    # Sequences are tuples of indices into ops.  ops is listed in
-    # (i, j, channel value) order, so comparing index tuples orders the beam
-    # exactly as comparing the steps' (i, j, channel value) lists would.
+    # Row c of seqs holds the indices into ops of frontier sequence c.  ops
+    # is listed in (i, j, channel value) order, so comparing rows orders
+    # the beam exactly as comparing the steps' (i, j, channel value) lists.
     lifts = embed[None]  # the lifts M E of the frontier, in frontier order
-    seqs: list[tuple[int, ...]] = [()]
+    seqs = np.zeros((1, 0), dtype=np.intp)
     last = np.array([-1])  # index in ops of each sequence's last step
-    best_fid = score(lifts)[0]
-    best_seq: tuple[int, ...] = ()
-    best_lift = embed
+    best_fid = float(score(lifts)[0])
+    best_seq, best_lift = seqs[0], embed
     best_by_length = [best_fid]
     nodes = 1
     for _level in range(max_len):
@@ -268,20 +317,19 @@ def approximate_unitary_search(
             raise BudgetExceeded(f"search exceeded the node budget of {node_budget}")
         parent, last = np.nonzero(keep)  # children in parent-then-op order
         lifts = np.matmul(mats[None], lifts[:, None]).reshape(-1, *embed.shape)[keep.ravel()]
-        seqs = [seqs[p] + (o,) for p, o in zip(parent.tolist(), last.tolist())]
+        seqs = np.column_stack((seqs[parent], last))
         fids = score(lifts)
-        for child, fid in enumerate(fids):
-            if fid > best_fid + 1e-15:
-                best_fid, best_seq, best_lift = fid, seqs[child], lifts[child]
+        child, best_fid = _serial_best(fids, best_fid)
+        if child >= 0:
+            best_seq, best_lift = seqs[child], lifts[child].copy()
         if beam_width is not None:
-            order = sorted(range(len(seqs)), key=lambda c: (-fids[c], seqs[c]))[:beam_width]
-            lifts, last = lifts[order], last[order]
-            seqs = [seqs[c] for c in order]
+            order = np.lexsort((*seqs.T[::-1], -fids))[:beam_width]
+            lifts, last, seqs = lifts[order], last[order], seqs[order]
         best_by_length.append(best_fid)
-        if not seqs:
+        if not len(seqs):
             break
 
-    steps = tuple(pair_projector(n, *ops[o]) for o in best_seq)
+    steps = tuple(pair_projector(n, *ops[o]) for o in best_seq.tolist())
     return SearchReport(
         MeasurementSequence(steps, ancilla_count=ancillas),
         best_fid,

@@ -127,7 +127,11 @@ class Radical:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._square)
+        # A rational value equals its Fraction, so it must hash like one.
+        root = _rational_sqrt(abs(self._square))
+        if root is None:
+            return hash(self._square)
+        return hash(root if self._square >= 0 else -root)
 
     def __repr__(self) -> str:
         root = _rational_sqrt(abs(self._square))

@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinnet import dynamics
 from spinnet.dynamics import (
     SINGLET,
     TRIPLET,
     MeasurementSequence,
     _pair_matrix,
+    _serial_best,
+    _sigma_max,
     apply_postselected,
     approximate_unitary_search,
     default_ancilla_state,
@@ -180,6 +183,12 @@ def test_empty_sequence_needs_dims_and_gives_identity():
     with pytest.raises(MalformedArguments):
         sequence_channel(MeasurementSequence((pair_projector(2, 0, 1, SINGLET),)),
                          in_dims=(2, 2, 2))
+
+
+@pytest.mark.parametrize("in_dims", [(3,), (2, 3), (1, 2), (4,)])
+def test_empty_sequence_refuses_non_qubit_dims(in_dims):
+    with pytest.raises(MalformedArguments):
+        sequence_channel(MeasurementSequence(()), in_dims=in_dims)
 
 
 def test_single_step_sequence_is_that_projector():
@@ -355,22 +364,25 @@ def traceless_unitary(rng, dim):
     return q @ np.diag(np.exp(2j * np.pi * np.arange(dim) / dim)) @ q.conj().T
 
 
-def random_state(rng, qubits):
-    vec = rng.normal(size=1 << qubits) + 1j * rng.normal(size=1 << qubits)
+def random_state(rng, qubits, real=False):
+    vec = rng.normal(size=1 << qubits) + 0j
+    if not real:
+        vec += 1j * rng.normal(size=1 << qubits)
     return StateVector((1,) * qubits, vec / np.linalg.norm(vec))
 
 
-@pytest.mark.parametrize(
-    "system, ancillas, beam_width, max_len",
+NAIVE_CASES = (
     [(1, a, None, 3) for a in (1, 2, 3)]
     + [(1, a, w, 5) for a in (1, 2, 3) for w in (4, 16)]
     + [(1, a, 64, 4) for a in (1, 2, 3)]
-    + [(2, 1, None, 3), (2, 2, 16, 3)],
+    + [(2, 1, None, 3), (2, 2, 16, 3)]
 )
-def test_batched_search_matches_naive_search(system, ancillas, beam_width, max_len):
+
+
+def check_against_naive_search(system, ancillas, beam_width, max_len, real):
     rng = np.random.default_rng(1000 * system + 100 * ancillas + (beam_width or 0))
     target = traceless_unitary(rng, 1 << system)
-    anc = random_state(rng, ancillas)
+    anc = random_state(rng, ancillas, real)
     report = approximate_unitary_search(
         target, ancillas, max_len, ancilla_state=anc, beam_width=beam_width
     )
@@ -383,6 +395,63 @@ def test_batched_search_matches_naive_search(system, ancillas, beam_width, max_l
     assert report.success_prob == pytest.approx(
         np.sum(np.abs(lift) ** 2) / (1 << system), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("system, ancillas, beam_width, max_len", NAIVE_CASES)
+def test_batched_search_matches_naive_search(system, ancillas, beam_width, max_len):
+    check_against_naive_search(system, ancillas, beam_width, max_len, real=False)
+
+
+@pytest.mark.parametrize("system, ancillas, beam_width, max_len", NAIVE_CASES)
+def test_batched_real_search_matches_naive_search(system, ancillas, beam_width, max_len):
+    # A real ancilla state runs the search in float64; the naive search is
+    # complex128 either way.
+    check_against_naive_search(system, ancillas, beam_width, max_len, real=True)
+
+
+def spy_dtypes(monkeypatch):
+    """Record the dtype of every stack of induced maps the search scores."""
+    seen = set()
+    score = dynamics._map_fidelities
+
+    def spy(target, induced):
+        seen.add(induced.dtype)
+        return score(target, induced)
+
+    monkeypatch.setattr(dynamics, "_map_fidelities", spy)
+    return seen
+
+
+@pytest.mark.parametrize("ancillas, beam_width, max_len", [(2, None, 4), (3, 16, 6)])
+def test_global_phase_takes_complex_path_with_same_answers(
+    monkeypatch, ancillas, beam_width, max_len
+):
+    # The phase makes every amplitude complex but changes no induced map's
+    # fidelity, so the complex128 path must agree with the float64 one.  A
+    # generic real state keeps maps that are zero in exact arithmetic out of
+    # the comparison: rounding decides how those score.
+    rng = np.random.default_rng(5)
+    target = traceless_unitary(rng, 2)
+    real_anc = random_state(rng, ancillas, real=True)
+    phased_anc = StateVector(real_anc.labels, real_anc.amplitudes * np.exp(1j * math.pi / 5))
+    reports = {}
+    for name, anc in (("real", real_anc), ("phased", phased_anc)):
+        seen = spy_dtypes(monkeypatch)
+        reports[name] = approximate_unitary_search(
+            target, ancillas, max_len, ancilla_state=anc, beam_width=beam_width
+        )
+        assert seen == {np.dtype(np.float64) if name == "real" else np.dtype(np.complex128)}
+    real, phased = reports["real"], reports["phased"]
+    assert real.fidelity > 0.3  # the search found something
+    assert phased.best_by_length == pytest.approx(real.best_by_length, abs=1e-12)
+    assert phased.success_prob == pytest.approx(real.success_prob, abs=1e-12)
+
+
+def test_named_ancilla_states_take_the_real_path(monkeypatch):
+    seen = spy_dtypes(monkeypatch)
+    approximate_unitary_search(X_GATE, 3, 2)
+    approximate_unitary_search(X_GATE, 2, 2, ancilla_state=qubit_state(PLUS, UP))
+    assert seen == {np.dtype(np.float64)}
 
 
 def test_beam_breaks_exact_ties_by_sequence():
@@ -446,3 +515,52 @@ def test_search_rejects_out_of_range_sizes():
         approximate_unitary_search(X_GATE, 0, -1)
     with pytest.raises(OutOfRange):
         approximate_unitary_search(X_GATE, 6, 1)
+
+
+# -- the numerics of a level ---------------------------------------------------
+
+
+def two_by_two_stacks(rng, dtype):
+    """Random, rank-1, zero and near-unitary 2x2 matrices of one dtype."""
+    def draw(*shape):
+        out = rng.normal(size=shape)
+        return out + 1j * rng.normal(size=shape) if dtype is complex else out
+
+    rank1 = draw(50, 2, 1) @ draw(50, 1, 2)
+    unitary = np.linalg.qr(draw(50, 2, 2))[0]
+    near = unitary + 1e-9 * draw(50, 2, 2)
+    stacks = [draw(200, 2, 2), rank1, np.zeros((3, 2, 2)), unitary, near]
+    return np.concatenate(stacks).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("scale", [1.0, 1e-17, 1e-200, 1e200])
+def test_closed_form_sigma_max_equals_svd(dtype, scale):
+    maps = two_by_two_stacks(np.random.default_rng(7), dtype) * scale
+    got = _sigma_max(maps)
+    assert got.dtype == np.float64 and got.shape == (len(maps),)
+    expected = np.linalg.svd(maps, compute_uv=False)[:, 0]
+    zero = expected == 0
+    assert (got[zero] == 0).all() and zero.sum() == 3
+    assert np.all(np.abs(got[~zero] - expected[~zero]) <= 1e-15 * expected[~zero])
+
+
+def serial_scan(fids, best):
+    taken = -1
+    for child, fid in enumerate(fids):
+        if fid > best + 1e-15:
+            taken, best = child, fid
+    return taken, best
+
+
+@given(
+    st.lists(st.integers(0, 12), max_size=40),
+    st.integers(0, 12),
+)
+def test_serial_best_matches_the_scan(steps, start):
+    # Values a few 1e-16 apart make steps that the 1e-15 margin skips.
+    fids = np.array([0.5 + 2.5e-16 * s for s in steps])
+    best = 0.5 + 2.5e-16 * start
+    child, got = _serial_best(fids, best)
+    want_child, want = serial_scan(fids.tolist(), best)
+    assert (child, got) == (want_child, want)

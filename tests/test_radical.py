@@ -65,6 +65,18 @@ def test_equality_and_hash():
     assert Radical(0).is_zero() and not Radical.sqrt(7).is_zero()
 
 
+@given(signed)
+def test_hash_agrees_with_rationals_it_equals(q):
+    # Equal values must hash alike, or sets and dicts hold both.
+    assert Radical(q) == q and hash(Radical(q)) == hash(q)
+    assert len({Radical(q), q}) == 1
+
+
+def test_hash_of_a_rational_root():
+    assert len({Radical(5), 5}) == len({Radical(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert hash(Radical.sqrt(4)) == hash(2) and hash(-Radical.sqrt(Fraction(1, 9))) == hash(Fraction(-1, 3))
+
+
 @given(rationals, signed, signed)
 def test_commensurable_sums(a, s, t):
     # sqrt(a s^2) + sqrt(a t^2) == sqrt(a (s + t)^2), each root signed
