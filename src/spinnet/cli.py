@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dsl import parse_network
-from .dynamics import approximate_unitary_search, default_ancilla_state
+from .dynamics import approximate_unitary_search
 from .errors import SpinNetError
 from .evaluator import evaluate_closed
 from .experiments import (
@@ -159,14 +159,14 @@ def _cmd_exchange(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _angles_for(cfg: RunConfig, args):
+def _angles_for(args):
     net = _load_network(args.file)
     ends = [_resolve_end(net, text) for text in args.ends] or None
     return angle_matrix(net, ends)
 
 
 def _cmd_angles(cfg: RunConfig, args) -> int:
-    am = _angles_for(cfg, args)
+    am = _angles_for(args)
     names = [_end_name(e) for e in am.ends]
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
@@ -179,11 +179,12 @@ def _cmd_angles(cfg: RunConfig, args) -> int:
 
 
 def _cmd_geometry(cfg: RunConfig, args) -> int:
-    report = geometry_consistency(_angles_for(cfg, args), tol=cfg.tol)
+    report = geometry_consistency(_angles_for(args), tol=cfg.tol)
+    rows = report.embedding
     record = {
         "embeddable": report.embeddable,
         "residual": report.gram_residual,
-        "embedding": [[float(x) for x in row] for row in report.embedding],
+        "embedding": None if rows is None else [[float(x) for x in row] for row in rows],
     }
     human = f"embeddable={'true' if report.embeddable else 'false'} residual={report.gram_residual:g}"
     _emit(cfg, record, human)

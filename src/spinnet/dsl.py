@@ -51,122 +51,84 @@ class ParseError:
         return f"{self.span.line}:{self.span.column}: {self.kind.value}: {self.message}"
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    span: SourceSpan
-
-
-def _tokenize(text: str) -> list[list[_Token]]:
-    lines = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if line.lstrip().startswith("#"):
-            lines.append([])
-            continue
-        lines.append(
-            [
-                _Token(m.group(), SourceSpan(lineno, m.start() + 1, len(m.group())))
-                for m in _TOKEN.finditer(line)
-            ]
-        )
-    return lines
-
-
 def parse_network(text: str) -> SpinNetwork | list[ParseError]:
     """Parse the format above; returns the network or every error found."""
     errors: list[ParseError] = []
 
-    def err(kind: ErrorKind, token: _Token, message: str) -> None:
-        errors.append(ParseError(message, token.span, kind))
+    def err(kind: ErrorKind, token: tuple[str, int, int], message: str) -> None:
+        word, line, column = token
+        errors.append(ParseError(message, SourceSpan(line, column, len(word)), kind))
 
-    edges: list[tuple[_Token, _Token]] = []  # (id token, label token)
-    vertices: list[tuple[_Token, list[_Token]]] = []
-    seen_version = False
-    seen_statement = False
-    for tokens in _tokenize(text):
-        if not tokens:
+    # A token is (text, line, column).  Edges resolve as they are read;
+    # vertex lines wait for the last edge, so a vertex may precede its edges.
+    claims: dict[str, int] = {}  # edge id -> ends claimed so far
+    edges: list[Edge] = []
+    vertex_lines: list[list[tuple[str, int, int]]] = []
+    seen_version = seen_statement = False
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = [(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(line)]
+        if not tokens or tokens[0][0].startswith("#"):
             continue
-        head, args = tokens[0], tokens[1:]
-        if head.text == "version":
+        head, *args = tokens
+        statement = head[0]
+        if statement == "version":
             if seen_version or seen_statement:
                 err(ErrorKind.SYNTACTIC, head, "version line must come first, once")
-            elif len(args) != 1 or args[0].text != "1":
-                bad = args[0] if args else head
-                err(ErrorKind.SYNTACTIC, bad, "only `version 1` is supported")
+            elif len(args) != 1 or args[0][0] != "1":
+                err(ErrorKind.SYNTACTIC, args[0] if args else head, "only `version 1` is supported")
             seen_version = True
             continue
         seen_statement = True
-        if head.text == "edge":
+        if statement == "edge":
             if len(args) != 2:
                 err(ErrorKind.SYNTACTIC, head, "expected `edge <id> <label>`")
                 continue
-            edges.append((args[0], args[1]))
-        elif head.text == "vertex":
+            (eid, _, _), label = args
+            if eid in claims:
+                err(ErrorKind.SEMANTIC, args[0], f"duplicate edge id {eid!r}")
+                continue
+            claims[eid] = 0
+            digits = label[0].isascii() and label[0].isdigit()
+            if not digits:
+                err(ErrorKind.LEXICAL, label, f"label must be a non-negative integer, got {label[0]!r}")
+            edges.append(Edge(eid, int(label[0]) if digits else 0))
+        elif statement == "vertex":
             if len(args) != 4:
                 err(ErrorKind.SYNTACTIC, head, "expected `vertex <id> <edge> <edge> <edge>`")
                 continue
-            vertices.append((args[0], args[1:]))
+            vertex_lines.append(args)
         else:
-            err(ErrorKind.SYNTACTIC, head, f"unknown statement {head.text!r}")
+            err(ErrorKind.SYNTACTIC, head, f"unknown statement {statement!r}")
 
-    # Lexical pass on labels; structural pass resolving edge references.
-    edge_span: dict[str, _Token] = {}
-    label_span: dict[str, _Token] = {}
-    edge_objs: list[Edge] = []
-    for id_tok, label_tok in edges:
-        if id_tok.text in edge_span:
-            err(ErrorKind.SEMANTIC, id_tok, f"duplicate edge id {id_tok.text!r}")
+    vertex_at: dict[str, tuple[str, int, int]] = {}
+    vertices: list[Vertex] = []
+    for id_token, *refs in vertex_lines:
+        vid = id_token[0]
+        if vid in vertex_at:
+            err(ErrorKind.SEMANTIC, id_token, f"duplicate vertex id {vid!r}")
             continue
-        edge_span[id_tok.text] = id_tok
-        label_span[id_tok.text] = label_tok
-        if re.fullmatch(r"[0-9]+", label_tok.text):
-            label = int(label_tok.text, 10)
-        else:
-            err(ErrorKind.LEXICAL, label_tok, f"label must be a non-negative integer, got {label_tok.text!r}")
-            label = 0
-        edge_objs.append(Edge(id_tok.text, label))
-
-    vertex_span: dict[str, _Token] = {}
-    claimed: dict[str, int] = {}
-    vertex_objs: list[Vertex] = []
-    for id_tok, edge_toks in vertices:
-        if id_tok.text in vertex_span:
-            err(ErrorKind.SEMANTIC, id_tok, f"duplicate vertex id {id_tok.text!r}")
-            continue
-        vertex_span[id_tok.text] = id_tok
+        vertex_at[vid] = id_token
         ends = []
-        usable = True
-        for tok in edge_toks:
-            if tok.text not in edge_span:
-                err(ErrorKind.SEMANTIC, tok, f"unknown edge id {tok.text!r}")
-                usable = False
-                continue
-            n = claimed.get(tok.text, 0)
-            claimed[tok.text] = n + 1
-            if n >= 2:
-                err(ErrorKind.SEMANTIC, tok, f"edge {tok.text!r} has no end left to attach")
-                usable = False
-                continue
-            ends.append(End(tok.text, n))
-        if usable:
-            vertex_objs.append(Vertex(id_tok.text, tuple(ends)))
+        for ref in refs:
+            eid = ref[0]
+            n = claims.get(eid)
+            if n is None:
+                err(ErrorKind.SEMANTIC, ref, f"unknown edge id {eid!r}")
+            elif n == 2:
+                err(ErrorKind.SEMANTIC, ref, f"edge {eid!r} has no end left to attach")
+            else:
+                claims[eid] = n + 1
+                ends.append(End(eid, n))
+        if len(ends) == 3:  # a vertex is kept when all three ends resolve
+            vertices.append(Vertex(vid, tuple(ends)))
 
-    net = SpinNetwork(tuple(edge_objs), tuple(vertex_objs))
+    net = SpinNetwork(tuple(edges), tuple(vertices))
+    # Ids are unique and labels are integers by now, so the validator can
+    # only report an id collision or inadmissible labels, both at a vertex.
     for violation in validate_network(net):
-        anchor = (
-            vertex_span.get(violation.subject)
-            or label_span.get(violation.subject)
-            or _Token("", SourceSpan(1, 1, 1))
-        )
-        err(ErrorKind.SEMANTIC, anchor, str(violation))
+        err(ErrorKind.SEMANTIC, vertex_at[violation.subject], str(violation))
     if errors:
-        # Deduplicate identical reports (a violation can mirror a pass above).
-        unique: list[ParseError] = []
-        for e in sorted(errors, key=lambda e: (e.span.line, e.span.column, e.message)):
-            if not unique or unique[-1] != e:
-                unique.append(e)
-        return unique
+        return sorted(errors, key=lambda e: (e.span.line, e.span.column, e.message))
     return net
 
 

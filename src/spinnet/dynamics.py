@@ -269,10 +269,14 @@ def approximate_unitary_search(
     k = (target.shape[0] - 1).bit_length()
     if target.shape[0] != 1 << k or k < 1:
         raise MalformedArguments(f"target dimension {target.shape[0]} is not 2^k, k >= 1")
+    if not np.isfinite(target).all():
+        raise MalformedArguments("target has non-finite entries")
     if np.max(np.abs(target.conj().T @ target - np.eye(1 << k))) > 1e-9:
         raise MalformedArguments("target is not unitary")
     if ancillas < 0 or max_len < 0:
         raise OutOfRange("ancillas and max_len must be nonnegative")
+    if beam_width is not None and beam_width < 1:
+        raise OutOfRange(f"beam_width must be >= 1, got {beam_width}")
     n = k + ancillas
     if n > 6:
         raise OutOfRange(f"{n} qubits exceeds the desk-scale bound of 6")
@@ -281,8 +285,10 @@ def approximate_unitary_search(
         ancilla_state = default_ancilla_state(ancillas)
     if ancilla_state.labels != (1,) * ancillas:
         raise MalformedArguments(f"ancilla state must be {ancillas} qubits")
-    anc = np.asarray(ancilla_state.amplitudes, dtype=np.complex128)
-    anc = anc / (ancilla_state.norm or 1.0)
+    norm = ancilla_state.norm
+    if not (math.isfinite(norm) and norm > 0):
+        raise MalformedArguments(f"ancilla state must have a finite nonzero norm, got {norm}")
+    anc = np.asarray(ancilla_state.amplitudes, dtype=np.complex128) / norm
     if not anc.imag.any():
         anc = anc.real  # then every lift is real: carry float64
     embed = np.kron(np.eye(1 << k), anc[:, None])  # (2^n, 2^k)

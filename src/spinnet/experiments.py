@@ -372,6 +372,8 @@ def stability_measure(
     """
     if repetitions < 0:
         raise OutOfRange(f"repetitions must be >= 0, got {repetitions}")
+    if not net.is_free(end_a):
+        raise NotAFreeEnd(f"end {end_a.edge}:{end_a.side} is not a free end")
     if net.label(end_a) < repetitions:
         raise ExhaustedEnd(
             f"end {end_a.edge}:{end_a.side} (label {net.label(end_a)}) would reach 0 "

@@ -138,9 +138,6 @@ class SpinNetwork:
                 att[end] = v.id
         return att
 
-    def edge(self, edge_id: str) -> Edge:
-        return self._edge_by_id[edge_id]
-
     def vertex(self, vertex_id: str) -> Vertex:
         return self._vertex_by_id[vertex_id]
 

@@ -31,6 +31,7 @@ def fx(tmp_path_factory):
         "open": "edge a 1\nedge b 1\n",
         "huge": "".join(f"edge e{i} 200\n" for i in range(4)),
         "bad": "edge a -1\nfrob\n",
+        "edges": "edge e0 0\nedge e1 1\nedge e2 2\n",
     }
     paths = {}
     for name, text in files.items():
@@ -203,6 +204,16 @@ def test_geometry_jsonl_record(fx, capsys):
     assert len(record["embedding"]) == 3
 
 
+def test_geometry_not_embeddable_reports_instead_of_crashing(fx, capsys):
+    ends = ["e1:0", "e1:1", "e2:0", "e2:1"]
+    code, out, _ = run(["geometry", fx["edges"], *ends], capsys)
+    assert (code, out) == (0, "embeddable=false residual=1.33333\n")
+    code, out, _ = run(["geometry", fx["edges"], *ends, "--format", "jsonl"], capsys)
+    assert code == 0
+    record = json.loads(out)
+    assert record["embeddable"] is False and record["embedding"] is None
+
+
 def test_stability_zero_reps_summary_only(fx, capsys):
     code, out, _ = run(
         ["stability", fx["singlet"], "a", "b", "--reps", "0", "--format", "jsonl"],
@@ -242,6 +253,12 @@ def test_dynamics_search_jsonl(fx, capsys):
         ' "sequence": [{"channel": "singlet", "pair": [0, 1]}],'
         ' "success_prob": 0.25}\n'
     )
+
+
+def test_dynamics_zero_beam_width_exits_3(capsys):
+    code, out, err = run(["dynamics", "--max-len", "1", "--beam-width", "0"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("OutOfRange:")
 
 
 def test_usage_errors_exit_2(fx, capsys):

@@ -105,6 +105,50 @@ def test_inadmissible_vertex_is_semantic():
     assert errors
 
 
+GOLDEN_DIAGNOSTICS = [
+    # (input, [(kind, line, column, length, message), ...])
+    ("edge a 0\nversion 1",
+     [("syntactic", 2, 1, 7, "version line must come first, once")]),
+    ("version 1\nversion 1",
+     [("syntactic", 2, 1, 7, "version line must come first, once")]),
+    ("version 2", [("syntactic", 1, 9, 1, "only `version 1` is supported")]),
+    ("version", [("syntactic", 1, 1, 7, "only `version 1` is supported")]),
+    ("edge a", [("syntactic", 1, 1, 4, "expected `edge <id> <label>`")]),
+    ("vertex v a a",
+     [("syntactic", 1, 1, 6, "expected `vertex <id> <edge> <edge> <edge>`")]),
+    ("frob x", [("syntactic", 1, 1, 4, "unknown statement 'frob'")]),
+    ("edge a -1",
+     [("lexical", 1, 8, 2, "label must be a non-negative integer, got '-1'")]),
+    ("edge a 1e3",
+     [("lexical", 1, 8, 3, "label must be a non-negative integer, got '1e3'")]),
+    ("edge a ²",
+     [("lexical", 1, 8, 1, "label must be a non-negative integer, got '²'")]),
+    ("edge a 1\nedge a 2", [("semantic", 2, 6, 1, "duplicate edge id 'a'")]),
+    ("edge a 1\nedge b 1\nedge c 0\nedge d 0\nvertex v a b c\nvertex v a b d",
+     [("semantic", 6, 8, 1, "duplicate vertex id 'v'")]),
+    ("edge a 0\nvertex v a b a", [("semantic", 2, 12, 1, "unknown edge id 'b'")]),
+    ("edge a 0\nedge b 0\nvertex v a a b\nvertex w a b b",
+     [("semantic", 4, 10, 1, "edge 'a' has no end left to attach"),
+      ("semantic", 4, 14, 1, "edge 'b' has no end left to attach")]),
+    ("edge a 0\nedge b 0\nedge c 0\nvertex a b c b",
+     [("semantic", 4, 8, 1, "[structure] a: vertex id collides with an edge id")]),
+    ("edge a 1\nedge b 1\nedge c 1\nvertex v a b c",
+     [("semantic", 4, 8, 1,
+       "[admissibility] v: labels (1, 1, 1) violate triangle or parity")]),
+]
+
+
+@pytest.mark.parametrize("text,expected", GOLDEN_DIAGNOSTICS)
+def test_golden_diagnostics(text, expected):
+    errors = parse_network(text)
+    assert isinstance(errors, list)
+    got = [
+        (e.kind.value, e.span.line, e.span.column, e.span.length, e.message)
+        for e in errors
+    ]
+    assert got == expected
+
+
 def test_errors_are_sorted_by_position():
     errors = parse_network("vertex v a b c\nedge e -3")
     assert isinstance(errors, list)

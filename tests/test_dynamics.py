@@ -508,6 +508,27 @@ def test_search_rejects_malformed_targets():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_search_rejects_non_finite_targets(bad):
+    # nan > 1e-9 is false, so a NaN target would pass the unitarity check.
+    with pytest.raises(MalformedArguments):
+        approximate_unitary_search(np.array([[bad, 0], [0, 1]]), 0, 1)
+
+
+@pytest.mark.parametrize("amps", [np.zeros(4), np.array([np.nan, 0, 0, 1])])
+def test_search_rejects_zero_or_non_finite_ancilla_states(amps):
+    with pytest.raises(MalformedArguments):
+        approximate_unitary_search(
+            X_GATE, 2, 1, ancilla_state=StateVector((1, 1), amps.astype(complex))
+        )
+
+
+@pytest.mark.parametrize("beam_width", [0, -1])
+def test_search_rejects_beam_width_below_one(beam_width):
+    with pytest.raises(OutOfRange):
+        approximate_unitary_search(X_GATE, 2, 3, beam_width=beam_width)
+
+
 def test_search_rejects_out_of_range_sizes():
     with pytest.raises(OutOfRange):
         approximate_unitary_search(X_GATE, -1, 1)

@@ -265,6 +265,13 @@ def test_stability_zero_reps():
     assert report.max_drift == 0.0
 
 
+@pytest.mark.parametrize("end_a", [End("zz", 1), End("a", 0)])
+def test_stability_refuses_an_end_that_is_not_free(end_a):
+    net = SpinNetwork.from_spec({"a": 2, "b": 2, "s": 0}, [("v", ("a", "b", "s"))])
+    with pytest.raises(NotAFreeEnd):
+        stability_measure(net, end_a, End("b", 0), 1, rng_seed=1)
+
+
 def test_stability_needs_label_headroom():
     net = SpinNetwork.from_spec({"a": 2, "b": 2})
     with pytest.raises(ExhaustedEnd):
