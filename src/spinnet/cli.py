@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -72,7 +73,9 @@ class _Failure(Exception):
 
 def _rational(q: Fraction, cfg: RunConfig):
     if cfg.numeric == "exact":
-        return f"{q.numerator}/{q.denominator}"
+        # Decimal prints an int of any length; str(int) refuses past the
+        # interpreter's int-to-str digit limit (4,300 by default).
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
     return float(q)
 
 

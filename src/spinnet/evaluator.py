@@ -21,8 +21,6 @@ from collections import OrderedDict
 from fractions import Fraction
 from typing import Callable, Iterator, TypeVar
 
-import networkx as nx
-
 from .errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, OutOfRange, TooLarge
 from .model import End, SpinNetwork, admissible_couplings, validate_network, vertex_admissible
 
@@ -657,6 +655,10 @@ def _rotation_system(net: SpinNetwork) -> dict[str, list[End]]:
     ends carry no strands, so they are left out of the embedding and
     appended arbitrarily.
     """
+    # networkx's only user: imported here so that importing spinnet does
+    # not load it
+    import networkx as nx
+
     aux = nx.Graph()
     for v in net.vertices:
         aux.add_node(("v", v.id))
@@ -702,6 +704,9 @@ def strand_expansion_oracle(net: SpinNetwork, max_strands: int = 16) -> Fraction
     Exponential in the total label; refuses inputs whose labels sum past
     max_strands, and the rare network with no planar drawing (none exist
     below nine edges).
+
+    The first call imports networkx (for the planar drawing); importing
+    spinnet itself does not.
     """
     _require_closed_valid(net)
     total_label = sum(e.label for e in net.edges)

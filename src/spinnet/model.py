@@ -150,7 +150,7 @@ class SpinNetwork:
         return self._attachment.get(end)
 
     def is_free(self, end: End) -> bool:
-        return end.edge in self._edge_by_id and end not in self._attachment
+        return end.side in (0, 1) and end.edge in self._edge_by_id and end not in self._attachment
 
     @cached_property
     def free_ends(self) -> tuple[End, ...]:
@@ -234,6 +234,8 @@ def merge_free_ends(
     for end in (end_a, end_b):
         if end.edge not in {e.id for e in net.edges}:
             raise NotAFreeEnd(f"no edge {end.edge!r} in network")
+        if end.side not in (0, 1):
+            raise NotAFreeEnd(f"end {end.edge}:{end.side}: an edge has only sides 0 and 1")
         if not net.is_free(end):
             raise NotAFreeEnd(f"end {end.edge}:{end.side} is attached to vertex {net.attachment(end)!r}")
     a = net.label(end_a)

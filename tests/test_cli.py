@@ -7,12 +7,15 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from spinnet import cli
 from spinnet.dsl import serialize_network
+from spinnet.evaluator import theta_value
 from spinnet.model import SpinNetwork
 
 from netgen import aligned_triple, theta_net
@@ -102,6 +105,21 @@ def test_eval_reads_stdin(fx, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, _ = run(["eval", "-"], capsys)
     assert (code, out) == (0, "-3/1\n")
+
+
+def test_eval_prints_values_past_the_int_str_digit_limit(tmp_path, capsys):
+    """The value of theta(20000, 20000, 20000) has a 5,027-digit numerator,
+    past the interpreter's default 4,300-digit int-to-str limit."""
+    path = tmp_path / "big.snet"
+    path.write_text(serialize_network(theta_net(20000, 20000, 20000)))
+    expected = theta_value(20000, 20000, 20000)
+    for fmt in ("human", "jsonl"):
+        code, out, err = run(["eval", str(path), "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        text = json.loads(out)["value"] if fmt == "jsonl" else out.rstrip("\n")
+        num, den = text.split("/")
+        assert len(num) > 4300
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == expected
 
 
 # -- join and exchange ----------------------------------------------------------

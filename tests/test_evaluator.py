@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -149,6 +153,29 @@ def test_oracle_size_guard():
     assert strand_expansion_oracle(theta_net(4, 4, 2)) is not None  # 10 strands
     with pytest.raises(TooLarge):
         strand_expansion_oracle(theta_net(8, 8, 4))  # 20 strands
+
+
+_IMPORT_CHECK = """
+import sys
+import spinnet.model, spinnet.dsl, spinnet.evaluator, spinnet.experiments
+import spinnet.hilbert, spinnet.dynamics, spinnet.radical, spinnet.cli
+from spinnet.evaluator import strand_expansion_oracle, theta_value
+from spinnet.model import SpinNetwork
+assert "networkx" not in sys.modules, "importing spinnet loaded networkx"
+theta = SpinNetwork.from_spec({"x": 2, "y": 2, "z": 2}, [("u", ("x", "y", "z")), ("v", ("x", "y", "z"))])
+assert strand_expansion_oracle(theta) == theta_value(2, 2, 2)
+assert "networkx" in sys.modules
+"""
+
+
+def test_only_the_strand_oracle_loads_networkx():
+    """networkx is the strand oracle's alone: a fresh interpreter that
+    imports every spinnet module has not loaded it until the oracle runs."""
+    src = str(Path(ev.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @settings(deadline=None, max_examples=15)

@@ -27,7 +27,7 @@ from spinnet.experiments import (
     stability_measure,
 )
 from spinnet.hilbert import born_join_distribution
-from spinnet.model import End, SpinNetwork, validate_network
+from spinnet.model import End, SpinNetwork, merge_free_ends, validate_network
 
 
 def singlet_net():
@@ -253,6 +253,28 @@ def test_geometry_orthogonal_directions_embed():
     assert report.embeddable
     gram = report.embedding @ report.embedding.T
     assert np.max(np.abs(gram - np.eye(3))) < 1e-9
+
+
+# -- ends that name no side of an edge ---------------------------------------
+
+# Each entry point gets the bad end first and a real free end second.
+_END_TAKERS = {
+    "join_free_ends": lambda net, bad, ok: join_free_ends(net, bad, ok),
+    "born_join_distribution": lambda net, bad, ok: born_join_distribution(net, bad, ok),
+    "exchange_experiment": lambda net, bad, ok: exchange_experiment(net, bad, ok),
+    "angle_matrix": lambda net, bad, ok: angle_matrix(net, [bad, ok]),
+    "stability_measure": lambda net, bad, ok: stability_measure(net, bad, ok, 1, rng_seed=1),
+    "split_unit": lambda net, bad, ok: split_unit(net, bad, 1),
+    "merge_free_ends": lambda net, bad, ok: merge_free_ends(net, bad, ok, 2),
+}
+
+
+@pytest.mark.parametrize("side", [2, -1])
+@pytest.mark.parametrize("entry", sorted(_END_TAKERS))
+def test_an_end_with_no_such_side_is_not_free(entry, side):
+    net = SpinNetwork.from_spec({"a": 2, "b": 2})
+    with pytest.raises(NotAFreeEnd):
+        _END_TAKERS[entry](net, End("a", side), End("b", 0))
 
 
 # -- stability -----------------------------------------------------------------

@@ -105,6 +105,13 @@ def test_merge_requires_free_distinct_ends():
         merge_free_ends(net, End("a", 1), End("a", 1), 2)
 
 
+def test_is_free_only_for_side_0_or_1():
+    net = SpinNetwork.from_spec({"a": 2, "b": 2})
+    assert net.is_free(End("a", 0)) and net.is_free(End("a", 1))
+    for side in (2, -1):
+        assert not net.is_free(End("a", side))
+
+
 def test_from_spec_claims_ends_in_declaration_order():
     net = SpinNetwork.from_spec(
         {"a": 1, "b": 1, "c": 2, "d": 2},
