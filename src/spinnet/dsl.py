@@ -3,7 +3,8 @@
 Grammar (one statement per line, UTF-8, LF or CRLF):
 
     version 1                     optional header, at most once, first
-    edge <id> <label>             label a non-negative integer
+    edge <id> <label>             label a non-negative integer of at
+                                  most MAX_LABEL_DIGITS digits
     vertex <id> <e1> <e2> <e3>    three edge ids, ends claimed in order
     # comment                     full-line comments and blanks ignored
 
@@ -24,6 +25,11 @@ from .errors import InvalidNetwork
 from .model import End, SpinNetwork, Vertex, Edge, validate_network
 
 _TOKEN = re.compile(r"\S+")
+
+# The least int-to-str digit limit any interpreter setting allows, so a
+# label converts whatever the setting is.  No label this long can be
+# evaluated anyway: the closed forms take factorials of the labels.
+MAX_LABEL_DIGITS = 640
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,14 @@ def parse_network(text: str) -> SpinNetwork | list[ParseError]:
                 err(ErrorKind.SEMANTIC, args[0], f"duplicate edge id {eid!r}")
                 continue
             claims[eid] = 0
-            digits = label[0].isascii() and label[0].isdigit()
-            if not digits:
-                err(ErrorKind.LEXICAL, label, f"label must be a non-negative integer, got {label[0]!r}")
-            edges.append(Edge(eid, int(label[0]) if digits else 0))
+            word, value = label[0], 0
+            if not (word.isascii() and word.isdigit()):
+                err(ErrorKind.LEXICAL, label, f"label must be a non-negative integer, got {word!r}")
+            elif len(word) > MAX_LABEL_DIGITS:
+                err(ErrorKind.LEXICAL, label, f"label has {len(word)} digits, more than {MAX_LABEL_DIGITS}")
+            else:
+                value = int(word)
+            edges.append(Edge(eid, value))
         elif statement == "vertex":
             if len(args) != 4:
                 err(ErrorKind.SYNTACTIC, head, "expected `vertex <id> <edge> <edge> <edge>`")

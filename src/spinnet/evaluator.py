@@ -172,22 +172,33 @@ def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
             raise InadmissibleTriple(*triple)
     half_sums = ((a + d + e) // 2, (b + c + e) // 2, (a + b + f) // 2, (c + d + f) // 2)
     pair_sums = ((b + d + e + f) // 2, (a + c + e + f) // 2, (a + b + c + d) // 2)
-    interior = 1
-    for bj in pair_sums:
-        for ai in half_sums:
-            interior *= math.factorial(bj - ai)
-    exterior = 1
-    for lbl in (a, b, c, d, e, f):
-        exterior *= math.factorial(lbl)
-    total = Fraction(0)
-    for s in range(max(half_sums), min(pair_sums) + 1):
-        term = Fraction(math.factorial(s + 1))
-        for ai in half_sums:
-            term /= math.factorial(s - ai)
+    lo, hi = max(half_sums), min(pair_sums)  # admissibility makes lo <= hi
+    # The Racah sum over lo <= s <= hi of
+    #   t(s) = (-1)^s (s+1)! / (prod_i (s - A_i)! prod_j (B_j - s)!),
+    # A_i the half sums and B_j the pair sums, is t(lo) times
+    # 1 + r(lo) (1 + r(lo+1) (1 + ...)), where the term ratio is
+    #   r(s) = t(s+1)/t(s) = -(s+2) prod_j (B_j - s) / prod_i (s+1 - A_i).
+    # Horner's rule from the top keeps that bracket as num/den in integers.
+    num = den = 1
+    for s in range(hi - 1, lo - 1, -1):
+        up = -(s + 2)
         for bj in pair_sums:
-            term /= math.factorial(bj - s)
-        total += -term if s % 2 else term
-    return Fraction(interior, exterior) * total
+            up *= bj - s
+        down = 1
+        for ai in half_sums:
+            down *= s + 1 - ai
+        num, den = down * den + up * num, down * den
+    numer = math.factorial(lo + 1) * num
+    denom = den
+    for ai in half_sums:
+        denom *= math.factorial(lo - ai)
+    for bj in pair_sums:
+        denom *= math.factorial(bj - lo)
+        for ai in half_sums:
+            numer *= math.factorial(bj - ai)
+    for lbl in (a, b, c, d, e, f):
+        denom *= math.factorial(lbl)
+    return Fraction(-numer if lo % 2 else numer, denom)
 
 
 def recoupling_coefficient(
@@ -573,23 +584,66 @@ def evaluate_closed(net: SpinNetwork, cache: EvalCache | None = None) -> Fractio
     result does not depend on that schedule; on nonplanar ones it does, and
     the value returned there is not to be trusted.
 
-    Within one call, the total over the recoupling branches is memoised by
-    the exact graph state at the recoupling step (labels and ports, ids
-    included, since the schedule reads them): once a new channel edge has
-    been absorbed, the graph left is often the same for every channel.  The
-    memo is dropped when the call returns.
+    Within one call, two records spare repeated work; both are dropped when
+    the call returns.
+    - The total over the recoupling branches is memoised by the exact graph
+      state at the recoupling step (labels and ports, ids included, since
+      the schedule reads them): once a new channel edge has been absorbed,
+      the graph left is often the same for every channel.
+    - The schedule is recorded once per graph shape, in a tree of
+      ``_Schedule`` nodes, and replayed for every branch of that shape (see
+      ``_eval_graph``).
+
+    A call that takes more than ``_MAX_BRANCHES`` recoupling branches
+    raises ``TooLarge``.
     """
     _require_closed_valid(net)
     if cache is None:
         cache = default_cache()
     g = _MGraph.from_network(net)
-    memo: dict[tuple, Fraction] = {}
+    call = _Call(cache)
     value = Fraction(1)
     for comp in _components(g):
-        value *= _eval_graph(comp, cache, memo)
+        value *= _eval_graph(comp, _Schedule(), call)
         if value == 0:
             return Fraction(0)
     return value
+
+
+# Recoupling branches one evaluate_closed call may take.  The heaviest
+# networks of the benchmark's workloads take 718.
+_MAX_BRANCHES = 1_000_000
+
+
+class _Call:
+    """What one evaluate_closed call shares across its components and
+    branches: the cache, the memo of recoupling totals by exact state, and
+    the number of recoupling branches taken."""
+
+    __slots__ = ("cache", "memo", "branches")
+
+    def __init__(self, cache: EvalCache):
+        self.cache = cache
+        self.memo: dict[tuple, Fraction] = {}
+        self.branches = 0
+
+
+class _Schedule:
+    """The schedule the reducer followed from one point on, for every graph
+    of one shape (ports and ids, labels left out).
+
+    moves holds the direct moves in order, ended by None once no direct
+    move applied and the graph was recoupled on cycle.  children[z] is the
+    schedule of that step's branches whose channel edge has label 0 (z
+    True) or not (z False).
+    """
+
+    __slots__ = ("moves", "cycle", "children")
+
+    def __init__(self):
+        self.moves: list[tuple[str, object] | None] = []
+        self.cycle: tuple[list[int], list[int]] | None = None
+        self.children: list[_Schedule | None] = [None, None]
 
 
 def _state_key(g: _MGraph) -> tuple:
@@ -599,10 +653,25 @@ def _state_key(g: _MGraph) -> tuple:
     return tuple((e, g.elabel[e], *g.eports[e]) for e in sorted(g.elabel))
 
 
-def _eval_graph(g: _MGraph, cache: EvalCache, memo: dict[tuple, Fraction]) -> Fraction:
-    """Value of one connected component, recursing over recoupling branches;
-    memo maps the state at a recoupling step to its branch total."""
+def _eval_graph(g: _MGraph, node: _Schedule, call: _Call) -> Fraction:
+    """Value of one connected component, recursing over recoupling branches.
+
+    node is the schedule recorded for g's shape.  Its moves are replayed,
+    and _next_move runs only past their end, so a branch that stopped early
+    leaves a prefix that the next branch of that shape extends.  Replaying
+    is exact because every graph that reaches node has the same shape:
+    - _next_move reads labels only to find a zero edge, and _shortest_cycle
+      and the moves' rewiring read none;
+    - a branch's shape, ids included, is fixed by its parent's shape and
+      cycle, and the one label fact that changes what comes next is
+      whether its channel edge is 0 (no other edge is 0 at a recoupling
+      step);
+    - any other label fact (an inadmissible triangle, a bundle with unequal
+      outer labels) ends the branch with value 0.
+    """
     acc = Fraction(1)
+    moves = node.moves
+    step = 0
     while True:
         if g.circles:
             for lbl in g.circles:
@@ -611,7 +680,10 @@ def _eval_graph(g: _MGraph, cache: EvalCache, memo: dict[tuple, Fraction]) -> Fr
         if g.empty():
             return acc
 
-        move = _next_move(g)
+        if step == len(moves):
+            moves.append(_next_move(g))
+        move = moves[step]
+        step += 1
         if move is not None:
             kind, arg = move
             if kind == "zero":
@@ -622,23 +694,32 @@ def _eval_graph(g: _MGraph, cache: EvalCache, memo: dict[tuple, Fraction]) -> Fr
                 # to zero; zero edges are gone here, so the component vanishes
                 return Fraction(0)
             if kind == "parallel":
-                factor = _collapse_parallel(g, *arg, cache)
+                factor = _collapse_parallel(g, *arg, call.cache)
             else:
-                factor = _contract_triangle(g, arg, cache)
+                factor = _contract_triangle(g, arg, call.cache)
             if factor is None:
                 return Fraction(0)
             acc *= factor
             continue
 
         key = _state_key(g)
-        total = memo.get(key)
+        total = call.memo.get(key)
         if total is None:
-            cycle = _shortest_cycle(g)
-            assert cycle is not None, "a closed trivalent graph always has a cycle"
+            if node.cycle is None:
+                node.cycle = _shortest_cycle(g)
+                assert node.cycle is not None, "a closed trivalent graph always has a cycle"
             total = Fraction(0)
-            for coeff, branch in _recoupling_branches(g, cycle, cache):
-                total += coeff * _eval_graph(branch, cache, memo)
-            memo[key] = total
+            for coeff, branch in _recoupling_branches(g, node.cycle, call.cache):
+                call.branches += 1
+                if call.branches > _MAX_BRANCHES:
+                    raise TooLarge(f"more than {_MAX_BRANCHES} recoupling branches")
+                # the channel edge is the branch's highest id (add_edge)
+                zero = branch.elabel[max(branch.elabel)] == 0
+                child = node.children[zero]
+                if child is None:
+                    child = node.children[zero] = _Schedule()
+                total += coeff * _eval_graph(branch, child, call)
+            call.memo[key] = total
         return acc * total
 
 

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from spinnet import cli
+from spinnet import cli, evaluator
 from spinnet.dsl import serialize_network
 from spinnet.evaluator import theta_value
 from spinnet.model import SpinNetwork
 
-from netgen import aligned_triple, theta_net
+from netgen import aligned_triple, cube_net, theta_net
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +176,30 @@ def test_born_state_above_the_bound_exits_3(fx):
     )
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("TooLarge:")
+
+
+def test_join_on_a_label_past_the_digit_bound_is_a_parse_error(tmp_path):
+    """`python -m spinnet join` reports the label's span and exits 2, with no
+    traceback."""
+    path = tmp_path / "long.snet"
+    path.write_text("edge a " + "1" * 5000 + "\nedge b 1\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinnet", "join", str(path), "a", "b"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"{path}:1:8: lexical: label has 5000 digits, more than 640\n"
+
+
+def test_eval_past_the_branch_bound_exits_3(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cube.snet"
+    path.write_text(serialize_network(cube_net(1, 2)))
+    monkeypatch.setattr(evaluator, "_MAX_BRANCHES", 0)
+    code, out, err = run(["eval", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "TooLarge: more than 0 recoupling branches\n"
 
 
 def test_exchange_singlet_human(fx, capsys):

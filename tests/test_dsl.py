@@ -49,6 +49,20 @@ def test_parse_negative_label_is_lexical_at_the_token():
     assert str(err) == f"1:9: lexical: {err.message}"
 
 
+def test_a_label_past_the_digit_bound_is_lexical_at_the_token():
+    # 5,000 digits is past the interpreter's default int-conversion limit
+    # (4,300); the bound is 640, the least limit any setting allows
+    text = "edge a " + "1" * 5000 + "\nedge b 1"
+    errors = parse_network(text)
+    assert isinstance(errors, list) and len(errors) == 1
+    err = errors[0]
+    assert err.kind is ErrorKind.LEXICAL
+    assert (err.span.line, err.span.column, err.span.length) == (1, 8, 5000)
+    assert err.message == "label has 5000 digits, more than 640"
+    assert parse_network("edge a " + "9" * 640).edges == (Edge("a", 10**640 - 1),)
+    assert isinstance(parse_network("edge a " + "0" * 641), list)
+
+
 def test_parse_triple_use_of_one_edge_is_semantic():
     errors = parse_network("edge e1 1\nvertex v1 e1 e1 e1")
     assert isinstance(errors, list)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -33,7 +34,7 @@ from spinnet.evaluator import (
     tet_value,
     theta_value,
 )
-from spinnet.model import Edge, End, SpinNetwork, Vertex, vertex_admissible
+from spinnet.model import Edge, End, SpinNetwork, Vertex, admissible_couplings, vertex_admissible
 
 THETA_CASES = [
     (1, 1, 0), (1, 1, 2), (2, 2, 2), (2, 2, 0), (3, 3, 0), (2, 1, 1),
@@ -107,6 +108,45 @@ def test_tet_symmetry_under_vertex_relabelings():
     # rotating the tetrahedron 180 degrees maps (a,b,c,d,e,f) -> (c,d,a,b,e,f)
     assert tet_value(2, 1, 1, 2, 2, 3) == tet_value(1, 2, 2, 1, 2, 3)
     assert tet_value(3, 1, 1, 3, 2, 4) == tet_value(1, 3, 3, 1, 2, 4)
+
+
+def _racah_tet(a, b, c, d, e, f):
+    """The tet value as the plain Racah sum: each term built from its own
+    factorials."""
+    half_sums = ((a + d + e) // 2, (b + c + e) // 2, (a + b + f) // 2, (c + d + f) // 2)
+    pair_sums = ((b + d + e + f) // 2, (a + c + e + f) // 2, (a + b + c + d) // 2)
+    interior = 1
+    for bj in pair_sums:
+        for ai in half_sums:
+            interior *= math.factorial(bj - ai)
+    exterior = 1
+    for lbl in (a, b, c, d, e, f):
+        exterior *= math.factorial(lbl)
+    total = Fraction(0)
+    for s in range(max(half_sums), min(pair_sums) + 1):
+        term = Fraction(math.factorial(s + 1))
+        for ai in half_sums:
+            term /= math.factorial(s - ai)
+        for bj in pair_sums:
+            term /= math.factorial(bj - s)
+        total += -term if s % 2 else term
+    return Fraction(interior, exterior) * total
+
+
+def test_term_ratio_tet_equals_the_racah_sum():
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 3000:
+        # every label at most 40, and every vertex triple admissible
+        a, b, d = (rng.randint(0, 40) for _ in range(3))
+        e = rng.choice([x for x in admissible_couplings(a, d) if x <= 40])
+        f = rng.choice([x for x in admissible_couplings(a, b) if x <= 40])
+        cs = [x for x in admissible_couplings(b, e) if x <= 40 and x in admissible_couplings(d, f)]
+        if not cs:
+            continue
+        labels = (a, b, rng.choice(cs), d, e, f)
+        assert ev._tet(*labels) == _racah_tet(*labels), labels
+        checked += 1
 
 
 def test_evaluate_empty_network():
@@ -483,15 +523,68 @@ def test_memo_and_capped_search_keep_the_schedule(monkeypatch, k):
     assert steps == list(dict.fromkeys(ref_steps))
 
 
+def _ladder(rungs, seed):
+    return cycle_labelled_net(random.Random(seed), nx.circular_ladder_graph(rungs), seed % 3)
+
+
 @pytest.mark.parametrize("rungs, seed", [(6, 6), (8, 33)])
 def test_memo_saves_recoupling_work_on_a_ladder(monkeypatch, rungs, seed):
     # most labelled ladders reduce by direct moves after one recoupling
     # step, leaving the memo nothing to reuse; these two recurse
-    net = cycle_labelled_net(random.Random(seed), nx.circular_ladder_graph(rungs), seed % 3)
+    net = _ladder(rungs, seed)
     want, _, ref_count = _traced(monkeypatch, _reference_value, net)
     got, _, count = _traced(monkeypatch, lambda n: evaluate_closed(n, EvalCache()), net)
     assert got == want
     assert count < ref_count
+
+
+def _counted(monkeypatch, net, *names):
+    """evaluate_closed(net) and how often it called each named function of
+    the evaluator."""
+    calls = dict.fromkeys(names, 0)
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    with monkeypatch.context() as patch:
+        for name in names:
+            patch.setattr(ev, name, spy(name, getattr(ev, name)))
+        value = evaluate_closed(net, EvalCache())
+    return value, calls
+
+
+def test_schedule_tree_searches_a_repeated_shape_once(monkeypatch):
+    # this ladder's recoupling steps repeat graph shapes under new labels,
+    # so their cycles are replayed rather than searched for again
+    net = _ladder(8, 33)
+    value, calls = _counted(monkeypatch, net, "_shortest_cycle", "_recoupling_branches")
+    assert value == _reference_value(net)
+    assert calls["_shortest_cycle"] < calls["_recoupling_branches"]
+
+
+@pytest.mark.parametrize("net", [cube_net(1, 2), _ladder(6, 37)], ids=["cube", "ladder"])
+def test_zero_channel_children_keep_the_value(monkeypatch, net):
+    # no input label is 0, so every zero edge removed is a channel edge i = 0
+    assert all(e.label for e in net.edges)
+    value, calls = _counted(monkeypatch, net, "_eliminate_zero_edge")
+    assert calls["_eliminate_zero_edge"] >= 1
+    assert value == _reference_value(net)
+    _, ref_steps, _ = _traced(monkeypatch, _reference_value, net)
+    _, steps, _ = _traced(monkeypatch, lambda n: evaluate_closed(n, EvalCache()), net)
+    assert steps == list(dict.fromkeys(ref_steps))
+
+
+def test_a_call_past_the_branch_bound_is_too_large(monkeypatch):
+    net = _ladder(8, 33)
+    want, _, branches = _traced(monkeypatch, lambda n: evaluate_closed(n, EvalCache()), net)
+    monkeypatch.setattr(ev, "_MAX_BRANCHES", branches)
+    assert evaluate_closed(net, EvalCache()) == want
+    monkeypatch.setattr(ev, "_MAX_BRANCHES", branches - 1)
+    with pytest.raises(TooLarge, match="recoupling branches"):
+        evaluate_closed(net, EvalCache())
 
 
 def _relabelled(g, rng, emap=None, vmap=None):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,6 +16,7 @@ from spinnet.errors import (
     OutOfRange,
     TooFewEnds,
 )
+from spinnet.evaluator import EvalCache
 from spinnet.experiments import (
     AngleMatrix,
     OutcomeDistribution,
@@ -96,6 +98,15 @@ def test_join_agrees_with_born_oracle_sample(open_nets):
             continue
         oracle = born_join_distribution(net, ends[0], ends[1])
         assert combinatorial.entries == oracle.entries
+
+
+def test_chain_join_at_label_512_within_budget():
+    # at labels 512 each tet value sums a Racah series of hundreds of terms
+    net = SpinNetwork.from_spec(dict.fromkeys("abcde", 512), [("u", "abc"), ("w", "cde")])
+    start = time.perf_counter()
+    dist = join_free_ends(net, End("a", 1), End("d", 1), EvalCache())
+    assert time.perf_counter() - start < 6.0
+    assert dist.support == tuple(range(0, 1025, 2))
 
 
 def test_outcome_distribution_validates():
