@@ -19,10 +19,10 @@ import math
 import os
 from collections import OrderedDict
 from fractions import Fraction
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 from .errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, OutOfRange, TooLarge
-from .model import End, SpinNetwork, admissible_couplings, validate_network, vertex_admissible
+from .model import End, SpinNetwork, validate_network, vertex_admissible
 
 _ENV_CACHE_SIZE = "SPINNET_CACHE_SIZE"
 
@@ -111,11 +111,26 @@ def theta_value(a: int, b: int, c: int, cache: EvalCache | None = None) -> Fract
     return cache.get_or(key, lambda: _theta(a, b, c))
 
 
+# The largest label a closed form takes; a larger one raises TooLarge.  The
+# cost grows with the labels (factorials of them, and for _tet a Racah sum
+# whose length grows with them too): with every label at the bound, one
+# _theta takes about 0.4 s and one _tet about 4 s on a 2-core host, and
+# _theta(n, n, n) takes about 4x as long per doubling of n past it.
+MAX_CLOSED_FORM_LABEL = 32_768
+
+
+def _check_label_bound(labels: tuple[int, ...]) -> None:
+    top = max(labels)
+    if top > MAX_CLOSED_FORM_LABEL:
+        raise TooLarge(f"label {top} exceeds the closed-form bound {MAX_CLOSED_FORM_LABEL}")
+
+
 def _theta(a: int, b: int, c: int) -> Fraction:
     # checked on a cache miss only: a key is stored only for admissible
-    # labels, and admissibility does not depend on their order
+    # labels within the bound, and neither check depends on their order
     if not vertex_admissible(a, b, c):
         raise InadmissibleTriple(a, b, c)
+    _check_label_bound((a, b, c))
     s = (a + b + c) // 2
     m, n, p = s - c, s - a, s - b
     num = math.factorial(s + 1) * math.factorial(m) * math.factorial(n) * math.factorial(p)
@@ -170,6 +185,7 @@ def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
     for triple in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)):
         if not vertex_admissible(*triple):
             raise InadmissibleTriple(*triple)
+    _check_label_bound((a, b, c, d, e, f))
     half_sums = ((a + d + e) // 2, (b + c + e) // 2, (a + b + f) // 2, (c + d + f) // 2)
     pair_sums = ((b + d + e + f) // 2, (a + c + e + f) // 2, (a + b + c + d) // 2)
     lo, hi = max(half_sums), min(pair_sums)  # admissibility makes lo <= hi
@@ -233,33 +249,47 @@ def recoupling_six_j_magnitude(
 
 
 # -- reduction engine --------------------------------------------------
+#
+# The reducer works in two steps.  The shape step reads a graph's shape
+# (edge and vertex ids, ports) and which of its edges are zero, nothing
+# else: it picks each move (_next_move, _shortest_cycle), rewires an
+# _MGraph whose edges hold positions into a label tuple, and records the
+# op the move leaves in a _Program.  The label step (_run) reads those ops
+# on one label tuple, with one closed-form lookup per op.  A program is
+# recorded once per schedule node and read by every branch that reaches
+# that node.
 
 
 class _MGraph:
-    """Mutable multigraph the reducer rewrites in place.
+    """Mutable multigraph the shape step rewrites in place.
 
-    elabel: edge -> label.  eports: edge -> [port, port] where a port is a
-    (vertex, slot) pair or None for the stub left when a zero-labelled
-    neighbour was deleted (only zero edges ever carry stubs).  vports:
-    vertex -> [(edge, side) x 3].  circles collects labels of closed loops
-    awaiting multiplication into the scalar.
+    epos: edge -> the position of its label in the label tuple the graph
+    is read with.  eports: edge -> [port, port] where a port is a (vertex,
+    slot) pair or None for the stub left when a zero-labelled neighbour was
+    deleted (only zero edges ever carry stubs).  vports: vertex ->
+    [(edge, side) x 3].  zeros: the edges whose label is 0.  circles
+    collects the positions of closed loops awaiting their op.
     """
 
-    __slots__ = ("elabel", "eports", "vports", "circles")
+    __slots__ = ("epos", "eports", "vports", "zeros", "circles")
 
     def __init__(self):
-        self.elabel: dict[int, int] = {}
+        self.epos: dict[int, int] = {}
         self.eports: dict[int, list] = {}
         self.vports: dict[int, list] = {}
+        self.zeros: set[int] = set()
         self.circles: list[int] = []
 
     @staticmethod
     def from_network(net: SpinNetwork) -> "_MGraph":
+        """net's graph; the k-th declared edge has id and position k."""
         g = _MGraph()
         eid_of = {e.id: k for k, e in enumerate(net.edges)}
-        for e in net.edges:
-            g.elabel[eid_of[e.id]] = e.label
-            g.eports[eid_of[e.id]] = [None, None]
+        for k, e in enumerate(net.edges):
+            g.epos[k] = k
+            g.eports[k] = [None, None]
+            if e.label == 0:
+                g.zeros.add(k)
         for vk, v in enumerate(net.vertices):
             ports = []
             for slot, end in enumerate(v.ends):
@@ -271,14 +301,15 @@ class _MGraph:
 
     def copy(self) -> "_MGraph":
         g = _MGraph()
-        g.elabel = dict(self.elabel)
+        g.epos = dict(self.epos)
         g.eports = {e: list(p) for e, p in self.eports.items()}
         g.vports = {v: list(p) for v, p in self.vports.items()}
+        g.zeros = set(self.zeros)
         g.circles = list(self.circles)
         return g
 
     def empty(self) -> bool:
-        return not self.elabel and not self.vports
+        return not self.epos and not self.vports
 
     def endpoints(self, e: int) -> tuple[int | None, int | None]:
         p0, p1 = self.eports[e]
@@ -292,34 +323,32 @@ class _MGraph:
     def weld(self, p1, p2) -> None:
         """Fuse two edge ends whose shared junction has been removed.
 
-        The surviving edge keeps p1's id; welding the two ends of a single
-        edge closes it into a circle.
+        The surviving edge keeps p1's id and position; welding the two ends
+        of a single edge closes it into a circle.
         """
         (e1, s1), (e2, s2) = p1, p2
         if e1 == e2:
-            self.circles.append(self.elabel[e1])
-            del self.elabel[e1]
-            del self.eports[e1]
+            self.circles.append(self.epos[e1])
+            self.drop_edge(e1)
             return
-        assert self.elabel[e1] == self.elabel[e2], "weld across unequal labels"
         far = self.eports[e2][1 - s2]
         self.eports[e1][s1] = far
         if far is not None:
             fv, fslot = far
             self.vports[fv][fslot] = (e1, s1)
-        del self.elabel[e2]
-        del self.eports[e2]
+        self.drop_edge(e2)
 
     def drop_edge(self, e: int) -> None:
-        del self.elabel[e]
+        del self.epos[e]
         del self.eports[e]
+        self.zeros.discard(e)
 
     def drop_vertex(self, v: int) -> None:
         del self.vports[v]
 
-    def add_edge(self, label: int, port0=None, port1=None) -> int:
-        e = (max(self.elabel) + 1) if self.elabel else 0
-        self.elabel[e] = label
+    def add_edge(self, pos: int, port0=None, port1=None) -> int:
+        e = (max(self.epos) + 1) if self.epos else 0
+        self.epos[e] = pos
         self.eports[e] = [port0, port1]
         return e
 
@@ -329,30 +358,6 @@ class _MGraph:
         for slot, (e, side) in enumerate(ports):
             self.eports[e][side] = (v, slot)
         return v
-
-
-def _eliminate_zero_edge(g: _MGraph, e: int) -> None:
-    """Delete a zero-labelled edge, welding the neighbours it held apart."""
-    ports = g.eports[e]
-    if ports[0] is not None and ports[1] is not None and ports[0][0] == ports[1][0]:
-        # zero self-loop: the vertex's third edge is forced to label zero
-        # as well; stub it out and drop the vertex with the loop.
-        v = ports[0][0]
-        rest = [p for p in g.vports[v] if p[0] != e]
-        assert len(rest) == 1 and g.elabel[rest[0][0]] == 0
-        g.drop_edge(e)
-        re, rs = rest[0]
-        g.eports[re][rs] = None
-        g.drop_vertex(v)
-        return
-    g.drop_edge(e)
-    for side, port in enumerate(ports):
-        if port is None:
-            continue
-        v, _ = port
-        a, b = g.other_two(v, (e, side))
-        g.drop_vertex(v)
-        g.weld(a, b)
 
 
 def _next_move(g: _MGraph) -> tuple[str, object] | None:
@@ -368,13 +373,13 @@ def _next_move(g: _MGraph) -> tuple[str, object] | None:
       3-cycle t1 < t2 < t3, where p = t1t2, q = t2t3, r = t3t1.
     None means none applies: the graph has girth at least 4.
     """
+    if g.zeros:
+        return "zero", min(g.zeros)
     nbrs: dict[int, dict[int, int]] = {v: {} for v in g.vports}  # first edge to each neighbour
     loop = None
     bundles: dict[tuple[int, int], list[int]] = {}
     tri = None
-    for e in sorted(g.elabel):
-        if g.elabel[e] == 0:
-            return "zero", e
+    for e in sorted(g.epos):
         (u, _), (v, _) = g.eports[e]  # only zero edges carry stubs
         if u == v:
             if loop is None or u < loop:
@@ -402,55 +407,6 @@ def _next_move(g: _MGraph) -> tuple[str, object] | None:
     return None
 
 
-def _collapse_parallel(g: _MGraph, u: int, v: int, edges: list[int], cache: EvalCache) -> Fraction | None:
-    """Remove a two-vertex face.  Returns the scalar factor, or None when
-    the component evaluates to zero (mismatched outer labels)."""
-    if len(edges) == 3:
-        x, y, z = (g.elabel[e] for e in edges)
-        for e in edges:
-            g.drop_edge(e)
-        g.drop_vertex(u)
-        g.drop_vertex(v)
-        return theta_value(x, y, z, cache)
-    e1, e2 = edges
-    x, y = g.elabel[e1], g.elabel[e2]
-    outer_u = [p for p in g.vports[u] if p[0] not in (e1, e2)]
-    outer_v = [p for p in g.vports[v] if p[0] not in (e1, e2)]
-    assert len(outer_u) == 1 and len(outer_v) == 1
-    cu, cv = g.elabel[outer_u[0][0]], g.elabel[outer_v[0][0]]
-    if cu != cv:
-        return None
-    g.drop_edge(e1)
-    g.drop_edge(e2)
-    g.drop_vertex(u)
-    g.drop_vertex(v)
-    g.weld(outer_u[0], outer_v[0])
-    return theta_value(x, y, cu, cache) / loop_value(cu)
-
-
-def _contract_triangle(g: _MGraph, tri: tuple[int, int, int, int, int, int], cache: EvalCache) -> Fraction | None:
-    """Replace a 3-cycle by a single vertex.  Returns the scalar factor, or
-    None when the outer labels cannot meet at a vertex (value zero)."""
-    t1, t2, t3, p, q, r = tri
-    outer1 = [pt for pt in g.vports[t1] if pt[0] not in (p, r)]
-    outer2 = [pt for pt in g.vports[t2] if pt[0] not in (p, q)]
-    outer3 = [pt for pt in g.vports[t3] if pt[0] not in (q, r)]
-    assert len(outer1) == 1 and len(outer2) == 1 and len(outer3) == 1
-    alpha = g.elabel[outer1[0][0]]
-    beta = g.elabel[outer2[0][0]]
-    gamma = g.elabel[outer3[0][0]]
-    if not vertex_admissible(alpha, beta, gamma):
-        return None
-    lp, lq, lr = g.elabel[p], g.elabel[q], g.elabel[r]
-    factor = tet_value(alpha, beta, lq, lr, lp, gamma, cache) / theta_value(alpha, beta, gamma, cache)
-    for e in (p, q, r):
-        g.drop_edge(e)
-    for t in (t1, t2, t3):
-        g.drop_vertex(t)
-    g.add_vertex([outer1[0], outer2[0], outer3[0]])
-    return factor
-
-
 def _shortest_cycle(g: _MGraph) -> tuple[list[int], list[int]] | None:
     """Shortest cycle as (vertices, edges); edges[i] joins vertices[i], [i+1].
 
@@ -461,12 +417,12 @@ def _shortest_cycle(g: _MGraph) -> tuple[list[int], list[int]] | None:
     cycle so far.
     """
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vports}
-    for e in sorted(g.elabel):
+    for e in sorted(g.epos):
         u, v = g.endpoints(e)
         adj[u].append((v, e))
         adj[v].append((u, e))
     best: tuple[list[int], list[int]] | None = None
-    for e0 in sorted(g.elabel):
+    for e0 in sorted(g.epos):
         u0, v0 = g.endpoints(e0)
         # shortest path u0 -> v0 avoiding e0 closes the shortest cycle via e0;
         # only a path of at most `limit` edges closes a strictly shorter one
@@ -503,42 +459,8 @@ def _shortest_cycle(g: _MGraph) -> tuple[list[int], list[int]] | None:
     return best
 
 
-def _recoupling_branches(
-    g: _MGraph, cycle: tuple[list[int], list[int]], cache: EvalCache
-) -> Iterator[tuple[Fraction, "_MGraph"]]:
-    """Trade one cycle edge for a chord, yielding (weight, rewired graph)
-    per admissible channel.  The rewired graphs have a strictly shorter
-    shortest cycle, which is what makes the reduction terminate."""
-    verts, edges = cycle
-    k = len(edges)
-    assert k >= 4, "short cycles are handled by the direct moves"
-    v0, v1 = verts[0], verts[1]
-    j = edges[0]          # recouple across this edge
-    e_prev = edges[-1]    # cycle edge meeting j at v0
-    e_next = edges[1]     # cycle edge meeting j at v1
-    third_v0 = [p for p in g.vports[v0] if p[0] not in (j, e_prev)]
-    third_v1 = [p for p in g.vports[v1] if p[0] not in (j, e_next)]
-    assert len(third_v0) == 1 and len(third_v1) == 1
-    a_port, d_port = third_v0[0], third_v1[0]
-    b_port = next(p for p in g.vports[v0] if p[0] == e_prev)
-    c_port = next(p for p in g.vports[v1] if p[0] == e_next)
-    la, lb = g.elabel[a_port[0]], g.elabel[b_port[0]]
-    lc, ld = g.elabel[c_port[0]], g.elabel[d_port[0]]
-    lj = g.elabel[j]
-    channels = sorted(set(admissible_couplings(la, ld)) & set(admissible_couplings(lb, lc)))
-    for li in channels:
-        coeff = recoupling_coefficient(la, lb, lc, ld, lj, li, cache)
-        h = g.copy()
-        h.drop_edge(j)
-        h.drop_vertex(v0)
-        h.drop_vertex(v1)
-        ei = h.add_edge(li)
-        h.add_vertex([a_port, d_port, (ei, 0)])
-        h.add_vertex([b_port, c_port, (ei, 1)])
-        yield coeff, h
-
-
 def _components(g: _MGraph) -> list[_MGraph]:
+    """g's connected components: g itself when it is connected."""
     seen: set[int] = set()
     comps: list[_MGraph] = []
     for start in sorted(g.vports):
@@ -555,6 +477,8 @@ def _components(g: _MGraph) -> list[_MGraph]:
                 for w in g.endpoints(e):
                     if w is not None and w not in verts:
                         stack.append(w)
+        if len(verts) == len(g.vports):
+            return [g]
         seen |= verts
         h = _MGraph()
         for v in verts:
@@ -562,10 +486,208 @@ def _components(g: _MGraph) -> list[_MGraph]:
         for e, ports in g.eports.items():
             owner = ports[0][0] if ports[0] else ports[1][0]
             if owner in verts:
-                h.elabel[e] = g.elabel[e]
+                h.epos[e] = g.epos[e]
                 h.eports[e] = list(ports)
+        h.zeros = g.zeros & h.epos.keys()
         comps.append(h)
     return comps
+
+
+# Op codes.  An op is a tuple: its code, then label positions.
+_CIRCLE = 0    # (_CIRCLE, p): a closed loop
+_THETA = 1     # (_THETA, px, py, pz): a whole theta component
+_BUBBLE = 2    # (_BUBBLE, px, py, pcu, pcv): a two-edge face, 0 unless cu == cv
+_TRIANGLE = 3  # (_TRIANGLE, pa, pb, pg, pp, pq, pr): a 3-cycle with outer legs
+               # a, b, g and edges p, q, r, 0 unless (a, b, g) is admissible
+_RECOUPLE = 4  # (_RECOUPLE, step): the program's end, a _Recoupling
+_EMPTY = 5     # (_EMPTY,): the program's end, nothing left
+_DEAD = 6      # (_DEAD,): the program's end, a self-loop, value 0
+
+
+class _Program:
+    """The ops that every graph reaching one schedule node reduces by.
+
+    Ops are recorded lazily, one move at a time, while branches run: graph
+    is the node's shape graph rewritten as far as ops go, and is handed on
+    (to the recoupling step) or dropped once the program ends.
+    """
+
+    __slots__ = ("ops", "graph")
+
+    def __init__(self, graph: _MGraph):
+        self.ops: list[tuple] = []
+        self.graph: _MGraph | None = graph
+
+
+class _Recoupling:
+    """A program's recoupling step.
+
+    shape is the interned id of the graph's shape (its edges in id order
+    with their ports) and gather the positions of their labels, in that
+    order; together with the labels they key the memo.  The rest is found
+    on the step's first memo miss (_plan): cycle, the cycle recoupled on;
+    j and abcd, the ranks in gather of the edge traded and of its legs a,
+    b, c, d; graph, first the graph at the step and then the shape every
+    branch starts from, with the channel edge last; children[z], the
+    program of the branches whose channel label is 0 (z True) or not.
+    """
+
+    __slots__ = ("shape", "gather", "graph", "cycle", "j", "abcd", "children")
+
+    def __init__(self, shape: int, gather: tuple[int, ...], graph: _MGraph):
+        self.shape = shape
+        self.gather = gather
+        self.graph: _MGraph | None = graph
+        self.cycle: tuple[list[int], list[int]] | None = None
+        self.j = -1
+        self.abcd = (-1, -1, -1, -1)
+        self.children: list[_Program | None] = [None, None]
+
+    def child(self, zero: bool) -> _Program:
+        """The program of the branches whose channel label is 0 or not,
+        made on first use from a copy of the branch shape (the last child
+        made takes the shape itself)."""
+        prog = self.children[zero]
+        if prog is None:
+            if self.children[not zero] is None:
+                g = self.graph.copy()
+            else:
+                g, self.graph = self.graph, None
+            if zero:
+                g.zeros.add(max(g.epos))  # the channel edge has the highest id
+            prog = self.children[zero] = _Program(g)
+        return prog
+
+
+def _drop_zero_edge(g: _MGraph, e: int) -> None:
+    """Delete a zero-labelled edge, welding the neighbours it held apart."""
+    ports = g.eports[e]
+    if ports[0] is not None and ports[1] is not None and ports[0][0] == ports[1][0]:
+        # zero self-loop: the vertex's third edge is forced to label zero
+        # as well; stub it out and drop the vertex with the loop.
+        v = ports[0][0]
+        rest = [p for p in g.vports[v] if p[0] != e]
+        assert len(rest) == 1 and rest[0][0] in g.zeros
+        g.drop_edge(e)
+        re, rs = rest[0]
+        g.eports[re][rs] = None
+        g.drop_vertex(v)
+        return
+    g.drop_edge(e)
+    for side, port in enumerate(ports):
+        if port is None:
+            continue
+        v, _ = port
+        a, b = g.other_two(v, (e, side))
+        g.drop_vertex(v)
+        g.weld(a, b)
+
+
+def _bundle_op(g: _MGraph, u: int, v: int, edges: list[int]) -> tuple:
+    """Remove a two-vertex face; returns the op it leaves."""
+    if len(edges) == 3:
+        op = (_THETA, *(g.epos[e] for e in edges))
+        for e in edges:
+            g.drop_edge(e)
+        g.drop_vertex(u)
+        g.drop_vertex(v)
+        return op
+    e1, e2 = edges
+    outer_u = [p for p in g.vports[u] if p[0] not in (e1, e2)]
+    outer_v = [p for p in g.vports[v] if p[0] not in (e1, e2)]
+    assert len(outer_u) == 1 and len(outer_v) == 1
+    op = (_BUBBLE, g.epos[e1], g.epos[e2], g.epos[outer_u[0][0]], g.epos[outer_v[0][0]])
+    g.drop_edge(e1)
+    g.drop_edge(e2)
+    g.drop_vertex(u)
+    g.drop_vertex(v)
+    g.weld(outer_u[0], outer_v[0])
+    return op
+
+
+def _triangle_op(g: _MGraph, tri: tuple[int, int, int, int, int, int]) -> tuple:
+    """Replace a 3-cycle by a single vertex; returns the op it leaves."""
+    t1, t2, t3, p, q, r = tri
+    outer1 = [pt for pt in g.vports[t1] if pt[0] not in (p, r)]
+    outer2 = [pt for pt in g.vports[t2] if pt[0] not in (p, q)]
+    outer3 = [pt for pt in g.vports[t3] if pt[0] not in (q, r)]
+    assert len(outer1) == 1 and len(outer2) == 1 and len(outer3) == 1
+    op = (_TRIANGLE, *(g.epos[e] for e in (outer1[0][0], outer2[0][0], outer3[0][0], p, q, r)))
+    for e in (p, q, r):
+        g.drop_edge(e)
+    for t in (t1, t2, t3):
+        g.drop_vertex(t)
+    g.add_vertex([outer1[0], outer2[0], outer3[0]])
+    return op
+
+
+def _record(prog: _Program, call: _Call) -> None:
+    """The shape step: find the next move of prog's graph, rewire the graph
+    by it and append the ops it leaves to prog.ops."""
+    g = prog.graph
+    ops = prog.ops
+    if g.empty():
+        ops.append((_EMPTY,))
+        prog.graph = None
+        return
+    move = _next_move(g)
+    if move is None:
+        order = sorted(g.epos)
+        shape = tuple((e, *g.eports[e]) for e in order)
+        step = _Recoupling(call.shapes.setdefault(shape, len(call.shapes)),
+                           tuple(g.epos[e] for e in order), g)
+        ops.append((_RECOUPLE, step))
+        prog.graph = None
+        return
+    kind, arg = move
+    if kind == "zero":
+        _drop_zero_edge(g, arg)
+    elif kind == "loop":
+        # a bundle closing onto its own vertex forces the third label to
+        # zero; zero edges are gone here, so the component vanishes
+        ops.append((_DEAD,))
+        prog.graph = None
+        return
+    elif kind == "parallel":
+        ops.append(_bundle_op(g, *arg))
+    else:
+        ops.append(_triangle_op(g, arg))
+    ops.extend((_CIRCLE, p) for p in g.circles)
+    g.circles.clear()
+
+
+def _plan(step: _Recoupling) -> None:
+    """Find the step's cycle and rewire its graph into the branches' shape:
+    the edge j with end vertices (a,b|j) and (c,d|j) is traded for an edge
+    i with end vertices (a,d|i) and (b,c|i).  The branches have a strictly
+    shorter shortest cycle, which is what makes the reduction terminate."""
+    g = step.graph
+    cycle = step.cycle = _shortest_cycle(g)
+    assert cycle is not None, "a closed trivalent graph always has a cycle"
+    verts, edges = cycle
+    assert len(edges) >= 4, "short cycles are handled by the direct moves"
+    v0, v1 = verts[0], verts[1]
+    j = edges[0]          # recouple across this edge
+    e_prev = edges[-1]    # cycle edge meeting j at v0
+    e_next = edges[1]     # cycle edge meeting j at v1
+    third_v0 = [p for p in g.vports[v0] if p[0] not in (j, e_prev)]
+    third_v1 = [p for p in g.vports[v1] if p[0] not in (j, e_next)]
+    assert len(third_v0) == 1 and len(third_v1) == 1
+    a_port, d_port = third_v0[0], third_v1[0]
+    b_port = next(p for p in g.vports[v0] if p[0] == e_prev)
+    c_port = next(p for p in g.vports[v1] if p[0] == e_next)
+    rank = {e: k for k, e in enumerate(sorted(g.epos))}
+    step.j = rank[j]
+    step.abcd = tuple(rank[p[0]] for p in (a_port, b_port, c_port, d_port))
+    # a branch's labels are the step's without j's, the channel's appended
+    for e, k in rank.items():
+        g.epos[e] = k if k < step.j else k - 1
+    g.drop_edge(j)
+    g.drop_vertex(v0)
+    g.drop_vertex(v1)
+    ei = g.add_edge(len(rank) - 1)
+    g.add_vertex([a_port, d_port, (ei, 0)])
+    g.add_vertex([b_port, c_port, (ei, 1)])
 
 
 def _require_closed_valid(net: SpinNetwork) -> None:
@@ -586,25 +708,27 @@ def evaluate_closed(net: SpinNetwork, cache: EvalCache | None = None) -> Fractio
 
     Within one call, two records spare repeated work; both are dropped when
     the call returns.
+    - Each schedule node's program, the ops its graphs reduce by, is
+      recorded once from the node's shape and read on the label tuple of
+      every branch that reaches the node (see ``_run``).
     - The total over the recoupling branches is memoised by the exact graph
-      state at the recoupling step (labels and ports, ids included, since
-      the schedule reads them): once a new channel edge has been absorbed,
-      the graph left is often the same for every channel.
-    - The schedule is recorded once per graph shape, in a tree of
-      ``_Schedule`` nodes, and replayed for every branch of that shape (see
-      ``_eval_graph``).
+      state at the recoupling step: its interned shape (ports and ids, since
+      the schedule reads them) and its labels in edge-id order.  Once a new
+      channel edge has been absorbed, the graph left is often the same for
+      every channel.
 
-    A call that takes more than ``_MAX_BRANCHES`` recoupling branches
-    raises ``TooLarge``.
+    A call that takes more than ``_MAX_BRANCHES`` recoupling branches, or
+    a closed form on a label above ``MAX_CLOSED_FORM_LABEL``, raises
+    ``TooLarge``.
     """
     _require_closed_valid(net)
     if cache is None:
         cache = default_cache()
-    g = _MGraph.from_network(net)
+    labels = tuple(e.label for e in net.edges)
     call = _Call(cache)
     value = Fraction(1)
-    for comp in _components(g):
-        value *= _eval_graph(comp, _Schedule(), call)
+    for comp in _components(_MGraph.from_network(net)):
+        value *= _run(_Program(comp), labels, call)
         if value == 0:
             return Fraction(0)
     return value
@@ -617,110 +741,102 @@ _MAX_BRANCHES = 1_000_000
 
 class _Call:
     """What one evaluate_closed call shares across its components and
-    branches: the cache, the memo of recoupling totals by exact state, and
-    the number of recoupling branches taken."""
+    branches: the cache, the memo of recoupling totals by exact state, the
+    interned shapes of its recoupling steps, and the number of recoupling
+    branches taken."""
 
-    __slots__ = ("cache", "memo", "branches")
+    __slots__ = ("cache", "memo", "shapes", "branches")
 
     def __init__(self, cache: EvalCache):
         self.cache = cache
         self.memo: dict[tuple, Fraction] = {}
+        self.shapes: dict[tuple, int] = {}
         self.branches = 0
 
 
-class _Schedule:
-    """The schedule the reducer followed from one point on, for every graph
-    of one shape (ports and ids, labels left out).
+def _run(prog: _Program, labels: tuple[int, ...], call: _Call) -> Fraction:
+    """Value of one connected component: prog's ops read on its labels.
 
-    moves holds the direct moves in order, ended by None once no direct
-    move applied and the graph was recoupled on cycle.  children[z] is the
-    schedule of that step's branches whose channel edge has label 0 (z
-    True) or not (z False).
-    """
-
-    __slots__ = ("moves", "cycle", "children")
-
-    def __init__(self):
-        self.moves: list[tuple[str, object] | None] = []
-        self.cycle: tuple[list[int], list[int]] | None = None
-        self.children: list[_Schedule | None] = [None, None]
-
-
-def _state_key(g: _MGraph) -> tuple:
-    """The exact state of g that the schedule reads: edge labels and ports,
-    with their ids.  vports is the inverse of eports, so it adds nothing;
-    circles are always flushed before a recoupling step."""
-    return tuple((e, g.elabel[e], *g.eports[e]) for e in sorted(g.elabel))
-
-
-def _eval_graph(g: _MGraph, node: _Schedule, call: _Call) -> Fraction:
-    """Value of one connected component, recursing over recoupling branches.
-
-    node is the schedule recorded for g's shape.  Its moves are replayed,
-    and _next_move runs only past their end, so a branch that stopped early
-    leaves a prefix that the next branch of that shape extends.  Replaying
-    is exact because every graph that reaches node has the same shape:
+    An op reads labels at positions fixed when it was recorded, and ops are
+    recorded only past the end of those recorded so far, so a branch that
+    stopped early leaves a prefix that the next branch of the node extends.
+    One program serves every graph that reaches its node because:
     - _next_move reads labels only to find a zero edge, and _shortest_cycle
       and the moves' rewiring read none;
+    - a zero edge comes only from an input label or from a channel edge (no
+      edge is 0 at a recoupling step, since the zero move comes first), so
+      a root's zero edges are the input's and a branch's are its channel
+      edge or none: one program per recoupling step and channel-is-zero;
     - a branch's shape, ids included, is fixed by its parent's shape and
-      cycle, and the one label fact that changes what comes next is
-      whether its channel edge is 0 (no other edge is 0 at a recoupling
-      step);
-    - any other label fact (an inadmissible triangle, a bundle with unequal
+      cycle;
+    - a weld joins two equal labels (every vertex stays admissible, and a
+      bubble's outer legs are checked), so the position it keeps holds the
+      label of the edge it makes;
+    - any other label fact (an inadmissible triangle, a bubble with unequal
       outer labels) ends the branch with value 0.
     """
     acc = Fraction(1)
-    moves = node.moves
-    step = 0
+    ops = prog.ops
+    cache = call.cache
+    k = 0
     while True:
-        if g.circles:
-            for lbl in g.circles:
-                acc *= loop_value(lbl)
-            g.circles.clear()
-        if g.empty():
-            return acc
-
-        if step == len(moves):
-            moves.append(_next_move(g))
-        move = moves[step]
-        step += 1
-        if move is not None:
-            kind, arg = move
-            if kind == "zero":
-                _eliminate_zero_edge(g, arg)
-                continue
-            if kind == "loop":
-                # a bundle closing onto its own vertex forces the third label
-                # to zero; zero edges are gone here, so the component vanishes
-                return Fraction(0)
-            if kind == "parallel":
-                factor = _collapse_parallel(g, *arg, call.cache)
-            else:
-                factor = _contract_triangle(g, arg, call.cache)
-            if factor is None:
-                return Fraction(0)
-            acc *= factor
+        if k == len(ops):
+            _record(prog, call)
             continue
+        op = ops[k]
+        k += 1
+        code = op[0]
+        if code == _TRIANGLE:
+            _, pa, pb, pg, pp, pq, pr = op
+            alpha, beta, gamma = labels[pa], labels[pb], labels[pg]
+            if not vertex_admissible(alpha, beta, gamma):
+                return Fraction(0)
+            acc *= tet_value(alpha, beta, labels[pq], labels[pr], labels[pp], gamma, cache) / theta_value(
+                alpha, beta, gamma, cache
+            )
+        elif code == _RECOUPLE:
+            step = op[1]
+            state = tuple([labels[p] for p in step.gather])
+            key = (step.shape, state)
+            total = call.memo.get(key)
+            if total is None:
+                total = call.memo[key] = _recouple(step, state, call)
+            return acc * total
+        elif code == _BUBBLE:
+            _, px, py, pcu, pcv = op
+            cu = labels[pcu]
+            if cu != labels[pcv]:
+                return Fraction(0)
+            acc *= theta_value(labels[px], labels[py], cu, cache) / loop_value(cu)
+        elif code == _THETA:
+            acc *= theta_value(labels[op[1]], labels[op[2]], labels[op[3]], cache)
+        elif code == _CIRCLE:
+            acc *= loop_value(labels[op[1]])
+        elif code == _EMPTY:
+            return acc
+        else:
+            return Fraction(0)
 
-        key = _state_key(g)
-        total = call.memo.get(key)
-        if total is None:
-            if node.cycle is None:
-                node.cycle = _shortest_cycle(g)
-                assert node.cycle is not None, "a closed trivalent graph always has a cycle"
-            total = Fraction(0)
-            for coeff, branch in _recoupling_branches(g, node.cycle, call.cache):
-                call.branches += 1
-                if call.branches > _MAX_BRANCHES:
-                    raise TooLarge(f"more than {_MAX_BRANCHES} recoupling branches")
-                # the channel edge is the branch's highest id (add_edge)
-                zero = branch.elabel[max(branch.elabel)] == 0
-                child = node.children[zero]
-                if child is None:
-                    child = node.children[zero] = _Schedule()
-                total += coeff * _eval_graph(branch, child, call)
-            call.memo[key] = total
-        return acc * total
+
+def _recouple(step: _Recoupling, state: tuple[int, ...], call: _Call) -> Fraction:
+    """The total over a recoupling step's branches, state the labels of its
+    edges in id order.  A branch's labels are state without j's label, then
+    the channel's."""
+    if step.cycle is None:
+        _plan(step)
+    la, lb, lc, ld = (state[r] for r in step.abcd)
+    lj = state[step.j]
+    kept = state[: step.j] + state[step.j + 1 :]
+    # the channels i with (a,d,i) and (b,c,i) admissible; a + d and b + c
+    # both have j's parity, so the two ranges share their step
+    total = Fraction(0)
+    for li in range(max(abs(la - ld), abs(lb - lc)), min(la + ld, lb + lc) + 1, 2):
+        coeff = recoupling_coefficient(la, lb, lc, ld, lj, li, call.cache)
+        call.branches += 1
+        if call.branches > _MAX_BRANCHES:
+            raise TooLarge(f"more than {_MAX_BRANCHES} recoupling branches")
+        total += coeff * _run(step.child(li == 0), kept + (li,), call)
+    return total
 
 
 # -- strand expansion oracle --------------------------------------------

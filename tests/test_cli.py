@@ -202,6 +202,15 @@ def test_eval_past_the_branch_bound_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "TooLarge: more than 0 recoupling branches\n"
 
 
+def test_eval_past_the_closed_form_bound_exits_3(tmp_path, capsys):
+    top = evaluator.MAX_CLOSED_FORM_LABEL
+    path = tmp_path / "big.snet"
+    path.write_text(serialize_network(theta_net(top + 1, top + 1, 2)))
+    code, out, err = run(["eval", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"TooLarge: label {top + 1} exceeds the closed-form bound {top}\n"
+
+
 def test_exchange_singlet_human(fx, capsys):
     code, out, _ = run(["exchange", fx["singlet"], "a", "b"], capsys)
     assert code == 0

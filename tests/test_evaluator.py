@@ -195,6 +195,16 @@ def test_oracle_size_guard():
         strand_expansion_oracle(theta_net(8, 8, 4))  # 20 strands
 
 
+def test_a_label_past_the_closed_form_bound_is_too_large():
+    top = ev.MAX_CLOSED_FORM_LABEL
+    cache = EvalCache()
+    assert evaluate_closed(theta_net(top, top, 2), cache) == theta_value(top, top, 2, cache)
+    with pytest.raises(TooLarge, match="closed-form bound"):
+        evaluate_closed(theta_net(top + 1, top + 1, 2), EvalCache())
+    with pytest.raises(TooLarge, match="closed-form bound"):
+        tet_value(top + 1, top + 1, top + 1, top + 1, 2, 2, EvalCache())
+
+
 _IMPORT_CHECK = """
 import sys
 import spinnet.model, spinnet.dsl, spinnet.evaluator, spinnet.experiments
@@ -304,17 +314,135 @@ def test_six_j_bridge_sweep():
     assert checked > 50
 
 
-# -- the per-call memo, the capped cycle search and the one-scan finder -------
+# -- the reference engine, the programs, the memo and the finders ------------
 #
-# The reference is the plain reduction: the module's own moves, a separate
-# finder per kind of direct move, no memo, and a BFS from every edge to full
-# depth.  The evaluator must follow its schedule exactly, and so give every
-# value it gives.
+# The reference is the plain reduction that the programs replaced: a
+# labelled graph rewritten move by move and copied for every recoupling
+# branch, a separate finder per kind of direct move, no memo, and a BFS from
+# every edge to full depth.  Its graphs are the evaluator's _MGraph holding
+# each label where the evaluator holds the label's position.  The evaluator
+# must follow its schedule exactly, and so give every value it gives.
+
+
+def _labelled(net):
+    """net's graph with each edge holding its label."""
+    g = ev._MGraph.from_network(net)
+    g.epos = {e: net.edges[p].label for e, p in g.epos.items()}
+    return g
+
+
+def _weld(g, p1, p2):
+    assert g.epos[p1[0]] == g.epos[p2[0]], "weld across unequal labels"
+    g.weld(p1, p2)
+
+
+def _eliminate_zero_edge(g, e):
+    """Delete a zero-labelled edge, welding the neighbours it held apart."""
+    ports = g.eports[e]
+    if ports[0] is not None and ports[1] is not None and ports[0][0] == ports[1][0]:
+        # zero self-loop: the vertex's third edge is forced to label zero
+        # as well; stub it out and drop the vertex with the loop.
+        v = ports[0][0]
+        rest = [p for p in g.vports[v] if p[0] != e]
+        assert len(rest) == 1 and g.epos[rest[0][0]] == 0
+        g.drop_edge(e)
+        re, rs = rest[0]
+        g.eports[re][rs] = None
+        g.drop_vertex(v)
+        return
+    g.drop_edge(e)
+    for side, port in enumerate(ports):
+        if port is None:
+            continue
+        v, _ = port
+        a, b = g.other_two(v, (e, side))
+        g.drop_vertex(v)
+        _weld(g, a, b)
+
+
+def _collapse_parallel(g, u, v, edges, cache):
+    """Remove a two-vertex face.  Returns the scalar factor, or None when
+    the component evaluates to zero (mismatched outer labels)."""
+    if len(edges) == 3:
+        x, y, z = (g.epos[e] for e in edges)
+        for e in edges:
+            g.drop_edge(e)
+        g.drop_vertex(u)
+        g.drop_vertex(v)
+        return ev.theta_value(x, y, z, cache)
+    e1, e2 = edges
+    x, y = g.epos[e1], g.epos[e2]
+    outer_u = [p for p in g.vports[u] if p[0] not in (e1, e2)]
+    outer_v = [p for p in g.vports[v] if p[0] not in (e1, e2)]
+    assert len(outer_u) == 1 and len(outer_v) == 1
+    cu, cv = g.epos[outer_u[0][0]], g.epos[outer_v[0][0]]
+    if cu != cv:
+        return None
+    g.drop_edge(e1)
+    g.drop_edge(e2)
+    g.drop_vertex(u)
+    g.drop_vertex(v)
+    _weld(g, outer_u[0], outer_v[0])
+    return ev.theta_value(x, y, cu, cache) / loop_value(cu)
+
+
+def _contract_triangle(g, tri, cache):
+    """Replace a 3-cycle by a single vertex.  Returns the scalar factor, or
+    None when the outer labels cannot meet at a vertex (value zero)."""
+    t1, t2, t3, p, q, r = tri
+    outer1 = [pt for pt in g.vports[t1] if pt[0] not in (p, r)]
+    outer2 = [pt for pt in g.vports[t2] if pt[0] not in (p, q)]
+    outer3 = [pt for pt in g.vports[t3] if pt[0] not in (q, r)]
+    assert len(outer1) == 1 and len(outer2) == 1 and len(outer3) == 1
+    alpha = g.epos[outer1[0][0]]
+    beta = g.epos[outer2[0][0]]
+    gamma = g.epos[outer3[0][0]]
+    if not vertex_admissible(alpha, beta, gamma):
+        return None
+    lp, lq, lr = g.epos[p], g.epos[q], g.epos[r]
+    factor = ev.tet_value(alpha, beta, lq, lr, lp, gamma, cache) / ev.theta_value(alpha, beta, gamma, cache)
+    for e in (p, q, r):
+        g.drop_edge(e)
+    for t in (t1, t2, t3):
+        g.drop_vertex(t)
+    g.add_vertex([outer1[0], outer2[0], outer3[0]])
+    return factor
+
+
+def _recoupling_branches(g, cycle, cache):
+    """Trade one cycle edge for a chord, yielding (weight, rewired graph)
+    per admissible channel."""
+    verts, edges = cycle
+    assert len(edges) >= 4, "short cycles are handled by the direct moves"
+    v0, v1 = verts[0], verts[1]
+    j = edges[0]          # recouple across this edge
+    e_prev = edges[-1]    # cycle edge meeting j at v0
+    e_next = edges[1]     # cycle edge meeting j at v1
+    third_v0 = [p for p in g.vports[v0] if p[0] not in (j, e_prev)]
+    third_v1 = [p for p in g.vports[v1] if p[0] not in (j, e_next)]
+    assert len(third_v0) == 1 and len(third_v1) == 1
+    a_port, d_port = third_v0[0], third_v1[0]
+    b_port = next(p for p in g.vports[v0] if p[0] == e_prev)
+    c_port = next(p for p in g.vports[v1] if p[0] == e_next)
+    la, lb = g.epos[a_port[0]], g.epos[b_port[0]]
+    lc, ld = g.epos[c_port[0]], g.epos[d_port[0]]
+    lj = g.epos[j]
+    channels = sorted(set(admissible_couplings(la, ld)) & set(admissible_couplings(lb, lc)))
+    for li in channels:
+        coeff = ev.recoupling_coefficient(la, lb, lc, ld, lj, li, cache)
+        h = g.copy()
+        h.drop_edge(j)
+        h.drop_vertex(v0)
+        h.drop_vertex(v1)
+        ei = h.add_edge(li)
+        h.add_vertex([a_port, d_port, (ei, 0)])
+        h.add_vertex([b_port, c_port, (ei, 1)])
+        yield coeff, h
 
 
 def _ref_zero_edge(g):
-    for e in sorted(g.elabel):
-        if g.elabel[e] == 0:
+    for e in sorted(g.epos):
+        if g.epos[e] == 0:
             return e
     return None
 
@@ -329,7 +457,7 @@ def _ref_self_loop(g):
 
 def _ref_parallel_pair(g):
     groups = {}
-    for e in sorted(g.elabel):
+    for e in sorted(g.epos):
         u, v = g.endpoints(e)
         groups.setdefault((min(u, v), max(u, v)), []).append(e)
     best = None
@@ -343,7 +471,7 @@ def _ref_parallel_pair(g):
 
 def _ref_triangle(g):
     adj = {}
-    for e in sorted(g.elabel):
+    for e in sorted(g.epos):
         u, v = g.endpoints(e)
         if u == v:
             continue
@@ -378,12 +506,12 @@ def _ref_move(g):
 
 def _uncapped_shortest_cycle(g):
     adj = {v: [] for v in g.vports}
-    for e in sorted(g.elabel):
+    for e in sorted(g.epos):
         u, v = g.endpoints(e)
         adj[u].append((v, e))
         adj[v].append((u, e))
     best = None
-    for e0 in sorted(g.elabel):
+    for e0 in sorted(g.epos):
         u0, v0 = g.endpoints(e0)
         dist = {u0: 0}
         parent = {}
@@ -413,7 +541,15 @@ def _uncapped_shortest_cycle(g):
     return best
 
 
-def _reference_eval_graph(g, cache):
+def _state(g):
+    """A labelled graph's state at a recoupling step: its edges in id order
+    with their labels and ports.  That is all of it: vports is the inverse
+    of eports, and no circle is left over."""
+    assert not g.circles
+    return tuple((e, g.epos[e], *g.eports[e]) for e in sorted(g.epos))
+
+
+def _reference_eval_graph(g, cache, steps):
     acc = Fraction(1)
     while True:
         for lbl in g.circles:
@@ -425,65 +561,77 @@ def _reference_eval_graph(g, cache):
         if move is not None:
             kind, arg = move
             if kind == "zero":
-                ev._eliminate_zero_edge(g, arg)
+                _eliminate_zero_edge(g, arg)
                 continue
             if kind == "loop":
                 return Fraction(0)
             if kind == "parallel":
-                factor = ev._collapse_parallel(g, *arg, cache)
+                factor = _collapse_parallel(g, *arg, cache)
             else:
-                factor = ev._contract_triangle(g, arg, cache)
+                factor = _contract_triangle(g, arg, cache)
             if factor is None:
                 return Fraction(0)
             acc *= factor
             continue
         cycle = _uncapped_shortest_cycle(g)
+        steps.append((_state(g), tuple(map(tuple, cycle))))
         total = Fraction(0)
-        for coeff, branch in ev._recoupling_branches(g, cycle, cache):
-            total += coeff * _reference_eval_graph(branch, cache)
+        for coeff, branch in _recoupling_branches(g, cycle, cache):
+            total += coeff * _reference_eval_graph(branch, cache, steps)
         return acc * total
 
 
-def _reference_value(net):
+def _reference_value(net, steps=None):
     cache = EvalCache()
+    steps = [] if steps is None else steps
     value = Fraction(1)
-    for comp in ev._components(ev._MGraph.from_network(net)):
-        value *= _reference_eval_graph(comp, cache)
+    for comp in ev._components(_labelled(net)):
+        value *= _reference_eval_graph(comp, cache, steps)
         if value == 0:
             return Fraction(0)
     return value
 
 
-def _full_state(g):
-    return (
-        tuple(sorted(g.elabel.items())),
-        tuple(sorted((e, tuple(ports)) for e, ports in g.eports.items())),
-        tuple(sorted((v, tuple(ports)) for v, ports in g.vports.items())),
-        tuple(g.circles),
-    )
+def _counting_coefficients(patch):
+    """Counts the recoupling coefficients computed while patch is open."""
+    count = [0]
+    coefficient = ev.recoupling_coefficient
 
-
-def _traced(monkeypatch, evaluate, net):
-    """The value, the (state, cycle) of each recoupling step in order, and
-    the number of recoupling coefficients computed."""
-    steps = []
-    coefficients = 0
-    branches, coefficient = ev._recoupling_branches, ev.recoupling_coefficient
-
-    def spy_branches(g, cycle, cache):
-        steps.append((_full_state(g), tuple(map(tuple, cycle))))
-        return branches(g, cycle, cache)
-
-    def spy_coefficient(*args):
-        nonlocal coefficients
-        coefficients += 1
+    def spy(*args):
+        count[0] += 1
         return coefficient(*args)
 
+    patch.setattr(ev, "recoupling_coefficient", spy)
+    return count
+
+
+def _reference_trace(monkeypatch, net):
+    """The reference's value, the (state, cycle) of each recoupling step in
+    order, and the number of recoupling coefficients computed."""
+    steps = []
     with monkeypatch.context() as patch:
-        patch.setattr(ev, "_recoupling_branches", spy_branches)
-        patch.setattr(ev, "recoupling_coefficient", spy_coefficient)
-        value = evaluate(net)
-    return value, steps, coefficients
+        count = _counting_coefficients(patch)
+        value = _reference_value(net, steps)
+    return value, steps, count[0]
+
+
+def _evaluator_trace(monkeypatch, net):
+    """evaluate_closed's value, the (state, cycle) of each recoupling step
+    whose total it computes, in order, and the number of recoupling
+    coefficients computed."""
+    seen = []
+    recouple = ev._recouple
+
+    def spy(step, state, call):
+        shape = next(s for s, i in call.shapes.items() if i == step.shape)
+        seen.append((tuple((e, lbl, *ports) for (e, *ports), lbl in zip(shape, state)), step))
+        return recouple(step, state, call)
+
+    with monkeypatch.context() as patch:
+        count = _counting_coefficients(patch)
+        patch.setattr(ev, "_recouple", spy)
+        value = evaluate_closed(net, EvalCache())
+    return value, [(state, tuple(map(tuple, step.cycle))) for state, step in seen], count[0]
 
 
 def _cubic_nets():
@@ -515,10 +663,11 @@ def test_cubic_corpus_is_planar_and_nonplanar():
 @pytest.mark.parametrize("k", range(len(CUBIC_NETS)))
 def test_memo_and_capped_search_keep_the_schedule(monkeypatch, k):
     # the evaluator recouples exactly the reference's states, each once, in
-    # the order the reference first meets them, and so gets the same value
+    # the order the reference first meets them, on the same cycles, and so
+    # gets the same value
     net = CUBIC_NETS[k]
-    want, ref_steps, _ = _traced(monkeypatch, _reference_value, net)
-    got, steps, _ = _traced(monkeypatch, lambda n: evaluate_closed(n, EvalCache()), net)
+    want, ref_steps, _ = _reference_trace(monkeypatch, net)
+    got, steps, _ = _evaluator_trace(monkeypatch, net)
     assert got == want
     assert steps == list(dict.fromkeys(ref_steps))
 
@@ -532,8 +681,8 @@ def test_memo_saves_recoupling_work_on_a_ladder(monkeypatch, rungs, seed):
     # most labelled ladders reduce by direct moves after one recoupling
     # step, leaving the memo nothing to reuse; these two recurse
     net = _ladder(rungs, seed)
-    want, _, ref_count = _traced(monkeypatch, _reference_value, net)
-    got, _, count = _traced(monkeypatch, lambda n: evaluate_closed(n, EvalCache()), net)
+    want, _, ref_count = _reference_trace(monkeypatch, net)
+    got, _, count = _evaluator_trace(monkeypatch, net)
     assert got == want
     assert count < ref_count
 
@@ -558,28 +707,47 @@ def _counted(monkeypatch, net, *names):
 
 def test_schedule_tree_searches_a_repeated_shape_once(monkeypatch):
     # this ladder's recoupling steps repeat graph shapes under new labels,
-    # so their cycles are replayed rather than searched for again
+    # so their programs and cycles are reused rather than searched for again
     net = _ladder(8, 33)
-    value, calls = _counted(monkeypatch, net, "_shortest_cycle", "_recoupling_branches")
+    value, calls = _counted(monkeypatch, net, "_shortest_cycle", "_recouple")
     assert value == _reference_value(net)
-    assert calls["_shortest_cycle"] < calls["_recoupling_branches"]
+    assert calls["_shortest_cycle"] < calls["_recouple"]
+
+
+def test_branches_share_programs_and_copy_no_graph(monkeypatch):
+    # a branch reads its node's program on its own label tuple; a shape
+    # graph is copied at most once per program made, not once per branch
+    net = _ladder(8, 33)
+    want = _reference_value(net)
+    copies = 0
+    copy = ev._MGraph.copy
+
+    def counted_copy(g):
+        nonlocal copies
+        copies += 1
+        return copy(g)
+
+    monkeypatch.setattr(ev._MGraph, "copy", counted_copy)
+    value, calls = _counted(monkeypatch, net, "_Program", "recoupling_coefficient")
+    assert value == want
+    assert copies <= calls["_Program"] < calls["recoupling_coefficient"]
 
 
 @pytest.mark.parametrize("net", [cube_net(1, 2), _ladder(6, 37)], ids=["cube", "ladder"])
 def test_zero_channel_children_keep_the_value(monkeypatch, net):
     # no input label is 0, so every zero edge removed is a channel edge i = 0
     assert all(e.label for e in net.edges)
-    value, calls = _counted(monkeypatch, net, "_eliminate_zero_edge")
-    assert calls["_eliminate_zero_edge"] >= 1
+    value, calls = _counted(monkeypatch, net, "_drop_zero_edge")
+    assert calls["_drop_zero_edge"] >= 1
     assert value == _reference_value(net)
-    _, ref_steps, _ = _traced(monkeypatch, _reference_value, net)
-    _, steps, _ = _traced(monkeypatch, lambda n: evaluate_closed(n, EvalCache()), net)
+    _, ref_steps, _ = _reference_trace(monkeypatch, net)
+    _, steps, _ = _evaluator_trace(monkeypatch, net)
     assert steps == list(dict.fromkeys(ref_steps))
 
 
 def test_a_call_past_the_branch_bound_is_too_large(monkeypatch):
     net = _ladder(8, 33)
-    want, _, branches = _traced(monkeypatch, lambda n: evaluate_closed(n, EvalCache()), net)
+    want, _, branches = _evaluator_trace(monkeypatch, net)
     monkeypatch.setattr(ev, "_MAX_BRANCHES", branches)
     assert evaluate_closed(net, EvalCache()) == want
     monkeypatch.setattr(ev, "_MAX_BRANCHES", branches - 1)
@@ -587,17 +755,96 @@ def test_a_call_past_the_branch_bound_is_too_large(monkeypatch):
         evaluate_closed(net, EvalCache())
 
 
+def _random_closed_net(rng, components):
+    """A closed network with a part per (kind, n, cycles): a random
+    trivalent multigraph on n vertices (loops and parallel edges allowed),
+    or a random simple cubic graph on at least 4 (on at least 6 and of
+    girth at least 4 for kind "girth 4"), labelled by that many superposed
+    cycles.
+
+    Each cycle adds 1 along the cycle that a random walk from one of the
+    part's vertices closes.  The cycle meets each of its vertices in two
+    distinct slots, so every vertex stays admissible, and an edge no cycle
+    meets keeps label 0.  Ids follow a random declaration order.
+    """
+    ends = []  # edge -> [(vertex, slot), (vertex, slot)]
+    starts = []  # per cycle, the vertex its walk starts from
+    base = 0
+    for kind, n, cycles in components:
+        first = base
+        if kind != "multigraph":
+            if kind == "cubic":
+                graph = random_cubic_graph(rng, max(n, 4))
+            else:
+                graph = random_cubic_graph(rng, max(n, 6), min_girth=4)
+            slots = dict.fromkeys(graph, 0)
+            for u, v in graph.edges:
+                ends.append([(base + u, slots[u]), (base + v, slots[v])])
+                slots[u] += 1
+                slots[v] += 1
+            base += len(graph)
+        else:
+            points = [(base + v, slot) for v in range(n) for slot in range(3)]
+            rng.shuffle(points)
+            ends += [[points[k], points[k + 1]] for k in range(0, len(points), 2)]
+            base += n
+        starts += [rng.randrange(first, base) for _ in range(cycles)]
+    at = {port: (e, side) for e, pair in enumerate(ends) for side, port in enumerate(pair)}
+    labels = [0] * len(ends)
+    for v in starts:
+        slot_in = None
+        walk, left = [], {v: 0}  # the edges walked; where each vertex was left
+        while True:
+            e, side = at[v, rng.choice([s for s in range(3) if s != slot_in])]
+            walk.append(e)
+            v, slot_in = ends[e][1 - side]
+            if v in left:
+                for e in walk[left[v]:]:
+                    labels[e] += 1
+                break
+            left[v] = len(walk)
+    names = rng.sample(range(4 * len(ends)), len(ends))
+    edges = [Edge(f"e{names[e]}", labels[e]) for e in range(len(ends))]
+    rng.shuffle(edges)
+    vertices = [
+        Vertex(f"v{v}", tuple(End(f"e{names[at[v, s][0]]}", at[v, s][1]) for s in range(3)))
+        for v in range(base)
+    ]
+    rng.shuffle(vertices)
+    return SpinNetwork(tuple(edges), tuple(vertices))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(min_value=0, max_value=2**30),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["multigraph", "cubic", "girth 4"]),
+            st.sampled_from([2, 4, 6, 8, 10]),
+            st.integers(min_value=0, max_value=12),
+        ),
+        min_size=1, max_size=3,
+    ),
+)
+def test_programs_equal_the_reference_engine(seed, components):
+    # zero labels (input zero edges, zero self-loops, zero circles), loops,
+    # bubbles, thetas, triangles, recoupling and several components
+    net = _random_closed_net(random.Random(seed), components)
+    assert evaluate_closed(net, EvalCache()) == _reference_value(net)
+
+
 def _relabelled(g, rng, emap=None, vmap=None):
     """g with its edge and vertex ids sent to random distinct integers, or
     through the maps given."""
-    emap = emap or dict(zip(g.elabel, rng.sample(range(4 * len(g.elabel)), len(g.elabel))))
+    emap = emap or dict(zip(g.epos, rng.sample(range(4 * len(g.epos)), len(g.epos))))
     vmap = vmap or dict(zip(g.vports, rng.sample(range(4 * len(g.vports)), len(g.vports))))
     h = ev._MGraph()
-    for e, label in g.elabel.items():
-        h.elabel[emap[e]] = label
+    for e, pos in g.epos.items():
+        h.epos[emap[e]] = pos
         h.eports[emap[e]] = [(vmap[v], slot) for v, slot in g.eports[e]]
     for v, ports in g.vports.items():
         h.vports[vmap[v]] = [(emap[e], side) for e, side in ports]
+    h.zeros = {emap[e] for e in g.zeros}
     return h
 
 
@@ -611,36 +858,59 @@ def test_capped_shortest_cycle_matches_full_search(seed, n):
     assert ev._shortest_cycle(g) == _uncapped_shortest_cycle(g)
 
 
+class _KeyRead(Exception):
+    pass
+
+
+class _KeyLog(dict):
+    """A memo that stops the runner at its first lookup, with the key."""
+
+    def get(self, key, default=None):
+        raise _KeyRead(key)
+
+
 def test_memo_key_tells_apart_ids_and_labels():
     # on nonplanar graphs the value depends on the schedule, which reads ids
-    g = ev._MGraph.from_network(cube_net(1, 2))
-    es, vs = sorted(g.elabel), sorted(g.vports)
+    net = cube_net(1, 2)
+    g = ev._MGraph.from_network(net)
+    labels = tuple(e.label for e in net.edges)  # edge k has position k
+    es, vs = sorted(g.epos), sorted(g.vports)
     same_e, same_v = dict(zip(es, es)), dict(zip(vs, vs))
-    states = [g]
+    states = [(_relabelled(g, None, same_e, same_v), labels)]
     for a, b in itertools.combinations(es, 2):
-        states.append(_relabelled(g, None, {**same_e, a: b, b: a}, same_v))
+        states.append((_relabelled(g, None, {**same_e, a: b, b: a}, same_v), labels))
     for a, b in itertools.combinations(vs, 2):
-        states.append(_relabelled(g, None, same_e, {**same_v, a: b, b: a}))
+        states.append((_relabelled(g, None, same_e, {**same_v, a: b, b: a}), labels))
     for e in es:
-        h = _relabelled(g, None, same_e, same_v)
-        h.elabel[e] += 2
-        states.append(h)
-    assert len({_full_state(h) for h in states}) == len(states)
-    assert len({ev._state_key(h) for h in states}) == len(states)
+        states.append((_relabelled(g, None, same_e, same_v), labels[:e] + (labels[e] + 2,) + labels[e + 1:]))
+    full = {tuple(sorted((e, lbls[h.epos[e]], *h.eports[e]) for e in h.epos)) for h, lbls in states}
+    assert len(full) == len(states)
+    # the key the runner looks up at each state's recoupling step, all in
+    # one call, whose shape ids they share; the first state once more
+    call = ev._Call(EvalCache())
+    call.memo = _KeyLog()
+    keys = []
+    for h, lbls in states + [(_relabelled(g, None, same_e, same_v), labels)]:
+        with pytest.raises(_KeyRead) as read:
+            ev._run(ev._Program(h), lbls, call)
+        keys.append(read.value.args[0])
+    assert keys[-1] == keys[0]
+    assert len(set(keys)) == len(states)
 
 
 def _random_multigraph(rng, n, labels):
     """A random trivalent multigraph on n vertices, loops and parallel edges
-    allowed, with random ids."""
+    allowed, with random ids, holding its labels in place of positions."""
     points = [(v, slot) for v in range(n) for slot in range(3)]
     rng.shuffle(points)
     g = ev._MGraph()
     g.vports = {v: [None] * 3 for v in range(n)}
     for e in range(len(points) // 2):
-        g.elabel[e] = rng.choice(labels)
+        g.epos[e] = rng.choice(labels)
         g.eports[e] = [points[2 * e], points[2 * e + 1]]
         for side, (v, slot) in enumerate(g.eports[e]):
             g.vports[v][slot] = (e, side)
+    g.zeros = {e for e, label in g.epos.items() if label == 0}
     return _relabelled(g, rng)
 
 
@@ -652,10 +922,11 @@ def _random_multigraph(rng, n, labels):
 )
 @example(93, 6, "multigraph without zeros")  # a theta outranks a bubble of lower (u, v)
 def test_one_scan_picks_what_the_reference_finders_pick(seed, n, kind):
+    # _next_move reads the zero edges from g.zeros, the reference from labels
     rng = random.Random(seed)
     if kind == "simple":
         net = cycle_labelled_net(rng, random_cubic_graph(rng, max(n, 4)))
-        g = _relabelled(ev._MGraph.from_network(net), rng)
+        g = _relabelled(_labelled(net), rng)
     else:
         g = _random_multigraph(rng, n, (0, 1, 2) if kind == "multigraph" else (1, 2))
     assert ev._next_move(g) == _ref_move(g)

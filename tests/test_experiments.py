@@ -15,8 +15,9 @@ from spinnet.errors import (
     NullState,
     OutOfRange,
     TooFewEnds,
+    TooLarge,
 )
-from spinnet.evaluator import EvalCache
+from spinnet.evaluator import MAX_CLOSED_FORM_LABEL, EvalCache
 from spinnet.experiments import (
     AngleMatrix,
     OutcomeDistribution,
@@ -107,6 +108,13 @@ def test_chain_join_at_label_512_within_budget():
     dist = join_free_ends(net, End("a", 1), End("d", 1), EvalCache())
     assert time.perf_counter() - start < 6.0
     assert dist.support == tuple(range(0, 1025, 2))
+
+
+def test_join_past_the_closed_form_bound_is_too_large():
+    top = MAX_CLOSED_FORM_LABEL
+    net = SpinNetwork.from_spec({"x": 1, "y": top + 1, "z": top + 2}, [("u", ("x", "y", "z"))])
+    with pytest.raises(TooLarge, match="closed-form bound"):
+        join_free_ends(net, End("x", 1), End("y", 1), EvalCache())
 
 
 def test_outcome_distribution_validates():
