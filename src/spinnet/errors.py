@@ -66,6 +66,10 @@ class NullState(SpinNetError):
     """The network's invariant state vanishes; no outcome distribution exists."""
 
 
+class UnsupportedNetwork(SpinNetError):
+    """A valid network the package cannot yet answer for exactly."""
+
+
 class ZeroProbability(SpinNetError):
     """A postselection was requested on an outcome of probability zero."""
 

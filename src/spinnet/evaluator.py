@@ -30,10 +30,11 @@ _T = TypeVar("_T")
 
 
 class EvalCache:
-    """LRU memo shareable across evaluations, keyed by tuples.
+    """LRU memo keyed by tuples: the type of the process cache.
 
-    It holds the evaluator's theta and tet values (``Fraction``), the
-    ``hilbert`` coefficients ``cg`` and ``6j`` (``Radical``) and the
+    ``default_cache()`` builds the one instance the package reads and
+    writes.  It holds the evaluator's theta and tet values (``Fraction``),
+    the ``hilbert`` coefficients ``cg`` and ``6j`` (``Radical``) and the
     ``hilbert`` tensors with their scales (``cg-band``, ``vertex-3j``,
     ``pairing``, ``bargmann-metric``), whose arrays are read-only because
     every caller shares them.
@@ -81,7 +82,9 @@ _default_cache: EvalCache | None = None
 
 
 def default_cache() -> EvalCache:
-    """Process-wide cache; bound set by SPINNET_CACHE_SIZE when present."""
+    """The process cache, built on first use, that every closed form and
+    Born-path tensor is looked up in.  SPINNET_CACHE_SIZE, read then,
+    bounds its entries; unset, it is unbounded."""
     global _default_cache
     if _default_cache is None:
         bound = os.environ.get(_ENV_CACHE_SIZE)
@@ -103,12 +106,10 @@ def loop_value(n: int) -> Fraction:
     return Fraction((n + 1) if n % 2 == 0 else -(n + 1))
 
 
-def theta_value(a: int, b: int, c: int, cache: EvalCache | None = None) -> Fraction:
+def theta_value(a: int, b: int, c: int) -> Fraction:
     """Value of the two-vertex network whose three edges carry a, b, c."""
-    if cache is None:
-        cache = default_cache()
     key = ("theta",) + tuple(sorted((a, b, c)))
-    return cache.get_or(key, lambda: _theta(a, b, c))
+    return default_cache().get_or(key, lambda: _theta(a, b, c))
 
 
 # The largest label a closed form takes; a larger one raises TooLarge.  The
@@ -170,13 +171,11 @@ def tet_canonical_key(a: int, b: int, c: int, d: int, e: int, f: int) -> tuple[i
     return min(tuple(labels[i] for i in perm) for perm in _TET_SYMMETRIES)
 
 
-def tet_value(a: int, b: int, c: int, d: int, e: int, f: int, cache: EvalCache | None = None) -> Fraction:
+def tet_value(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
     """Value of the tetrahedral network with vertex triples
     (a,d,e), (b,c,e), (a,b,f), (c,d,f)."""
-    if cache is None:
-        cache = default_cache()
     key = ("tet",) + tet_canonical_key(a, b, c, d, e, f)
-    return cache.get_or(key, lambda: _tet(a, b, c, d, e, f))
+    return default_cache().get_or(key, lambda: _tet(a, b, c, d, e, f))
 
 
 def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
@@ -217,35 +216,24 @@ def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
     return Fraction(-numer if lo % 2 else numer, denom)
 
 
-def recoupling_coefficient(
-    a: int, b: int, c: int, d: int, j: int, i: int, cache: EvalCache | None = None
-) -> Fraction:
+def recoupling_coefficient(a: int, b: int, c: int, d: int, j: int, i: int) -> Fraction:
     """Weight of the i-channel when an edge j with end vertices (a,b|j) and
     (c,d|j) is traded for an edge i with end vertices (a,d|i) and (b,c|i)."""
-    return (
-        loop_value(i)
-        * tet_value(a, b, c, d, i, j, cache)
-        / (theta_value(a, d, i, cache) * theta_value(b, c, i, cache))
-    )
+    return loop_value(i) * tet_value(a, b, c, d, i, j) / (theta_value(a, d, i) * theta_value(b, c, i))
 
 
-def recoupling_six_j_magnitude(
-    a: int, b: int, c: int, d: int, e: int, f: int, cache: EvalCache | None = None
-) -> float:
+def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -> float:
     """|tet| normalized by the geometric mean of its four vertex thetas.
 
     This is the bridge between network evaluation and angular momentum
     recoupling: it equals the magnitude of the 6j symbol
     {a/2 d/2 e/2; c/2 b/2 f/2}.
     """
-    t = tet_value(a, b, c, d, e, f, cache)
-    norm = (
-        theta_value(a, d, e, cache)
-        * theta_value(b, c, e, cache)
-        * theta_value(a, b, f, cache)
-        * theta_value(c, d, f, cache)
-    )
-    return abs(float(t)) / math.sqrt(abs(float(norm)))
+    t = tet_value(a, b, c, d, e, f)
+    norm = theta_value(a, d, e) * theta_value(b, c, e) * theta_value(a, b, f) * theta_value(c, d, f)
+    # the exact ratio is the squared 6j, at most 1; float() of the thetas'
+    # product alone underflows to 0 once the labels pass a few hundred
+    return math.sqrt(float(t * t / abs(norm)))
 
 
 # -- reduction engine --------------------------------------------------
@@ -520,27 +508,55 @@ class _Program:
 
 
 class _Recoupling:
-    """A program's recoupling step.
+    """A program's recoupling step, planned when it is recorded.
 
-    shape is the interned id of the graph's shape (its edges in id order
-    with their ports) and gather the positions of their labels, in that
-    order; together with the labels they key the memo.  The rest is found
-    on the step's first memo miss (_plan): cycle, the cycle recoupled on;
-    j and abcd, the ranks in gather of the edge traded and of its legs a,
-    b, c, d; graph, first the graph at the step and then the shape every
-    branch starts from, with the channel edge last; children[z], the
-    program of the branches whose channel label is 0 (z True) or not.
+    gather holds the positions of the labels of the graph's edges in id
+    order: a branch's state at the step is those labels, and memo maps each
+    state met to the total over its branches.  cycle is the cycle
+    recoupled on; j and abcd the ranks in gather of the edge traded and of
+    its legs a, b, c, d; graph the shape every branch starts from, with the
+    channel edge last; children[z] the program of the branches whose
+    channel label is 0 (z True) or not.
     """
 
-    __slots__ = ("shape", "gather", "graph", "cycle", "j", "abcd", "children")
+    __slots__ = ("gather", "memo", "cycle", "j", "abcd", "graph", "children")
 
-    def __init__(self, shape: int, gather: tuple[int, ...], graph: _MGraph):
-        self.shape = shape
-        self.gather = gather
-        self.graph: _MGraph | None = graph
-        self.cycle: tuple[list[int], list[int]] | None = None
-        self.j = -1
-        self.abcd = (-1, -1, -1, -1)
+    def __init__(self, g: _MGraph):
+        """Find g's shortest cycle and rewire g into the branches' shape:
+        the edge j with end vertices (a,b|j) and (c,d|j) is traded for an
+        edge i with end vertices (a,d|i) and (b,c|i).  The branches have a
+        strictly shorter shortest cycle, which is what makes the reduction
+        terminate."""
+        order = sorted(g.epos)
+        self.gather = tuple(g.epos[e] for e in order)
+        self.memo: dict[tuple[int, ...], Fraction] = {}
+        cycle = self.cycle = _shortest_cycle(g)
+        assert cycle is not None, "a closed trivalent graph always has a cycle"
+        verts, edges = cycle
+        assert len(edges) >= 4, "short cycles are handled by the direct moves"
+        v0, v1 = verts[0], verts[1]
+        j = edges[0]          # recouple across this edge
+        e_prev = edges[-1]    # cycle edge meeting j at v0
+        e_next = edges[1]     # cycle edge meeting j at v1
+        third_v0 = [p for p in g.vports[v0] if p[0] not in (j, e_prev)]
+        third_v1 = [p for p in g.vports[v1] if p[0] not in (j, e_next)]
+        assert len(third_v0) == 1 and len(third_v1) == 1
+        a_port, d_port = third_v0[0], third_v1[0]
+        b_port = next(p for p in g.vports[v0] if p[0] == e_prev)
+        c_port = next(p for p in g.vports[v1] if p[0] == e_next)
+        rank = {e: k for k, e in enumerate(order)}
+        self.j = rank[j]
+        self.abcd = tuple(rank[p[0]] for p in (a_port, b_port, c_port, d_port))
+        # a branch's labels are the step's without j's, the channel's appended
+        for e, k in rank.items():
+            g.epos[e] = k if k < self.j else k - 1
+        g.drop_edge(j)
+        g.drop_vertex(v0)
+        g.drop_vertex(v1)
+        ei = g.add_edge(len(order) - 1)
+        g.add_vertex([a_port, d_port, (ei, 0)])
+        g.add_vertex([b_port, c_port, (ei, 1)])
+        self.graph: _MGraph | None = g
         self.children: list[_Program | None] = [None, None]
 
     def child(self, zero: bool) -> _Program:
@@ -557,7 +573,6 @@ class _Recoupling:
                 g.zeros.add(max(g.epos))  # the channel edge has the highest id
             prog = self.children[zero] = _Program(g)
         return prog
-
 
 def _drop_zero_edge(g: _MGraph, e: int) -> None:
     """Delete a zero-labelled edge, welding the neighbours it held apart."""
@@ -621,7 +636,7 @@ def _triangle_op(g: _MGraph, tri: tuple[int, int, int, int, int, int]) -> tuple:
     return op
 
 
-def _record(prog: _Program, call: _Call) -> None:
+def _record(prog: _Program) -> None:
     """The shape step: find the next move of prog's graph, rewire the graph
     by it and append the ops it leaves to prog.ops."""
     g = prog.graph
@@ -632,11 +647,7 @@ def _record(prog: _Program, call: _Call) -> None:
         return
     move = _next_move(g)
     if move is None:
-        order = sorted(g.epos)
-        shape = tuple((e, *g.eports[e]) for e in order)
-        step = _Recoupling(call.shapes.setdefault(shape, len(call.shapes)),
-                           tuple(g.epos[e] for e in order), g)
-        ops.append((_RECOUPLE, step))
+        ops.append((_RECOUPLE, _Recoupling(g)))
         prog.graph = None
         return
     kind, arg = move
@@ -656,40 +667,6 @@ def _record(prog: _Program, call: _Call) -> None:
     g.circles.clear()
 
 
-def _plan(step: _Recoupling) -> None:
-    """Find the step's cycle and rewire its graph into the branches' shape:
-    the edge j with end vertices (a,b|j) and (c,d|j) is traded for an edge
-    i with end vertices (a,d|i) and (b,c|i).  The branches have a strictly
-    shorter shortest cycle, which is what makes the reduction terminate."""
-    g = step.graph
-    cycle = step.cycle = _shortest_cycle(g)
-    assert cycle is not None, "a closed trivalent graph always has a cycle"
-    verts, edges = cycle
-    assert len(edges) >= 4, "short cycles are handled by the direct moves"
-    v0, v1 = verts[0], verts[1]
-    j = edges[0]          # recouple across this edge
-    e_prev = edges[-1]    # cycle edge meeting j at v0
-    e_next = edges[1]     # cycle edge meeting j at v1
-    third_v0 = [p for p in g.vports[v0] if p[0] not in (j, e_prev)]
-    third_v1 = [p for p in g.vports[v1] if p[0] not in (j, e_next)]
-    assert len(third_v0) == 1 and len(third_v1) == 1
-    a_port, d_port = third_v0[0], third_v1[0]
-    b_port = next(p for p in g.vports[v0] if p[0] == e_prev)
-    c_port = next(p for p in g.vports[v1] if p[0] == e_next)
-    rank = {e: k for k, e in enumerate(sorted(g.epos))}
-    step.j = rank[j]
-    step.abcd = tuple(rank[p[0]] for p in (a_port, b_port, c_port, d_port))
-    # a branch's labels are the step's without j's, the channel's appended
-    for e, k in rank.items():
-        g.epos[e] = k if k < step.j else k - 1
-    g.drop_edge(j)
-    g.drop_vertex(v0)
-    g.drop_vertex(v1)
-    ei = g.add_edge(len(rank) - 1)
-    g.add_vertex([a_port, d_port, (ei, 0)])
-    g.add_vertex([b_port, c_port, (ei, 1)])
-
-
 def _require_closed_valid(net: SpinNetwork) -> None:
     violations = validate_network(net)
     if violations:
@@ -699,33 +676,30 @@ def _require_closed_valid(net: SpinNetwork) -> None:
         raise HasFreeEnds(f"network has free ends: {ends}")
 
 
-def evaluate_closed(net: SpinNetwork, cache: EvalCache | None = None) -> Fraction:
+def evaluate_closed(net: SpinNetwork) -> Fraction:
     """Exact value of a closed network.
 
     The rewrites follow a deterministic schedule.  On planar networks the
     result does not depend on that schedule; on nonplanar ones it does, and
     the value returned there is not to be trusted.
 
+    Closed forms are looked up in the process cache (``default_cache``).
     Within one call, two records spare repeated work; both are dropped when
     the call returns.
     - Each schedule node's program, the ops its graphs reduce by, is
       recorded once from the node's shape and read on the label tuple of
       every branch that reaches the node (see ``_run``).
-    - The total over the recoupling branches is memoised by the exact graph
-      state at the recoupling step: its interned shape (ports and ids, since
-      the schedule reads them) and its labels in edge-id order.  Once a new
-      channel edge has been absorbed, the graph left is often the same for
-      every channel.
+    - Each recoupling step memoises the total over its branches by its
+      labels.  Once a new channel edge has been absorbed, the labels left
+      are often the same for every channel.
 
     A call that takes more than ``_MAX_BRANCHES`` recoupling branches, or
     a closed form on a label above ``MAX_CLOSED_FORM_LABEL``, raises
     ``TooLarge``.
     """
     _require_closed_valid(net)
-    if cache is None:
-        cache = default_cache()
     labels = tuple(e.label for e in net.edges)
-    call = _Call(cache)
+    call = _Call()
     value = Fraction(1)
     for comp in _components(_MGraph.from_network(net)):
         value *= _run(_Program(comp), labels, call)
@@ -740,17 +714,12 @@ _MAX_BRANCHES = 1_000_000
 
 
 class _Call:
-    """What one evaluate_closed call shares across its components and
-    branches: the cache, the memo of recoupling totals by exact state, the
-    interned shapes of its recoupling steps, and the number of recoupling
-    branches taken."""
+    """The number of recoupling branches one evaluate_closed call has
+    taken, across its components."""
 
-    __slots__ = ("cache", "memo", "shapes", "branches")
+    __slots__ = ("branches",)
 
-    def __init__(self, cache: EvalCache):
-        self.cache = cache
-        self.memo: dict[tuple, Fraction] = {}
-        self.shapes: dict[tuple, int] = {}
+    def __init__(self):
         self.branches = 0
 
 
@@ -760,6 +729,8 @@ def _run(prog: _Program, labels: tuple[int, ...], call: _Call) -> Fraction:
     An op reads labels at positions fixed when it was recorded, and ops are
     recorded only past the end of those recorded so far, so a branch that
     stopped early leaves a prefix that the next branch of the node extends.
+    A recoupling step is recorded, and planned, by the first branch to
+    reach it, whose lookup in the step's memo then misses.
     One program serves every graph that reaches its node because:
     - _next_move reads labels only to find a zero edge, and _shortest_cycle
       and the moves' rewiring read none;
@@ -777,11 +748,10 @@ def _run(prog: _Program, labels: tuple[int, ...], call: _Call) -> Fraction:
     """
     acc = Fraction(1)
     ops = prog.ops
-    cache = call.cache
     k = 0
     while True:
         if k == len(ops):
-            _record(prog, call)
+            _record(prog)
             continue
         op = ops[k]
         k += 1
@@ -791,25 +761,24 @@ def _run(prog: _Program, labels: tuple[int, ...], call: _Call) -> Fraction:
             alpha, beta, gamma = labels[pa], labels[pb], labels[pg]
             if not vertex_admissible(alpha, beta, gamma):
                 return Fraction(0)
-            acc *= tet_value(alpha, beta, labels[pq], labels[pr], labels[pp], gamma, cache) / theta_value(
-                alpha, beta, gamma, cache
+            acc *= tet_value(alpha, beta, labels[pq], labels[pr], labels[pp], gamma) / theta_value(
+                alpha, beta, gamma
             )
         elif code == _RECOUPLE:
             step = op[1]
             state = tuple([labels[p] for p in step.gather])
-            key = (step.shape, state)
-            total = call.memo.get(key)
+            total = step.memo.get(state)
             if total is None:
-                total = call.memo[key] = _recouple(step, state, call)
+                total = step.memo[state] = _recouple(step, state, call)
             return acc * total
         elif code == _BUBBLE:
             _, px, py, pcu, pcv = op
             cu = labels[pcu]
             if cu != labels[pcv]:
                 return Fraction(0)
-            acc *= theta_value(labels[px], labels[py], cu, cache) / loop_value(cu)
+            acc *= theta_value(labels[px], labels[py], cu) / loop_value(cu)
         elif code == _THETA:
-            acc *= theta_value(labels[op[1]], labels[op[2]], labels[op[3]], cache)
+            acc *= theta_value(labels[op[1]], labels[op[2]], labels[op[3]])
         elif code == _CIRCLE:
             acc *= loop_value(labels[op[1]])
         elif code == _EMPTY:
@@ -822,8 +791,6 @@ def _recouple(step: _Recoupling, state: tuple[int, ...], call: _Call) -> Fractio
     """The total over a recoupling step's branches, state the labels of its
     edges in id order.  A branch's labels are state without j's label, then
     the channel's."""
-    if step.cycle is None:
-        _plan(step)
     la, lb, lc, ld = (state[r] for r in step.abcd)
     lj = state[step.j]
     kept = state[: step.j] + state[step.j + 1 :]
@@ -831,7 +798,7 @@ def _recouple(step: _Recoupling, state: tuple[int, ...], call: _Call) -> Fractio
     # both have j's parity, so the two ranges share their step
     total = Fraction(0)
     for li in range(max(abs(la - ld), abs(lb - lc)), min(la + ld, lb + lc) + 1, 2):
-        coeff = recoupling_coefficient(la, lb, lc, ld, lj, li, call.cache)
+        coeff = recoupling_coefficient(la, lb, lc, ld, lj, li)
         call.branches += 1
         if call.branches > _MAX_BRANCHES:
             raise TooLarge(f"more than {_MAX_BRANCHES} recoupling branches")

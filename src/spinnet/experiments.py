@@ -31,8 +31,9 @@ from .errors import (
     NullState,
     OutOfRange,
     TooFewEnds,
+    UnsupportedNetwork,
 )
-from .evaluator import EvalCache, default_cache, evaluate_closed, loop_value, theta_value
+from .evaluator import evaluate_closed, loop_value, theta_value
 from .model import (
     Edge,
     End,
@@ -178,15 +179,15 @@ def _mirror_closure(net: SpinNetwork) -> tuple[SpinNetwork, list[int]]:
     return SpinNetwork(tuple(edges), tuple(vertices)), circles
 
 
-def join_free_ends(
-    net: SpinNetwork, end_a: End, end_b: End, cache: EvalCache | None = None
-) -> OutcomeDistribution:
+def join_free_ends(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeDistribution:
     """Distribution over the label of the unit formed by joining two free ends.
 
     For each admissible label c the joined network is closed on itself
     through the new unit (mirror gluing along all free ends) and weighted
     by loop(c)/theta(a, b, c); the weights, which all carry one common
-    sign, normalize to exact rational probabilities.
+    sign, normalize to exact rational probabilities.  Weights of mixed
+    sign come from a nonplanar mirror closure, which the evaluator does
+    not yet read right, and raise UnsupportedNetwork.
     """
     problems = validate_network(net)
     if problems:
@@ -196,23 +197,25 @@ def join_free_ends(
     for end in (end_a, end_b):
         if not net.is_free(end):
             raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
-    if cache is None:
-        cache = default_cache()
     a, b = net.label(end_a), net.label(end_b)
 
     weights: dict[int, Fraction] = {}
     for c in admissible_couplings(a, b):
         joined = merge_free_ends(net, end_a, end_b, c)
         closed, circles = _mirror_closure(joined)
-        value = evaluate_closed(closed, cache)
+        value = evaluate_closed(closed)
         for lbl in circles:
             value *= loop_value(lbl)
-        weights[c] = loop_value(c) / theta_value(a, b, c, cache) * value
+        weights[c] = loop_value(c) / theta_value(a, b, c) * value
 
     nonzero = {c: w for c, w in weights.items() if w != 0}
     if not nonzero:
         raise NullState("the network state vanishes; no outcome has weight")
-    assert len({w > 0 for w in nonzero.values()}) == 1, "channel weights must share a sign"
+    if len({w > 0 for w in nonzero.values()}) > 1:
+        raise UnsupportedNetwork(
+            "the channel weights differ in sign: the mirror closure is nonplanar, and "
+            "evaluate_closed does not read slot order as a rotation system yet (ROADMAP item 1)"
+        )
     total = sum(nonzero.values())
     entries = {c: w / total for c, w in sorted(nonzero.items())}
     return OutcomeDistribution(a, b, entries)
@@ -252,14 +255,12 @@ def split_unit(
     return SpinNetwork(new_edges, net.vertices + (new_vertex,))
 
 
-def _exchange(
-    net: SpinNetwork, end_a: End, end_b: End, cache: EvalCache | None
-) -> tuple[ExchangeResult, SpinNetwork, End, End]:
+def _exchange(net: SpinNetwork, end_a: End, end_b: End) -> tuple[ExchangeResult, SpinNetwork, End, End]:
     """Exchange result plus the split network and its new ends (for commits)."""
     uid = net.fresh_id("u")
     rid = net.fresh_id("r")
     split = split_unit(net, end_a, 1, unit_id=uid, rest_id=rid)
-    dist = join_free_ends(split, End(uid, 1), end_b, cache)
+    dist = join_free_ends(split, End(uid, 1), end_b)
     b = net.label(end_b)
     p_up = dist.probability(b + 1)
     p_down = dist.probability(b - 1) if b >= 1 else Fraction(0)
@@ -267,15 +268,13 @@ def _exchange(
     return result, split, End(uid, 1), End(rid, 1)
 
 
-def exchange_experiment(
-    net: SpinNetwork, end_a: End, end_b: End, cache: EvalCache | None = None
-) -> ExchangeResult:
+def exchange_experiment(net: SpinNetwork, end_a: End, end_b: End) -> ExchangeResult:
     """Split a unit 1 off end_a and join it with end_b.
 
     The joined unit can only come out as b+1 or b-1; p = p_up defines the
     angle between the two ends through p = cos^2(theta/2).
     """
-    result, _split, _unit, _rest = _exchange(net, end_a, end_b, cache)
+    result, _split, _unit, _rest = _exchange(net, end_a, end_b)
     return result
 
 
@@ -289,12 +288,7 @@ def angle_from_probability(p) -> float:
 # -- angle collections and geometry ---------------------------------------
 
 
-def angle_matrix(
-    net: SpinNetwork,
-    ends: Sequence[End] | None = None,
-    *,
-    cache: EvalCache | None = None,
-) -> AngleMatrix:
+def angle_matrix(net: SpinNetwork, ends: Sequence[End] | None = None) -> AngleMatrix:
     """Angles between every pair of the given free ends (default: all).
 
     Each pair is measured counterfactually on the original network, so
@@ -310,13 +304,11 @@ def angle_matrix(
             raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
         if net.label(end) < 1:
             raise InadmissibleSplit(f"end {end.edge}:{end.side} has label 0, no unit to split")
-    if cache is None:
-        cache = default_cache()
 
     matrix = np.zeros((len(chosen), len(chosen)))
     for i in range(len(chosen)):
         for j in range(i + 1, len(chosen)):
-            theta = exchange_experiment(net, chosen[i], chosen[j], cache).theta
+            theta = exchange_experiment(net, chosen[i], chosen[j]).theta
             matrix[i, j] = matrix[j, i] = theta
     return AngleMatrix(chosen, matrix)
 
@@ -359,7 +351,6 @@ def stability_measure(
     end_b: End,
     repetitions: int,
     rng_seed: int,
-    cache: EvalCache | None = None,
 ) -> StabilityReport:
     """Measure the angle repeatedly, committing a sampled outcome each time.
 
@@ -379,15 +370,13 @@ def stability_measure(
             f"end {end_a.edge}:{end_a.side} (label {net.label(end_a)}) would reach 0 "
             f"before {repetitions} repetitions complete"
         )
-    if cache is None:
-        cache = default_cache()
     rng = random.Random(rng_seed)
 
     angles: list[float] = []
     outcomes: list[int] = []
     current, cur_a, cur_b = net, end_a, end_b
     for _ in range(repetitions):
-        result, split, unit_end, rest_end = _exchange(current, cur_a, cur_b, cache)
+        result, split, unit_end, rest_end = _exchange(current, cur_a, cur_b)
         angles.append(result.theta)
         b = current.label(cur_b)
         up = rng.random() < float(result.p_up)

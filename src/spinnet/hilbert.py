@@ -43,7 +43,7 @@ from .errors import (
     NullState,
     TooLarge,
 )
-from .evaluator import EvalCache, default_cache
+from .evaluator import default_cache
 from .experiments import OutcomeDistribution
 from .model import End, SpinNetwork, admissible_couplings, validate_network
 from .radical import Radical
@@ -70,7 +70,7 @@ def _triangle_factor(a: Fraction, b: Fraction, c: Fraction) -> Fraction | None:
     return Fraction(num, math.factorial(int(a + b + c) + 1))
 
 
-def clebsch_gordan(j1, m1, j2, m2, j, m, cache: EvalCache | None = None) -> Radical:
+def clebsch_gordan(j1, m1, j2, m2, j, m) -> Radical:
     """Exact <j1 m1; j2 m2 | j m> in the Condon-Shortley convention.
 
     Zero whenever a selection rule fails (m != m1 + m2, triangle, or a
@@ -80,10 +80,8 @@ def clebsch_gordan(j1, m1, j2, m2, j, m, cache: EvalCache | None = None) -> Radi
     j1, m1, j2, m2, j, m = (_half_integer(x) for x in (j1, m1, j2, m2, j, m))
     if j1 < 0 or j2 < 0 or j < 0:
         raise MalformedArguments("total spin cannot be negative")
-    if cache is None:
-        cache = default_cache()
     key = ("cg", j1, m1, j2, m2, j, m)
-    return cache.get_or(key, lambda: _cg(j1, m1, j2, m2, j, m))
+    return default_cache().get_or(key, lambda: _cg(j1, m1, j2, m2, j, m))
 
 
 def _cg(j1, m1, j2, m2, j, m) -> Radical:
@@ -121,19 +119,19 @@ def _racah_sum(a: int, b: int, c: int, ka: int, kb: int) -> Fraction:
     return total
 
 
-def wigner_3j(j1, j2, j3, m1, m2, m3, cache: EvalCache | None = None) -> Radical:
+def wigner_3j(j1, j2, j3, m1, m2, m3) -> Radical:
     """Exact Wigner 3j symbol (j1 j2 j3; m1 m2 m3)."""
     j1, j2, j3, m1, m2, m3 = (_half_integer(x) for x in (j1, j2, j3, m1, m2, m3))
     if m1 + m2 + m3 != 0:
         return Radical(0)
-    cg = clebsch_gordan(j1, m1, j2, m2, j3, -m3, cache)
+    cg = clebsch_gordan(j1, m1, j2, m2, j3, -m3)
     if cg.is_zero():
         return cg
     phase = int(j1 - j2 - m3)  # integral whenever the coefficient is nonzero
     return (Radical(-1 if phase % 2 else 1) * cg) / Radical.sqrt(2 * j3 + 1)
 
 
-def wigner_6j(j1, j2, j3, j4, j5, j6, cache: EvalCache | None = None) -> Radical:
+def wigner_6j(j1, j2, j3, j4, j5, j6) -> Radical:
     """Exact Wigner 6j symbol {j1 j2 j3; j4 j5 j6} by the Racah sum.
 
     Zero when any of the four triads (j1 j2 j3), (j1 j5 j6), (j4 j2 j6),
@@ -142,10 +140,8 @@ def wigner_6j(j1, j2, j3, j4, j5, j6, cache: EvalCache | None = None) -> Radical
     js = tuple(_half_integer(x) for x in (j1, j2, j3, j4, j5, j6))
     if any(j < 0 for j in js):
         raise MalformedArguments("total spin cannot be negative")
-    if cache is None:
-        cache = default_cache()
     key = ("6j",) + js
-    return cache.get_or(key, lambda: _six_j(*js))
+    return default_cache().get_or(key, lambda: _six_j(*js))
 
 
 def _six_j(j1, j2, j3, j4, j5, j6) -> Radical:
@@ -202,9 +198,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _bargmann_metric(n: int, cache: EvalCache) -> np.ndarray:
+def _bargmann_metric(n: int) -> np.ndarray:
     """k!(n-k)! for k = 0..n: the metric 1/C(n, k) of a label-n axis, times n!."""
-    return cache.get_or(
+    return default_cache().get_or(
         ("bargmann-metric", n),
         lambda: _frozen(np.array(
             [math.factorial(k) * math.factorial(n - k) for k in range(n + 1)], dtype=object
@@ -233,7 +229,7 @@ def _racah_tensor(a: int, b: int, c: int) -> tuple[np.ndarray, Fraction]:
     return arr, _racah_prefactor(a, b, c) / lcd**2
 
 
-def _vertex_tensor(a: int, b: int, c: int, cache: EvalCache) -> tuple[np.ndarray, Fraction]:
+def _vertex_tensor(a: int, b: int, c: int) -> tuple[np.ndarray, Fraction]:
     """Bargmann form of the Wigner 3j tensor of a vertex, indexed by its ends' k.
 
     (a/2 b/2 c/2; m_a m_b m_c) is (-1)^(a/2 - b/2 - m_c) / sqrt(c + 1)
@@ -246,10 +242,10 @@ def _vertex_tensor(a: int, b: int, c: int, cache: EvalCache) -> tuple[np.ndarray
         sign = np.array([-1 if (phase + k) % 2 else 1 for k in range(c + 1)], dtype=object)
         return _frozen(t[:, :, ::-1] * sign), r / (c + 1)
 
-    return cache.get_or(("vertex-3j", a, b, c), build)
+    return default_cache().get_or(("vertex-3j", a, b, c), build)
 
 
-def _pairing(n: int, free: int, cache: EvalCache) -> tuple[np.ndarray, Fraction]:
+def _pairing(n: int, free: int) -> tuple[np.ndarray, Fraction]:
     """Bargmann form (w, s) of the pairing on a label-n edge with `free` free
     ends: the pairing is w_k at [k, n-k], and zero elsewhere.
 
@@ -267,7 +263,7 @@ def _pairing(n: int, free: int, cache: EvalCache) -> tuple[np.ndarray, Fraction]
         w = np.array([-x if k % 2 else x for k, x in enumerate(weights)], dtype=object)
         return _frozen(w), Fraction(1, math.factorial(n) ** 2) if free == 0 else Fraction(1)
 
-    return cache.get_or(("pairing", n, free), build)
+    return default_cache().get_or(("pairing", n, free), build)
 
 
 def _apply_pairing(arr: np.ndarray, axis: int, w: np.ndarray) -> np.ndarray:
@@ -284,7 +280,7 @@ def _refuse_above_bound(entries: int, what: str) -> None:
         raise TooLarge(f"{what} would have {entries} entries, more than {_MAX_ENTRIES}")
 
 
-def _operands(net: SpinNetwork, cache: EvalCache) -> tuple[list[tuple[np.ndarray, list]], Fraction]:
+def _operands(net: SpinNetwork) -> tuple[list[tuple[np.ndarray, list]], Fraction]:
     """The network's tensors with every pairing that meets a vertex applied.
 
     An axis is keyed by the free end it stands for, or by its edge's id
@@ -303,7 +299,7 @@ def _operands(net: SpinNetwork, cache: EvalCache) -> tuple[list[tuple[np.ndarray
     for v in net.vertices:
         labels = [net.label(end) for end in v.ends]
         _refuse_above_bound(math.prod(n + 1 for n in labels), f"the tensor of vertex {v.id}")
-        arr, s = _vertex_tensor(*labels, cache)
+        arr, s = _vertex_tensor(*labels)
         scale *= s
         keys: list = []
         for axis, (end, n) in enumerate(zip(v.ends, labels)):
@@ -311,7 +307,7 @@ def _operands(net: SpinNetwork, cache: EvalCache) -> tuple[list[tuple[np.ndarray
             free = net.is_free(other)
             keys.append(other if free else end.edge)
             if free or end.side == 0:
-                w, s = _pairing(n, int(free), cache)
+                w, s = _pairing(n, int(free))
                 scale *= s
                 if n:
                     # w is indexed by the side-0 end; read from side 1, it reverses
@@ -324,14 +320,12 @@ def _operands(net: SpinNetwork, cache: EvalCache) -> tuple[list[tuple[np.ndarray
     for e in net.edges:
         ends = [End(e.id, 0), End(e.id, 1)]
         if all(map(net.is_free, ends)):
-            w, _ = _pairing(e.label, 2, cache)
+            w, _ = _pairing(e.label, 2)
             tensors.append((np.diag(w)[:, ::-1], ends))
     return tensors, scale
 
 
-def _contract_network(
-    net: SpinNetwork, cache: EvalCache
-) -> tuple[np.ndarray, list[End], Fraction]:
+def _contract_network(net: SpinNetwork) -> tuple[np.ndarray, list[End], Fraction]:
     """Contract the network to the Bargmann form of its state.
 
     Returns (B, keys, scale) with keys = net.free_ends, the free ends
@@ -344,7 +338,7 @@ def _contract_network(
     """
     free = list(net.free_ends)
     _refuse_above_bound(math.prod(net.label(end) + 1 for end in free), "the network state")
-    tensors, scale = _operands(net, cache)
+    tensors, scale = _operands(net)
     if not tensors:
         return np.array(1, dtype=object), [], scale
     acc, keys = tensors[0]
@@ -426,7 +420,6 @@ def network_to_linear_map(
     net: SpinNetwork,
     in_ends: Sequence[End],
     out_ends: Sequence[End],
-    cache: EvalCache | None = None,
 ) -> LinearMapRep:
     """The intertwiner a network defines from its in ends to its out ends.
 
@@ -443,9 +436,7 @@ def network_to_linear_map(
         raise InvalidPartition(
             "in_ends and out_ends must be disjoint and cover every free end"
         )
-    if cache is None:
-        cache = default_cache()
-    acc, keys, scale = _contract_network(net, cache)
+    acc, keys, scale = _contract_network(net)
     if combined:
         acc = np.transpose(acc, [keys.index(end) for end in combined])
     for in_end in ins:
@@ -453,7 +444,7 @@ def network_to_linear_map(
         # pending axis and moving it last preserves the in order.  The
         # standard pairing maps Bargmann forms to Bargmann forms, since
         # C(n, k) = C(n, n-k).
-        w, _ = _pairing(net.label(in_end), 1, cache)
+        w, _ = _pairing(net.label(in_end), 1)
         acc = np.moveaxis(_apply_pairing(acc, len(outs), w), len(outs), -1)
     binomials = _outer_all(
         [np.array([math.comb(n, k) for k in range(n + 1)], dtype=object)
@@ -504,7 +495,7 @@ def intertwiner_residual(rep: LinearMapRep) -> float:
 # -- Born-rule join ---------------------------------------------------------
 
 
-def _cg_tensor(a: int, b: int, c: int, cache: EvalCache) -> tuple[np.ndarray, Fraction]:
+def _cg_tensor(a: int, b: int, c: int) -> tuple[np.ndarray, Fraction]:
     """Bargmann form (band, r) of <a/2 m_a; b/2 m_b | c/2 M> on its band.
 
     The tensor T[k_a, k_b, k_M] of `_racah_tensor` can be nonzero only at
@@ -521,7 +512,7 @@ def _cg_tensor(a: int, b: int, c: int, cache: EvalCache) -> tuple[np.ndarray, Fr
                 band[ka, km] = t[ka, km + s - ka, km]
         return _frozen(band), r
 
-    return cache.get_or(("cg-band", a, b, c), build)
+    return default_cache().get_or(("cg-band", a, b, c), build)
 
 
 def _skew(psi: np.ndarray) -> np.ndarray:
@@ -533,19 +524,17 @@ def _skew(psi: np.ndarray) -> np.ndarray:
     return diag
 
 
-def _project(diag: np.ndarray, a: int, b: int, c: int, cache: EvalCache) -> tuple[np.ndarray, Fraction]:
+def _project(diag: np.ndarray, a: int, b: int, c: int) -> tuple[np.ndarray, Fraction]:
     """The amplitudes [k_M, rest] of the state `_skew`ed into diag on
     channel c, and the scale r of the Clebsch-Gordan tensor.  Entry k_M
     sums band[k_a, k_M] * psi[k_a, k_M + s - k_a] over k_a, one band
     product."""
-    band, r = _cg_tensor(a, b, c, cache)
+    band, r = _cg_tensor(a, b, c)
     s = (a + b - c) // 2
     return (band[:, :, None] * diag[:, s : s + c + 1]).sum(0), r
 
 
-def born_join_distribution(
-    net: SpinNetwork, end_a: End, end_b: End, cache: EvalCache | None = None
-) -> OutcomeDistribution:
+def born_join_distribution(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeDistribution:
     """Born-rule distribution over the total spin of two free ends.
 
     The network state is projected onto each total-spin-c/2 subspace of
@@ -561,24 +550,22 @@ def born_join_distribution(
     for end in (end_a, end_b):
         if not net.is_free(end):
             raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
-    if cache is None:
-        cache = default_cache()
     a, b = net.label(end_a), net.label(end_b)
 
-    acc, keys, _scale = _contract_network(net, cache)
+    acc, keys, _scale = _contract_network(net)
     rest = [end for end in keys if end not in (end_a, end_b)]
     psi = np.transpose(acc, [keys.index(end) for end in [end_a, end_b] + rest])
     # the projection contracts the two joined axes and the squared norm
     # sums over the rest, each through its metric; the scale of the state
     # and the n! in each metric are common to all channels
-    joined = _outer_all([_bargmann_metric(a, cache), _bargmann_metric(b, cache)])
+    joined = _outer_all([_bargmann_metric(a), _bargmann_metric(b)])
     diag = _skew(psi.reshape(a + 1, b + 1, -1) * joined[:, :, None])
-    rest_metric = _outer_all([_bargmann_metric(net.label(end), cache) for end in rest])
+    rest_metric = _outer_all([_bargmann_metric(net.label(end)) for end in rest])
 
     weights: dict[int, Fraction] = {}
     for c in admissible_couplings(a, b):
-        amp, r = _project(diag, a, b, c, cache)
-        total = _bargmann_metric(c, cache).dot((amp * amp).dot(rest_metric.reshape(-1)))
+        amp, r = _project(diag, a, b, c)
+        total = _bargmann_metric(c).dot((amp * amp).dot(rest_metric.reshape(-1)))
         weights[c] = r * total / math.factorial(c)
 
     nonzero = {c: w for c, w in weights.items() if w}

@@ -1,6 +1,8 @@
 import pytest
 
 from netgen import closed_corpus, open_corpus
+from spinnet import evaluator
+from spinnet.evaluator import EvalCache
 from spinnet.radical import Radical
 
 
@@ -12,6 +14,14 @@ def closed_nets():
 @pytest.fixture(scope="session")
 def open_nets():
     return open_corpus()
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty process cache for one test; the shared one is put back after."""
+    cache = EvalCache()
+    monkeypatch.setattr(evaluator, "_default_cache", cache)
+    return cache
 
 
 @pytest.fixture

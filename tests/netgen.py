@@ -263,3 +263,19 @@ def mirror_closures_planar(net: SpinNetwork, end_a: End, end_b: End) -> bool:
         if not nx.check_planarity(graph)[0]:
             return False
     return True
+
+
+def mixed_sign_join() -> tuple[SpinNetwork, End, End]:
+    """A join whose mirror closures are nonplanar and whose channel weights
+    come out of evaluate_closed with mixed signs (the Born rule gives
+    c=3 p=7/655, c=5 p=648/655)."""
+    net = SpinNetwork.from_spec(
+        {"e0": 5, "e1": 3, "e2": 4, "j1": 5, "j2": 2, "u1": 1, "r1": 1, "j3": 2},
+        [
+            ("w1", ("e2", "e1", "j1")),
+            ("w2", ("e0", "j1", "j2")),
+            ("x1", ("j2", "u1", "r1")),
+            ("w3", ("e1", "r1", "j3")),
+        ],
+    )
+    return net, End("e2", 1), End("u1", 1)

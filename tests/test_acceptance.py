@@ -29,7 +29,7 @@ from spinnet.dynamics import (
     sequence_channel,
 )
 from spinnet.errors import NullState
-from spinnet.evaluator import EvalCache, evaluate_closed, strand_expansion_oracle
+from spinnet.evaluator import evaluate_closed, strand_expansion_oracle
 from spinnet.experiments import (
     angle_from_probability,
     angle_matrix,
@@ -61,12 +61,11 @@ def test_criterion_1_angle_law_round_trip():
     _report(1, "angle-law-round-trip", ok, f"worst={worst:.1e} in {elapsed:.2f}s")
 
 
-def test_criterion_2_join_equals_born_oracle(open_nets):
+def test_criterion_2_join_equals_born_oracle(open_nets, fresh_cache):
     """Every pair of free ends on every corpus network, whose mirror
     closures are planar (the nonplanar ones are in
     test_join_equals_born_on_nonplanar_closures)."""
     start = time.perf_counter()
-    cache = EvalCache()
     pairs = free_end_pairs(open_nets)
     compared = deferred = 0
     for net, end_a, end_b in pairs:
@@ -74,15 +73,15 @@ def test_criterion_2_join_equals_born_oracle(open_nets):
             deferred += 1
             continue
         try:
-            combinatorial = join_free_ends(net, end_a, end_b, cache)
+            combinatorial = join_free_ends(net, end_a, end_b)
         except NullState:
             try:
-                born_join_distribution(net, end_a, end_b, cache)
+                born_join_distribution(net, end_a, end_b)
             except NullState:
                 compared += 1
                 continue
             _report(2, "join-equals-born", False, "oracle disagrees on NullState")
-        oracle = born_join_distribution(net, end_a, end_b, cache)
+        oracle = born_join_distribution(net, end_a, end_b)
         assert combinatorial.entries == oracle.entries, (
             f"{end_a} {end_b}\n{serialize_network(net)}"
         )
@@ -115,11 +114,10 @@ def test_join_equals_born_on_nonplanar_closures(open_nets):
         )
 
 
-def test_criterion_3_evaluator_equals_strand_oracle(closed_nets):
+def test_criterion_3_evaluator_equals_strand_oracle(closed_nets, fresh_cache):
     start = time.perf_counter()
-    cache = EvalCache()
     for net in closed_nets:
-        assert evaluate_closed(net, cache) == strand_expansion_oracle(net), (
+        assert evaluate_closed(net) == strand_expansion_oracle(net), (
             serialize_network(net)
         )
     elapsed = time.perf_counter() - start
@@ -147,13 +145,12 @@ def test_criterion_4_singlet_triplet_fixtures():
     )
 
 
-def test_criterion_5_spin_geometry_trend():
+def test_criterion_5_spin_geometry_trend(fresh_cache):
     start = time.perf_counter()
-    cache = EvalCache()
     ends = [End("eA", 1), End("eB", 1), End("eC", 1)]
     residuals = []
     for scale in (2, 4, 8, 16, 32):
-        am = angle_matrix(aligned_triple(scale), ends, cache=cache)
+        am = angle_matrix(aligned_triple(scale), ends)
         residuals.append(geometry_consistency(am).gram_residual)
     elapsed = time.perf_counter() - start
     monotone = all(b <= a + 1e-15 for a, b in zip(residuals, residuals[1:]))

@@ -18,7 +18,7 @@ from spinnet.dsl import serialize_network
 from spinnet.evaluator import theta_value
 from spinnet.model import SpinNetwork
 
-from netgen import aligned_triple, cube_net, theta_net
+from netgen import aligned_triple, cube_net, mixed_sign_join, theta_net
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +191,29 @@ def test_join_on_a_label_past_the_digit_bound_is_a_parse_error(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"{path}:1:8: lexical: label has 5000 digits, more than 640\n"
+
+
+def test_join_with_mixed_sign_weights_exits_3(tmp_path):
+    """`python -m spinnet join` on a nonplanar mirror closure refuses the
+    join with UnsupportedNetwork, with no traceback; `born` answers."""
+    net, end_a, end_b = mixed_sign_join()
+    path = tmp_path / "mixed.snet"
+    path.write_text(serialize_network(net))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    ends = [f"{end.edge}:{end.side}" for end in (end_a, end_b)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinnet", "join", str(path), *ends],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("UnsupportedNetwork:") and "ROADMAP item 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinnet", "born", str(path), *ends],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "c=3 p=7/655 c=5 p=648/655\n")
 
 
 def test_eval_past_the_branch_bound_exits_3(tmp_path, capsys, monkeypatch):

@@ -24,7 +24,6 @@ from spinnet import evaluator as ev
 from spinnet.errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, TooLarge
 from spinnet.evaluator import (
     _TET_SYMMETRIES,
-    EvalCache,
     evaluate_closed,
     loop_value,
     recoupling_coefficient,
@@ -59,13 +58,12 @@ def test_theta_with_zero_leg_is_a_loop(n):
     assert theta_value(n, n, 0) == loop_value(n)
 
 
-def test_theta_rejects_inadmissible():
+def test_theta_rejects_inadmissible(fresh_cache):
     # labels are checked when a lookup misses; a refused call leaves no trace
-    cache = EvalCache()
-    theta_value(1, 1, 2, cache)
+    theta_value(1, 1, 2)
     with pytest.raises(InadmissibleTriple):
-        theta_value(1, 1, 1, cache)
-    assert cache.stats == {"size": 1, "hits": 0, "misses": 1}
+        theta_value(1, 1, 1)
+    assert ev.default_cache().stats == {"size": 1, "hits": 0, "misses": 1}
 
 
 @pytest.mark.parametrize("labels", THETA_CASES)
@@ -75,12 +73,11 @@ def test_theta_matches_strand_oracle(labels):
     assert evaluate_closed(net) == theta_value(*labels)
 
 
-def test_tet_rejects_inadmissible_vertex():
-    cache = EvalCache()
-    tet_value(1, 1, 1, 1, 2, 2, cache)
+def test_tet_rejects_inadmissible_vertex(fresh_cache):
+    tet_value(1, 1, 1, 1, 2, 2)
     with pytest.raises(InadmissibleTriple):
-        tet_value(1, 1, 1, 1, 1, 1, cache)
-    assert cache.stats == {"size": 1, "hits": 0, "misses": 1}
+        tet_value(1, 1, 1, 1, 1, 1)
+    assert ev.default_cache().stats == {"size": 1, "hits": 0, "misses": 1}
 
 
 def test_degenerate_tet_reduces_to_theta():
@@ -195,14 +192,13 @@ def test_oracle_size_guard():
         strand_expansion_oracle(theta_net(8, 8, 4))  # 20 strands
 
 
-def test_a_label_past_the_closed_form_bound_is_too_large():
+def test_a_label_past_the_closed_form_bound_is_too_large(fresh_cache):
     top = ev.MAX_CLOSED_FORM_LABEL
-    cache = EvalCache()
-    assert evaluate_closed(theta_net(top, top, 2), cache) == theta_value(top, top, 2, cache)
+    assert evaluate_closed(theta_net(top, top, 2)) == theta_value(top, top, 2)
     with pytest.raises(TooLarge, match="closed-form bound"):
-        evaluate_closed(theta_net(top + 1, top + 1, 2), EvalCache())
+        evaluate_closed(theta_net(top + 1, top + 1, 2))
     with pytest.raises(TooLarge, match="closed-form bound"):
-        tet_value(top + 1, top + 1, top + 1, top + 1, 2, 2, EvalCache())
+        tet_value(top + 1, top + 1, top + 1, top + 1, 2, 2)
 
 
 _IMPORT_CHECK = """
@@ -249,32 +245,30 @@ def test_reduction_independent_of_declaration_order(seed):
     assert strand_expansion_oracle(shuffled) == evaluate_closed(reference)
 
 
-def test_cold_and_warm_cache_agree():
+def test_cold_and_warm_cache_agree(fresh_cache):
     net = tet_net(2, 2, 2, 2, 2, 2)
-    cold = evaluate_closed(net, EvalCache())
-    cache = EvalCache()
-    first = evaluate_closed(net, cache)
-    warm = evaluate_closed(net, cache)
-    assert cold == first == warm
+    cold = evaluate_closed(net)
+    warm = evaluate_closed(net)
+    assert fresh_cache.hits > 0
+    assert cold == warm
 
 
-def test_an_empty_cache_passed_in_records_the_traffic():
-    # an empty EvalCache has length 0, so it must not be mistaken for None
+def test_each_request_records_traffic_on_the_process_cache(fresh_cache):
     from spinnet.experiments import join_free_ends
     from spinnet.hilbert import born_join_distribution
 
     triplet = SpinNetwork.from_spec({"a": 1, "b": 1, "t": 2}, [("v", ("a", "b", "t"))])
     requests = [
-        lambda cache: evaluate_closed(tet_net(2, 2, 2, 2, 2, 2), cache),
-        lambda cache: join_free_ends(triplet, End("a", 1), End("b", 1), cache),
-        lambda cache: born_join_distribution(triplet, End("a", 1), End("b", 1), cache),
+        lambda: evaluate_closed(tet_net(2, 2, 2, 2, 2, 2)),
+        lambda: join_free_ends(triplet, End("a", 1), End("b", 1)),
+        lambda: born_join_distribution(triplet, End("a", 1), End("b", 1)),
     ]
     for request in requests:
-        cache = EvalCache()
-        request(cache)
-        assert cache.misses > 0 and len(cache) == cache.misses
-        request(cache)
-        assert cache.hits > 0 and len(cache) == cache.misses
+        fresh_cache.clear()
+        request()
+        assert fresh_cache.misses > 0 and len(fresh_cache) == fresh_cache.misses
+        request()
+        assert fresh_cache.hits > 0 and len(fresh_cache) == fresh_cache.misses
 
 
 def _hilbert_six_j(a, b, c, d, e, f):
@@ -285,7 +279,8 @@ def _hilbert_six_j(a, b, c, d, e, f):
     return abs(float(wigner_6j(F(a, 2), F(d, 2), F(e, 2), F(c, 2), F(b, 2), F(f, 2))))
 
 
-@pytest.mark.parametrize("labels", TET_CASES)
+# the four thetas' product at label 600 is too large for a float
+@pytest.mark.parametrize("labels", TET_CASES + [(600,) * 6])
 def test_six_j_bridge(labels):
     got = recoupling_six_j_magnitude(*labels)
     want = _hilbert_six_j(*labels)
@@ -360,7 +355,7 @@ def _eliminate_zero_edge(g, e):
         _weld(g, a, b)
 
 
-def _collapse_parallel(g, u, v, edges, cache):
+def _collapse_parallel(g, u, v, edges):
     """Remove a two-vertex face.  Returns the scalar factor, or None when
     the component evaluates to zero (mismatched outer labels)."""
     if len(edges) == 3:
@@ -369,7 +364,7 @@ def _collapse_parallel(g, u, v, edges, cache):
             g.drop_edge(e)
         g.drop_vertex(u)
         g.drop_vertex(v)
-        return ev.theta_value(x, y, z, cache)
+        return ev.theta_value(x, y, z)
     e1, e2 = edges
     x, y = g.epos[e1], g.epos[e2]
     outer_u = [p for p in g.vports[u] if p[0] not in (e1, e2)]
@@ -383,10 +378,10 @@ def _collapse_parallel(g, u, v, edges, cache):
     g.drop_vertex(u)
     g.drop_vertex(v)
     _weld(g, outer_u[0], outer_v[0])
-    return ev.theta_value(x, y, cu, cache) / loop_value(cu)
+    return ev.theta_value(x, y, cu) / loop_value(cu)
 
 
-def _contract_triangle(g, tri, cache):
+def _contract_triangle(g, tri):
     """Replace a 3-cycle by a single vertex.  Returns the scalar factor, or
     None when the outer labels cannot meet at a vertex (value zero)."""
     t1, t2, t3, p, q, r = tri
@@ -400,7 +395,7 @@ def _contract_triangle(g, tri, cache):
     if not vertex_admissible(alpha, beta, gamma):
         return None
     lp, lq, lr = g.epos[p], g.epos[q], g.epos[r]
-    factor = ev.tet_value(alpha, beta, lq, lr, lp, gamma, cache) / ev.theta_value(alpha, beta, gamma, cache)
+    factor = ev.tet_value(alpha, beta, lq, lr, lp, gamma) / ev.theta_value(alpha, beta, gamma)
     for e in (p, q, r):
         g.drop_edge(e)
     for t in (t1, t2, t3):
@@ -409,7 +404,7 @@ def _contract_triangle(g, tri, cache):
     return factor
 
 
-def _recoupling_branches(g, cycle, cache):
+def _recoupling_branches(g, cycle):
     """Trade one cycle edge for a chord, yielding (weight, rewired graph)
     per admissible channel."""
     verts, edges = cycle
@@ -429,7 +424,7 @@ def _recoupling_branches(g, cycle, cache):
     lj = g.epos[j]
     channels = sorted(set(admissible_couplings(la, ld)) & set(admissible_couplings(lb, lc)))
     for li in channels:
-        coeff = ev.recoupling_coefficient(la, lb, lc, ld, lj, li, cache)
+        coeff = ev.recoupling_coefficient(la, lb, lc, ld, lj, li)
         h = g.copy()
         h.drop_edge(j)
         h.drop_vertex(v0)
@@ -549,7 +544,7 @@ def _state(g):
     return tuple((e, g.epos[e], *g.eports[e]) for e in sorted(g.epos))
 
 
-def _reference_eval_graph(g, cache, steps):
+def _reference_eval_graph(g, steps):
     acc = Fraction(1)
     while True:
         for lbl in g.circles:
@@ -566,9 +561,9 @@ def _reference_eval_graph(g, cache, steps):
             if kind == "loop":
                 return Fraction(0)
             if kind == "parallel":
-                factor = _collapse_parallel(g, *arg, cache)
+                factor = _collapse_parallel(g, *arg)
             else:
-                factor = _contract_triangle(g, arg, cache)
+                factor = _contract_triangle(g, arg)
             if factor is None:
                 return Fraction(0)
             acc *= factor
@@ -576,17 +571,16 @@ def _reference_eval_graph(g, cache, steps):
         cycle = _uncapped_shortest_cycle(g)
         steps.append((_state(g), tuple(map(tuple, cycle))))
         total = Fraction(0)
-        for coeff, branch in _recoupling_branches(g, cycle, cache):
-            total += coeff * _reference_eval_graph(branch, cache, steps)
+        for coeff, branch in _recoupling_branches(g, cycle):
+            total += coeff * _reference_eval_graph(branch, steps)
         return acc * total
 
 
 def _reference_value(net, steps=None):
-    cache = EvalCache()
     steps = [] if steps is None else steps
     value = Fraction(1)
     for comp in ev._components(_labelled(net)):
-        value *= _reference_eval_graph(comp, cache, steps)
+        value *= _reference_eval_graph(comp, steps)
         if value == 0:
             return Fraction(0)
     return value
@@ -622,15 +616,22 @@ def _evaluator_trace(monkeypatch, net):
     seen = []
     recouple = ev._recouple
 
+    class Step(ev._Recoupling):
+        # keeps the graph's edges in id order with their ports, read before
+        # planning rewires the graph into the branches' shape
+        def __init__(self, g):
+            self.shape = tuple((e, *g.eports[e]) for e in sorted(g.epos))
+            super().__init__(g)
+
     def spy(step, state, call):
-        shape = next(s for s, i in call.shapes.items() if i == step.shape)
-        seen.append((tuple((e, lbl, *ports) for (e, *ports), lbl in zip(shape, state)), step))
+        seen.append((tuple((e, lbl, *ports) for (e, *ports), lbl in zip(step.shape, state)), step))
         return recouple(step, state, call)
 
     with monkeypatch.context() as patch:
         count = _counting_coefficients(patch)
+        patch.setattr(ev, "_Recoupling", Step)
         patch.setattr(ev, "_recouple", spy)
-        value = evaluate_closed(net, EvalCache())
+        value = evaluate_closed(net)
     return value, [(state, tuple(map(tuple, step.cycle))) for state, step in seen], count[0]
 
 
@@ -701,7 +702,7 @@ def _counted(monkeypatch, net, *names):
     with monkeypatch.context() as patch:
         for name in names:
             patch.setattr(ev, name, spy(name, getattr(ev, name)))
-        value = evaluate_closed(net, EvalCache())
+        value = evaluate_closed(net)
     return value, calls
 
 
@@ -749,10 +750,10 @@ def test_a_call_past_the_branch_bound_is_too_large(monkeypatch):
     net = _ladder(8, 33)
     want, _, branches = _evaluator_trace(monkeypatch, net)
     monkeypatch.setattr(ev, "_MAX_BRANCHES", branches)
-    assert evaluate_closed(net, EvalCache()) == want
+    assert evaluate_closed(net) == want
     monkeypatch.setattr(ev, "_MAX_BRANCHES", branches - 1)
     with pytest.raises(TooLarge, match="recoupling branches"):
-        evaluate_closed(net, EvalCache())
+        evaluate_closed(net)
 
 
 def _random_closed_net(rng, components):
@@ -830,7 +831,7 @@ def test_programs_equal_the_reference_engine(seed, components):
     # zero labels (input zero edges, zero self-loops, zero circles), loops,
     # bubbles, thetas, triangles, recoupling and several components
     net = _random_closed_net(random.Random(seed), components)
-    assert evaluate_closed(net, EvalCache()) == _reference_value(net)
+    assert evaluate_closed(net) == _reference_value(net)
 
 
 def _relabelled(g, rng, emap=None, vmap=None):
@@ -858,44 +859,50 @@ def test_capped_shortest_cycle_matches_full_search(seed, n):
     assert ev._shortest_cycle(g) == _uncapped_shortest_cycle(g)
 
 
-class _KeyRead(Exception):
-    pass
-
-
-class _KeyLog(dict):
-    """A memo that stops the runner at its first lookup, with the key."""
-
-    def get(self, key, default=None):
-        raise _KeyRead(key)
-
-
-def test_memo_key_tells_apart_ids_and_labels():
-    # on nonplanar graphs the value depends on the schedule, which reads ids
+def test_step_memo_keys_on_labels(monkeypatch):
+    # a recoupling step belongs to one program, and so to one shape, ids
+    # included: its memo tells states apart by their labels alone, and an
+    # equal state is a hit
     net = cube_net(1, 2)
-    g = ev._MGraph.from_network(net)
     labels = tuple(e.label for e in net.edges)  # edge k has position k
-    es, vs = sorted(g.epos), sorted(g.vports)
-    same_e, same_v = dict(zip(es, es)), dict(zip(vs, vs))
-    states = [(_relabelled(g, None, same_e, same_v), labels)]
-    for a, b in itertools.combinations(es, 2):
-        states.append((_relabelled(g, None, {**same_e, a: b, b: a}, same_v), labels))
-    for a, b in itertools.combinations(vs, 2):
-        states.append((_relabelled(g, None, same_e, {**same_v, a: b, b: a}), labels))
-    for e in es:
-        states.append((_relabelled(g, None, same_e, same_v), labels[:e] + (labels[e] + 2,) + labels[e + 1:]))
-    full = {tuple(sorted((e, lbls[h.epos[e]], *h.eports[e]) for e in h.epos)) for h, lbls in states}
-    assert len(full) == len(states)
-    # the key the runner looks up at each state's recoupling step, all in
-    # one call, whose shape ids they share; the first state once more
-    call = ev._Call(EvalCache())
-    call.memo = _KeyLog()
-    keys = []
-    for h, lbls in states + [(_relabelled(g, None, same_e, same_v), labels)]:
-        with pytest.raises(_KeyRead) as read:
-            ev._run(ev._Program(h), lbls, call)
-        keys.append(read.value.args[0])
-    assert keys[-1] == keys[0]
-    assert len(set(keys)) == len(states)
+    states = [labels] + [labels[:e] + (labels[e] + 2,) + labels[e + 1:] for e in range(len(labels))]
+    totals = itertools.count(1)
+    monkeypatch.setattr(ev, "_recouple", lambda step, state, call: Fraction(next(totals)))
+    prog = ev._Program(ev._MGraph.from_network(net))
+    call = ev._Call()
+    assert [ev._run(prog, lbls, call) for lbls in states] == list(range(1, len(states) + 1))
+    (code, step), = prog.ops  # the cube has girth 4: its program is one recoupling step
+    assert code == ev._RECOUPLE
+    assert list(step.memo) == [tuple(lbls[p] for p in step.gather) for lbls in states]
+    assert ev._run(prog, states[0], call) == 1
+    assert len(step.memo) == len(states)
+
+
+def _laddered_cycle(prefix, chords):
+    """A Hamiltonian 8-cycle of label-1 edges with label-2 chords, the
+    chords declared first."""
+    edges = [(f"{prefix}m{k}", 2) for k in range(len(chords))]
+    edges += [(f"{prefix}h{k}", 1) for k in range(8)]
+    at = {v: [] for v in range(8)}
+    for k, (u, v) in enumerate(chords):
+        at[u].append(f"{prefix}m{k}")
+        at[v].append(f"{prefix}m{k}")
+    for k in range(8):
+        at[k].append(f"{prefix}h{k}")
+        at[(k + 1) % 8].append(f"{prefix}h{k}")
+    return edges, [(f"{prefix}v{v}", tuple(es)) for v, es in at.items()]
+
+
+def test_steps_of_two_shapes_keep_their_own_totals():
+    # the cube and the Moebius ladder on 8 vertices, drawn so that both are
+    # recoupled at once with equal label tuples, have different values: a
+    # total must not pass from one step to the other within a call
+    cube = _laddered_cycle("c", [(0, 3), (4, 7), (1, 6), (2, 5)])
+    ladder = _laddered_cycle("w", [(0, 4), (1, 5), (2, 6), (3, 7)])
+    values = [evaluate_closed(SpinNetwork.from_spec(*part)) for part in (cube, ladder)]
+    assert values[0] != values[1]
+    both = SpinNetwork.from_spec(cube[0] + ladder[0], cube[1] + ladder[1])
+    assert evaluate_closed(both) == values[0] * values[1]
 
 
 def _random_multigraph(rng, n, labels):

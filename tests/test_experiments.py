@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netgen import aligned_triple
+from netgen import aligned_triple, mirror_closures_planar, mixed_sign_join
 from spinnet.errors import (
     ExhaustedEnd,
     InadmissibleSplit,
@@ -16,8 +16,9 @@ from spinnet.errors import (
     OutOfRange,
     TooFewEnds,
     TooLarge,
+    UnsupportedNetwork,
 )
-from spinnet.evaluator import MAX_CLOSED_FORM_LABEL, EvalCache
+from spinnet.evaluator import MAX_CLOSED_FORM_LABEL
 from spinnet.experiments import (
     AngleMatrix,
     OutcomeDistribution,
@@ -88,6 +89,15 @@ def test_join_null_state():
         join_free_ends(net, End("x", 0), End("y", 0))
 
 
+def test_join_with_mixed_sign_weights_is_unsupported():
+    # a typed refusal, not an assert, so it holds under python -O too
+    net, end_a, end_b = mixed_sign_join()
+    assert not mirror_closures_planar(net, end_a, end_b)
+    with pytest.raises(UnsupportedNetwork, match="ROADMAP item 1"):
+        join_free_ends(net, end_a, end_b)
+    assert born_join_distribution(net, end_a, end_b).entries == {3: F(7, 655), 5: F(648, 655)}
+
+
 def test_join_agrees_with_born_oracle_sample(open_nets):
     for net in open_nets[:60]:
         ends = net.free_ends
@@ -101,11 +111,11 @@ def test_join_agrees_with_born_oracle_sample(open_nets):
         assert combinatorial.entries == oracle.entries
 
 
-def test_chain_join_at_label_512_within_budget():
+def test_chain_join_at_label_512_within_budget(fresh_cache):
     # at labels 512 each tet value sums a Racah series of hundreds of terms
     net = SpinNetwork.from_spec(dict.fromkeys("abcde", 512), [("u", "abc"), ("w", "cde")])
     start = time.perf_counter()
-    dist = join_free_ends(net, End("a", 1), End("d", 1), EvalCache())
+    dist = join_free_ends(net, End("a", 1), End("d", 1))
     assert time.perf_counter() - start < 6.0
     assert dist.support == tuple(range(0, 1025, 2))
 
@@ -114,7 +124,7 @@ def test_join_past_the_closed_form_bound_is_too_large():
     top = MAX_CLOSED_FORM_LABEL
     net = SpinNetwork.from_spec({"x": 1, "y": top + 1, "z": top + 2}, [("u", ("x", "y", "z"))])
     with pytest.raises(TooLarge, match="closed-form bound"):
-        join_free_ends(net, End("x", 1), End("y", 1), EvalCache())
+        join_free_ends(net, End("x", 1), End("y", 1))
 
 
 def test_outcome_distribution_validates():

@@ -18,7 +18,7 @@ from spinnet.errors import (
     NullState,
     TooLarge,
 )
-from spinnet.evaluator import EvalCache, evaluate_closed, theta_value
+from spinnet.evaluator import evaluate_closed, theta_value
 from spinnet.hilbert import (
     _cg_tensor,
     _contract_network,
@@ -355,11 +355,10 @@ def test_born_sums_to_one_on_corpus(open_nets):
 
 
 def test_bargmann_tensors_match_public_symbols():
-    cache = EvalCache()
     for a, b in itertools.product(range(6), repeat=2):
         for c in admissible_couplings(a, b):
-            band, r = _cg_tensor(a, b, c, cache)
-            three_j, s = _vertex_tensor(a, b, c, cache)
+            band, r = _cg_tensor(a, b, c)
+            three_j, s = _vertex_tensor(a, b, c)
             ja, jb, jc = F(a, 2), F(b, 2), F(c, 2)
             shift = (a + b - c) // 2
             for ka, kc in itertools.product(range(a + 1), range(c + 1)):
@@ -376,18 +375,17 @@ def test_bargmann_tensors_match_public_symbols():
                 )
 
 
-def test_cached_tensors_are_read_only(open_nets):
-    cache = EvalCache()
+def test_cached_tensors_are_read_only(open_nets, fresh_cache):
     for net in open_nets[:20]:
         ends = net.free_ends
         try:
-            born_join_distribution(net, ends[0], ends[1], cache)
+            born_join_distribution(net, ends[0], ends[1])
         except NullState:
             pass
-        network_to_linear_map(net, ends[:1], ends[1:], cache)
+        network_to_linear_map(net, ends[:1], ends[1:])
     arrays = [
         part
-        for value in cache._data.values()
+        for value in fresh_cache._data.values()
         for part in (value if isinstance(value, tuple) else (value,))
         if isinstance(part, np.ndarray)
     ]
@@ -395,18 +393,17 @@ def test_cached_tensors_are_read_only(open_nets):
     assert not any(arr.flags.writeable for arr in arrays)
 
 
-def test_linear_map_does_not_alias_the_cache():
+def test_linear_map_does_not_alias_the_cache(fresh_cache):
     net = SpinNetwork.from_spec({"e": 2})
     ends = [End("e", 0), End("e", 1)]
-    cache = EvalCache()
-    rep = network_to_linear_map(net, [], ends, cache)
+    rep = network_to_linear_map(net, [], ends)
     before = rep.matrix.copy()
     rep.matrix[0] = Radical(7)
-    again = network_to_linear_map(net, [], ends, cache)
+    again = network_to_linear_map(net, [], ends)
     assert list(again.matrix.ravel()) == list(before.ravel())
 
 
-def test_born_path_needs_no_radicals_and_no_closed_forms(open_nets, no_radicals, monkeypatch):
+def test_born_path_needs_no_radicals_and_no_closed_forms(open_nets, no_radicals, monkeypatch, fresh_cache):
     """The check path stays exact in integers and independent of the
     evaluator: it builds no Radical and calls no theta or tet value."""
 
@@ -415,11 +412,11 @@ def test_born_path_needs_no_radicals_and_no_closed_forms(open_nets, no_radicals,
 
     for name in ("theta_value", "tet_value", "evaluate_closed"):
         monkeypatch.setattr(evaluator, name, forbidden)
-    cache = EvalCache()  # empty, so every tensor is built under the patches
+    # the process cache starts empty, so every tensor is built under the patches
     answered = 0
     for net, end_a, end_b in free_end_pairs(open_nets[:40]):
         try:
-            born_join_distribution(net, end_a, end_b, cache)
+            born_join_distribution(net, end_a, end_b)
         except NullState:
             continue
         answered += 1
@@ -437,14 +434,13 @@ def _dense_projection(psi, a, b, c):
 
 def test_banded_projection_equals_dense_reference():
     rng = random.Random(17)
-    cache = EvalCache()
     for a, b in itertools.product(range(9), repeat=2):
         rest = rng.randint(1, 3)
         entries = [rng.randint(-99, 99) for _ in range((a + 1) * (b + 1) * rest)]
         psi = np.array(entries, dtype=object).reshape(a + 1, b + 1, rest)
         diag = _skew(psi)
         for c in admissible_couplings(a, b):
-            amp, r = _project(diag, a, b, c, cache)
+            amp, r = _project(diag, a, b, c)
             want, want_r = _dense_projection(psi, a, b, c)
             assert r == want_r
             assert amp.shape == want.shape and amp.tolist() == want.tolist()
@@ -460,13 +456,13 @@ def _dense_pairing(n, free):
     return arr, F(1, math.factorial(n) ** 2) if free == 0 else F(1)
 
 
-def _reference_contraction(net, cache):
+def _reference_contraction(net):
     """Every vertex tensor and every dense edge pairing, contracted in
     turn with the first pending tensor that shares an axis."""
     tensors = []
     scale = F(1)
     for v in net.vertices:
-        arr, s = _vertex_tensor(*(net.label(end) for end in v.ends), cache)
+        arr, s = _vertex_tensor(*(net.label(end) for end in v.ends))
         tensors.append((arr, list(v.ends)))
         scale *= s
     for e in net.edges:
@@ -504,12 +500,11 @@ def test_contraction_equals_dense_reference(open_nets):
     """Pairings applied as flips and the size-greedy order give exactly
     the state, the axis order (the free ends') and the scale of the dense,
     first-shared-axis contraction."""
-    cache = EvalCache()
     kinds = set()
     for net in open_nets:
         kinds |= _edge_kinds(net)
-        got, keys, scale = _contract_network(net, cache)
-        want, want_keys, want_scale = _reference_contraction(net, cache)
+        got, keys, scale = _contract_network(net)
+        want, want_keys, want_scale = _reference_contraction(net)
         assert keys == list(net.free_ends)
         assert scale == want_scale
         want = np.transpose(want, [want_keys.index(end) for end in keys])
@@ -527,23 +522,22 @@ def test_greedy_order_keeps_every_step_small(monkeypatch):
     needs 419,904, and the one sharing the most axes 5,760.  Each step is
     checked against the bound before it is allocated."""
     net = _dodecahedron()
-    want = _contract_network(net, EvalCache())
+    want = _contract_network(net)
     monkeypatch.setattr(hilbert, "_MAX_ENTRIES", 972)
-    got = _contract_network(net, EvalCache())
+    got = _contract_network(net)
     assert (got[0].tolist(), got[1:]) == (want[0].tolist(), want[1:])
     monkeypatch.setattr(hilbert, "_MAX_ENTRIES", 971)
     with pytest.raises(TooLarge, match="contraction step"):
-        _contract_network(net, EvalCache())
+        _contract_network(net)
 
 
-def test_born_refuses_a_state_above_the_bound():
+def test_born_refuses_a_state_above_the_bound(fresh_cache):
     """Four bare label-200 edges make a state of 201^8 entries: refused
     before any tensor is built."""
     net = SpinNetwork.from_spec({f"e{i}": 200 for i in range(4)})
-    cache = EvalCache()
     with pytest.raises(TooLarge, match="network state"):
-        born_join_distribution(net, End("e0", 0), End("e1", 0), cache)
-    assert not cache._data
+        born_join_distribution(net, End("e0", 0), End("e1", 0))
+    assert len(fresh_cache) == 0
     with pytest.raises(TooLarge):
         network_to_linear_map(net, [End("e0", 0)], [e for e in net.free_ends if e != End("e0", 0)])
 
@@ -555,12 +549,11 @@ def _contraction_identity_holds(net):
     """value^2 = scale * B^2 * prod_v |theta(a_v, b_v, c_v)|, exactly: the
     contraction is the standard-basis network of 3j tensors, each of which
     is the evaluator's vertex normalised by its theta."""
-    cache = EvalCache()
-    state, _, scale = _contract_network(net, cache)
+    state, _, scale = _contract_network(net)
     thetas = math.prod(
-        abs(theta_value(*(net.label(end) for end in v.ends), cache)) for v in net.vertices
+        abs(theta_value(*(net.label(end) for end in v.ends))) for v in net.vertices
     )
-    return evaluate_closed(net, cache) ** 2 == scale * state[()] ** 2 * thetas
+    return evaluate_closed(net) ** 2 == scale * state[()] ** 2 * thetas
 
 
 def _planar_closed_nets():
