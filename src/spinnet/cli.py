@@ -81,7 +81,11 @@ def _rational(q: Fraction, cfg: RunConfig):
 
 def _load_network(path: str) -> SpinNetwork:
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
     except OSError as exc:
         raise _Failure(EXIT_IO, str(exc))
     result = parse_network(text)
@@ -92,14 +96,13 @@ def _load_network(path: str) -> SpinNetwork:
 
 
 def _resolve_end(net: SpinNetwork, text: str) -> End:
+    # an edge id may itself hold ':', so the whole text is tried first
     edge_ids = {e.id for e in net.edges}
-    if ":" in text:
+    if text not in edge_ids:
         eid, _, side_text = text.rpartition(":")
         if eid not in edge_ids or side_text not in ("0", "1"):
             raise _Failure(EXIT_USAGE, f"unknown end {text!r}")
         return End(eid, int(side_text))
-    if text not in edge_ids:
-        raise _Failure(EXIT_USAGE, f"unknown end {text!r}")
     free = [side for side in (0, 1) if net.is_free(End(text, side))]
     if not free:
         raise _Failure(EXIT_USAGE, f"edge {text!r} has no free end")

@@ -47,7 +47,9 @@ class HasFreeEnds(SpinNetError):
 
 
 class TooLarge(SpinNetError):
-    """An exhaustive computation would exceed its configured bound."""
+    """A computation would exceed one of its bounds: an exhaustive search's
+    configured bound, or the fixed bounds on recoupling branches, closed-form
+    labels and tensor entries."""
 
 
 class TooFewEnds(SpinNetError):
@@ -83,8 +85,11 @@ class BudgetExceeded(SpinNetError):
 
 
 class InvalidPartition(SpinNetError):
-    """System/ancilla qubit counts do not add up to the register size."""
+    """The in and out ends given to network_to_linear_map are not disjoint
+    or do not cover every free end."""
 
 
 class MalformedArguments(SpinNetError):
-    """Command-line arguments parsed but fail a semantic requirement."""
+    """An argument to a hilbert or dynamics function fails a requirement its
+    type does not state: a spin that is not a half-integer, a shape or
+    dimension that does not fit, a target that is not unitary."""

@@ -90,9 +90,9 @@ def default_cache() -> EvalCache:
         bound = os.environ.get(_ENV_CACHE_SIZE)
         try:
             max_entries = int(bound) if bound else None
-        except ValueError:
-            raise OutOfRange(f"{_ENV_CACHE_SIZE} must be an integer, got {bound!r}") from None
-        _default_cache = EvalCache(max_entries)
+            _default_cache = EvalCache(max_entries)
+        except (ValueError, OutOfRange):
+            raise OutOfRange(f"{_ENV_CACHE_SIZE} must be a positive integer, got {bound!r}") from None
     return _default_cache
 
 
@@ -238,14 +238,14 @@ def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -
 
 # -- reduction engine --------------------------------------------------
 #
-# The reducer works in two steps.  The shape step reads a graph's shape
-# (edge and vertex ids, ports) and which of its edges are zero, nothing
-# else: it picks each move (_next_move, _shortest_cycle), rewires an
-# _MGraph whose edges hold positions into a label tuple, and records the
-# op the move leaves in a _Program.  The label step (_run) reads those ops
-# on one label tuple, with one closed-form lookup per op.  A program is
-# recorded once per schedule node and read by every branch that reaches
-# that node.
+# The reducer works in two steps.  The shape step (_compile) reads a
+# graph's shape (edge and vertex ids, ports) and which of its edges are
+# zero, nothing else: it picks each move (_next_move, _shortest_cycle),
+# rewires an _MGraph whose edges hold positions into a label tuple, and
+# returns the ops the moves leave as a tuple, its program.  The label step
+# (_run) reads those ops on one label tuple, with one closed-form lookup
+# per op.  A program is compiled once per schedule node and read by every
+# branch that reaches that node.
 
 
 class _MGraph:
@@ -492,23 +492,8 @@ _EMPTY = 5     # (_EMPTY,): the program's end, nothing left
 _DEAD = 6      # (_DEAD,): the program's end, a self-loop, value 0
 
 
-class _Program:
-    """The ops that every graph reaching one schedule node reduces by.
-
-    Ops are recorded lazily, one move at a time, while branches run: graph
-    is the node's shape graph rewritten as far as ops go, and is handed on
-    (to the recoupling step) or dropped once the program ends.
-    """
-
-    __slots__ = ("ops", "graph")
-
-    def __init__(self, graph: _MGraph):
-        self.ops: list[tuple] = []
-        self.graph: _MGraph | None = graph
-
-
 class _Recoupling:
-    """A program's recoupling step, planned when it is recorded.
+    """A program's recoupling step, planned when the program is compiled.
 
     gather holds the positions of the labels of the graph's edges in id
     order: a branch's state at the step is those labels, and memo maps each
@@ -516,7 +501,7 @@ class _Recoupling:
     recoupled on; j and abcd the ranks in gather of the edge traded and of
     its legs a, b, c, d; graph the shape every branch starts from, with the
     channel edge last; children[z] the program of the branches whose
-    channel label is 0 (z True) or not.
+    channel label is 0 (z True) or not, compiled on first use.
     """
 
     __slots__ = ("gather", "memo", "cycle", "j", "abcd", "graph", "children")
@@ -556,23 +541,20 @@ class _Recoupling:
         ei = g.add_edge(len(order) - 1)
         g.add_vertex([a_port, d_port, (ei, 0)])
         g.add_vertex([b_port, c_port, (ei, 1)])
-        self.graph: _MGraph | None = g
-        self.children: list[_Program | None] = [None, None]
+        self.graph = g
+        self.children: list[tuple | None] = [None, None]
 
-    def child(self, zero: bool) -> _Program:
+    def child(self, zero: bool) -> tuple:
         """The program of the branches whose channel label is 0 or not,
-        made on first use from a copy of the branch shape (the last child
-        made takes the shape itself)."""
-        prog = self.children[zero]
-        if prog is None:
-            if self.children[not zero] is None:
-                g = self.graph.copy()
-            else:
-                g, self.graph = self.graph, None
+        compiled on first use from a copy of the branch shape."""
+        ops = self.children[zero]
+        if ops is None:
+            g = self.graph.copy()
             if zero:
                 g.zeros.add(max(g.epos))  # the channel edge has the highest id
-            prog = self.children[zero] = _Program(g)
-        return prog
+            ops = self.children[zero] = _compile(g)
+        return ops
+
 
 def _drop_zero_edge(g: _MGraph, e: int) -> None:
     """Delete a zero-labelled edge, welding the neighbours it held apart."""
@@ -636,35 +618,31 @@ def _triangle_op(g: _MGraph, tri: tuple[int, int, int, int, int, int]) -> tuple:
     return op
 
 
-def _record(prog: _Program) -> None:
-    """The shape step: find the next move of prog's graph, rewire the graph
-    by it and append the ops it leaves to prog.ops."""
-    g = prog.graph
-    ops = prog.ops
-    if g.empty():
-        ops.append((_EMPTY,))
-        prog.graph = None
-        return
-    move = _next_move(g)
-    if move is None:
-        ops.append((_RECOUPLE, _Recoupling(g)))
-        prog.graph = None
-        return
-    kind, arg = move
-    if kind == "zero":
-        _drop_zero_edge(g, arg)
-    elif kind == "loop":
-        # a bundle closing onto its own vertex forces the third label to
-        # zero; zero edges are gone here, so the component vanishes
-        ops.append((_DEAD,))
-        prog.graph = None
-        return
-    elif kind == "parallel":
-        ops.append(_bundle_op(g, *arg))
-    else:
-        ops.append(_triangle_op(g, arg))
-    ops.extend((_CIRCLE, p) for p in g.circles)
-    g.circles.clear()
+def _compile(g: _MGraph) -> tuple:
+    """The shape step: the ops of g's program, found by rewiring g move by
+    move until it is empty, dead or at a recoupling step."""
+    ops = []
+    while not g.empty():
+        move = _next_move(g)
+        if move is None:
+            ops.append((_RECOUPLE, _Recoupling(g)))
+            return tuple(ops)
+        kind, arg = move
+        if kind == "zero":
+            _drop_zero_edge(g, arg)
+        elif kind == "loop":
+            # a bundle closing onto its own vertex forces the third label to
+            # zero; zero edges are gone here, so the component vanishes
+            ops.append((_DEAD,))
+            return tuple(ops)
+        elif kind == "parallel":
+            ops.append(_bundle_op(g, *arg))
+        else:
+            ops.append(_triangle_op(g, arg))
+        ops.extend((_CIRCLE, p) for p in g.circles)
+        g.circles.clear()
+    ops.append((_EMPTY,))
+    return tuple(ops)
 
 
 def _require_closed_valid(net: SpinNetwork) -> None:
@@ -687,8 +665,10 @@ def evaluate_closed(net: SpinNetwork) -> Fraction:
     Within one call, two records spare repeated work; both are dropped when
     the call returns.
     - Each schedule node's program, the ops its graphs reduce by, is
-      recorded once from the node's shape and read on the label tuple of
-      every branch that reaches the node (see ``_run``).
+      compiled once from the node's shape, a component's just before it is
+      run and a recoupling branch's when a branch first needs it, and read
+      on the label tuple of every branch that reaches the node (see
+      ``_run``).
     - Each recoupling step memoises the total over its branches by its
       labels.  Once a new channel edge has been absorbed, the labels left
       are often the same for every channel.
@@ -702,7 +682,7 @@ def evaluate_closed(net: SpinNetwork) -> Fraction:
     call = _Call()
     value = Fraction(1)
     for comp in _components(_MGraph.from_network(net)):
-        value *= _run(_Program(comp), labels, call)
+        value *= _run(_compile(comp), labels, call)
         if value == 0:
             return Fraction(0)
     return value
@@ -723,14 +703,10 @@ class _Call:
         self.branches = 0
 
 
-def _run(prog: _Program, labels: tuple[int, ...], call: _Call) -> Fraction:
-    """Value of one connected component: prog's ops read on its labels.
+def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> Fraction:
+    """Value of one connected component: its program's ops read on its
+    labels, each at the positions fixed when the program was compiled.
 
-    An op reads labels at positions fixed when it was recorded, and ops are
-    recorded only past the end of those recorded so far, so a branch that
-    stopped early leaves a prefix that the next branch of the node extends.
-    A recoupling step is recorded, and planned, by the first branch to
-    reach it, whose lookup in the step's memo then misses.
     One program serves every graph that reaches its node because:
     - _next_move reads labels only to find a zero edge, and _shortest_cycle
       and the moves' rewiring read none;
@@ -747,14 +723,7 @@ def _run(prog: _Program, labels: tuple[int, ...], call: _Call) -> Fraction:
       outer labels) ends the branch with value 0.
     """
     acc = Fraction(1)
-    ops = prog.ops
-    k = 0
-    while True:
-        if k == len(ops):
-            _record(prog)
-            continue
-        op = ops[k]
-        k += 1
+    for op in ops:
         code = op[0]
         if code == _TRIANGLE:
             _, pa, pb, pg, pp, pq, pr = op

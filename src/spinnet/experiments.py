@@ -274,6 +274,8 @@ def exchange_experiment(net: SpinNetwork, end_a: End, end_b: End) -> ExchangeRes
     The joined unit can only come out as b+1 or b-1; p = p_up defines the
     angle between the two ends through p = cos^2(theta/2).
     """
+    if end_a == end_b:
+        raise NotAFreeEnd("cannot exchange an end with itself")
     result, _split, _unit, _rest = _exchange(net, end_a, end_b)
     return result
 
@@ -363,6 +365,8 @@ def stability_measure(
     """
     if repetitions < 0:
         raise OutOfRange(f"repetitions must be >= 0, got {repetitions}")
+    if end_a == end_b:
+        raise NotAFreeEnd("cannot exchange an end with itself")
     if not net.is_free(end_a):
         raise NotAFreeEnd(f"end {end_a.edge}:{end_a.side} is not a free end")
     if net.label(end_a) < repetitions:

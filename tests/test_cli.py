@@ -35,6 +35,7 @@ def fx(tmp_path_factory):
         "huge": "".join(f"edge e{i} 200\n" for i in range(4)),
         "bad": "edge a -1\nfrob\n",
         "edges": "edge e0 0\nedge e1 1\nedge e2 2\n",
+        "colon": "edge a:b 1\nedge c 1\n",
     }
     paths = {}
     for name, text in files.items():
@@ -82,7 +83,7 @@ def test_eval_bad_cache_size_is_domain_error(fx, capsys, monkeypatch, bound):
     monkeypatch.setenv("SPINNET_CACHE_SIZE", bound)
     code, out, err = run(["eval", fx["theta"]], capsys)
     assert (code, out) == (3, "")
-    assert err.startswith("OutOfRange:")
+    assert err.startswith("OutOfRange: SPINNET_CACHE_SIZE must be a positive integer")
 
 
 def test_eval_missing_file_is_io_error(fx, capsys):
@@ -133,6 +134,13 @@ def test_join_singlet_jsonl_golden(fx, capsys):
 def test_join_accepts_explicit_sides(fx, capsys):
     code, out, _ = run(["join", fx["singlet"], "a:1", "b:1", "--format", "jsonl"], capsys)
     assert (code, out) == (0, '{"0": "1/1"}\n')
+
+
+def test_join_names_an_edge_whose_id_holds_a_colon(fx, capsys):
+    # the whole text is tried as an edge id before a ':side' is split off
+    bare = run(["join", fx["colon"], "a:b", "c"], capsys)
+    assert bare == (0, "c=0 p=1/4 c=2 p=3/4\n", "")
+    assert run(["join", fx["colon"], "a:b:1", "c:0"], capsys) == bare
 
 
 def test_join_human_and_float_modes(fx, capsys):

@@ -729,9 +729,28 @@ def test_branches_share_programs_and_copy_no_graph(monkeypatch):
         return copy(g)
 
     monkeypatch.setattr(ev._MGraph, "copy", counted_copy)
-    value, calls = _counted(monkeypatch, net, "_Program", "recoupling_coefficient")
+    value, calls = _counted(monkeypatch, net, "_compile", "recoupling_coefficient")
     assert value == want
-    assert copies <= calls["_Program"] < calls["recoupling_coefficient"]
+    assert copies <= calls["_compile"] < calls["recoupling_coefficient"]
+
+
+def _plans(ops):
+    """ops with each recoupling step replaced by its plan."""
+    return [
+        (op[0], op[1].gather, op[1].j, op[1].abcd, op[1].cycle) if op[0] == ev._RECOUPLE else op
+        for op in ops
+    ]
+
+
+def test_a_program_is_a_function_of_the_shape():
+    # two copies of one shape compile to equal ops, and their recoupling
+    # steps plan the same gather, j, abcd and cycle, down to the children
+    root = ev._MGraph.from_network(_ladder(8, 33))
+    first, second = ev._compile(root.copy()), ev._compile(root.copy())
+    assert first[-1][0] == ev._RECOUPLE
+    assert _plans(first) == _plans(second)
+    for zero in (False, True):
+        assert _plans(first[-1][1].child(zero)) == _plans(second[-1][1].child(zero))
 
 
 @pytest.mark.parametrize("net", [cube_net(1, 2), _ladder(6, 37)], ids=["cube", "ladder"])
@@ -868,13 +887,13 @@ def test_step_memo_keys_on_labels(monkeypatch):
     states = [labels] + [labels[:e] + (labels[e] + 2,) + labels[e + 1:] for e in range(len(labels))]
     totals = itertools.count(1)
     monkeypatch.setattr(ev, "_recouple", lambda step, state, call: Fraction(next(totals)))
-    prog = ev._Program(ev._MGraph.from_network(net))
-    call = ev._Call()
-    assert [ev._run(prog, lbls, call) for lbls in states] == list(range(1, len(states) + 1))
-    (code, step), = prog.ops  # the cube has girth 4: its program is one recoupling step
+    ops = ev._compile(ev._MGraph.from_network(net))
+    (code, step), = ops  # the cube has girth 4: its program is one recoupling step
     assert code == ev._RECOUPLE
+    call = ev._Call()
+    assert [ev._run(ops, lbls, call) for lbls in states] == list(range(1, len(states) + 1))
     assert list(step.memo) == [tuple(lbls[p] for p in step.gather) for lbls in states]
-    assert ev._run(prog, states[0], call) == 1
+    assert ev._run(ops, states[0], call) == 1
     assert len(step.memo) == len(states)
 
 

@@ -306,6 +306,14 @@ def test_an_end_with_no_such_side_is_not_free(entry, side):
         _END_TAKERS[entry](net, End("a", side), End("b", 0))
 
 
+@pytest.mark.parametrize("entry", ["exchange_experiment", "stability_measure"])
+def test_an_end_is_not_exchanged_with_itself(entry):
+    # refused as a repeated end, not as an attached one: the end is free
+    net = SpinNetwork.from_spec({"a": 2, "b": 2})
+    with pytest.raises(NotAFreeEnd, match="with itself"):
+        _END_TAKERS[entry](net, End("a", 0), End("a", 0))
+
+
 # -- stability -----------------------------------------------------------------
 
 
