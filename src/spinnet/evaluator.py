@@ -19,10 +19,10 @@ import math
 import os
 from collections import OrderedDict
 from fractions import Fraction
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, OutOfRange, TooLarge
-from .model import End, SpinNetwork, validate_network, vertex_admissible
+from .model import End, SpinNetwork, Violation, validate_network, vertex_admissible
 
 _ENV_CACHE_SIZE = "SPINNET_CACHE_SIZE"
 
@@ -101,9 +101,14 @@ def default_cache() -> EvalCache:
 
 def loop_value(n: int) -> Fraction:
     """Value of a free loop of label n: (-1)^n (n + 1)."""
+    return Fraction(_loop(n))
+
+
+def _loop(n: int) -> int:
+    # loop_value as an int: the label step multiplies it in unreduced
     if n < 0:
         raise OutOfRange(f"label must be non-negative, got {n}")
-    return Fraction((n + 1) if n % 2 == 0 else -(n + 1))
+    return n + 1 if n % 2 == 0 else -(n + 1)
 
 
 def theta_value(a: int, b: int, c: int) -> Fraction:
@@ -219,7 +224,13 @@ def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
 def recoupling_coefficient(a: int, b: int, c: int, d: int, j: int, i: int) -> Fraction:
     """Weight of the i-channel when an edge j with end vertices (a,b|j) and
     (c,d|j) is traded for an edge i with end vertices (a,d|i) and (b,c|i)."""
-    return loop_value(i) * tet_value(a, b, c, d, i, j) / (theta_value(a, d, i) * theta_value(b, c, i))
+    loop = _loop(i)
+    tet = tet_value(a, b, c, d, i, j)
+    ad, bc = theta_value(a, d, i), theta_value(b, c, i)
+    return Fraction(
+        loop * tet.numerator * ad.denominator * bc.denominator,
+        tet.denominator * ad.numerator * bc.numerator,
+    )
 
 
 def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -> float:
@@ -243,9 +254,13 @@ def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -
 # zero, nothing else: it picks each move (_next_move, _shortest_cycle),
 # rewires an _MGraph whose edges hold positions into a label tuple, and
 # returns the ops the moves leave as a tuple, its program.  The label step
-# (_run) reads those ops on one label tuple, with one closed-form lookup
-# per op.  A program is compiled once per schedule node and read by every
-# branch that reaches that node.
+# (_run, _recouple) reads those ops on one label tuple, with one
+# closed-form lookup per op, in integers: a value is a (numerator,
+# denominator) pair, multiplied unreduced, and reduced once per recoupling
+# total, by one gcd, before the step memoises it.  The process cache keeps
+# the closed forms as Fractions; the label step reads their parts.  A
+# program is compiled once per schedule node and read by every branch that
+# reaches that node.
 
 
 class _MGraph:
@@ -497,7 +512,8 @@ class _Recoupling:
 
     gather holds the positions of the labels of the graph's edges in id
     order: a branch's state at the step is those labels, and memo maps each
-    state met to the total over its branches.  cycle is the cycle
+    state met to the total over its branches, a reduced (numerator,
+    denominator) pair with a positive denominator.  cycle is the cycle
     recoupled on; j and abcd the ranks in gather of the edge traded and of
     its legs a, b, c, d; graph the shape every branch starts from, with the
     channel edge last; children[z] the program of the branches whose
@@ -514,7 +530,7 @@ class _Recoupling:
         terminate."""
         order = sorted(g.epos)
         self.gather = tuple(g.epos[e] for e in order)
-        self.memo: dict[tuple[int, ...], Fraction] = {}
+        self.memo: dict[tuple[int, ...], tuple[int, int]] = {}
         cycle = self.cycle = _shortest_cycle(g)
         assert cycle is not None, "a closed trivalent graph always has a cycle"
         verts, edges = cycle
@@ -665,9 +681,9 @@ def evaluate_closed(net: SpinNetwork) -> Fraction:
     Within one call, two records spare repeated work; both are dropped when
     the call returns.
     - Each schedule node's program, the ops its graphs reduce by, is
-      compiled once from the node's shape, a component's just before it is
-      run and a recoupling branch's when a branch first needs it, and read
-      on the label tuple of every branch that reaches the node (see
+      compiled once from the node's shape, the components' before the first
+      is run and a recoupling branch's when a branch first needs it, and
+      read on the label tuple of every branch that reaches the node (see
       ``_run``).
     - Each recoupling step memoises the total over its branches by its
       labels.  Once a new channel edge has been absorbed, the labels left
@@ -678,24 +694,71 @@ def evaluate_closed(net: SpinNetwork) -> Fraction:
     ``TooLarge``.
     """
     _require_closed_valid(net)
-    labels = tuple(e.label for e in net.edges)
-    call = _Call()
-    value = Fraction(1)
-    for comp in _components(_MGraph.from_network(net)):
-        value *= _run(_compile(comp), labels, call)
-        if value == 0:
-            return Fraction(0)
-    return value
+    return _evaluate(net, [tuple(e.label for e in net.edges)])[0]
 
 
-# Recoupling branches one evaluate_closed call may take.  The heaviest
-# networks of the benchmark's workloads take 718.
+def evaluate_closed_relabelled(net: SpinNetwork, labellings: Sequence[Sequence[int]]) -> list[Fraction]:
+    """``evaluate_closed`` of net's graph once per labelling, where
+    labelling[k] stands for the label of net.edges[k].
+
+    net must be a valid closed network, and each labelling must be valid on
+    its graph too (non-negative integers, admissible at every vertex), else
+    ``InvalidNetwork``.  The labellings share one record of programs and
+    step memos, so a recoupling state two of them reach is totalled once;
+    each has its own ``_MAX_BRANCHES`` budget.
+    """
+    _require_closed_valid(net)
+    edge_pos = {e.id: k for k, e in enumerate(net.edges)}
+    corners = [(v.id, [edge_pos[end.edge] for end in v.ends]) for v in net.vertices]
+    checked = []
+    for labelling in labellings:
+        labels = tuple(labelling)
+        if len(labels) != len(net.edges) or not all(
+            isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in labels
+        ):
+            raise InvalidNetwork(message=f"a labelling needs {len(net.edges)} non-negative integer labels")
+        for vid, pos in corners:
+            triple = tuple(labels[p] for p in pos)
+            if not vertex_admissible(*triple):
+                raise InvalidNetwork([Violation("admissibility", vid, f"labels {triple} violate triangle or parity")])
+        checked.append(labels)
+    return _evaluate(net, checked)
+
+
+def _evaluate(net: SpinNetwork, labellings: list[tuple[int, ...]]) -> list[Fraction]:
+    """The value of net's graph under each labelling, all checked valid.
+    The programs are compiled once per set of zero-labelled edges, since
+    zero edges are the only labels the shape step reads."""
+    programs: dict[frozenset[int], list[tuple]] = {}
+    values = []
+    for labels in labellings:
+        zeros = frozenset(k for k, x in enumerate(labels) if x == 0)
+        comps = programs.get(zeros)
+        if comps is None:
+            g = _MGraph.from_network(net)
+            g.zeros = set(zeros)  # an edge's id is its position here
+            comps = programs[zeros] = [_compile(comp) for comp in _components(g)]
+        call = _Call()
+        num = den = 1
+        for ops in comps:
+            n, d = _run(ops, labels, call)
+            if not n:
+                num = 0
+                break
+            num *= n
+            den *= d
+        values.append(Fraction(num, den))
+    return values
+
+
+# Recoupling branches one closed evaluation (one labelling) may take.  The
+# heaviest networks of the benchmark's workloads take 718.
 _MAX_BRANCHES = 1_000_000
 
 
 class _Call:
-    """The number of recoupling branches one evaluate_closed call has
-    taken, across its components."""
+    """The number of recoupling branches one closed evaluation (one
+    labelling) has taken, across its components."""
 
     __slots__ = ("branches",)
 
@@ -703,9 +766,11 @@ class _Call:
         self.branches = 0
 
 
-def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> Fraction:
-    """Value of one connected component: its program's ops read on its
-    labels, each at the positions fixed when the program was compiled.
+def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> tuple[int, int]:
+    """Value of one connected component as an unreduced (numerator,
+    denominator) pair: its program's ops read on its labels, each at the
+    positions fixed when the program was compiled.  A dead op or a failed
+    label check returns (0, 1).
 
     One program serves every graph that reaches its node because:
     - _next_move reads labels only to find a zero edge, and _shortest_cycle
@@ -722,57 +787,71 @@ def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> Fraction:
     - any other label fact (an inadmissible triangle, a bubble with unequal
       outer labels) ends the branch with value 0.
     """
-    acc = Fraction(1)
+    num = den = 1
     for op in ops:
         code = op[0]
         if code == _TRIANGLE:
             _, pa, pb, pg, pp, pq, pr = op
             alpha, beta, gamma = labels[pa], labels[pb], labels[pg]
             if not vertex_admissible(alpha, beta, gamma):
-                return Fraction(0)
-            acc *= tet_value(alpha, beta, labels[pq], labels[pr], labels[pp], gamma) / theta_value(
-                alpha, beta, gamma
-            )
+                return 0, 1
+            tet = tet_value(alpha, beta, labels[pq], labels[pr], labels[pp], gamma)
+            theta = theta_value(alpha, beta, gamma)
+            num *= tet.numerator * theta.denominator
+            den *= tet.denominator * theta.numerator
         elif code == _RECOUPLE:
             step = op[1]
             state = tuple([labels[p] for p in step.gather])
             total = step.memo.get(state)
             if total is None:
                 total = step.memo[state] = _recouple(step, state, call)
-            return acc * total
+            return num * total[0], den * total[1]
         elif code == _BUBBLE:
             _, px, py, pcu, pcv = op
             cu = labels[pcu]
             if cu != labels[pcv]:
-                return Fraction(0)
-            acc *= theta_value(labels[px], labels[py], cu) / loop_value(cu)
+                return 0, 1
+            theta = theta_value(labels[px], labels[py], cu)
+            num *= theta.numerator
+            den *= theta.denominator * _loop(cu)
         elif code == _THETA:
-            acc *= theta_value(labels[op[1]], labels[op[2]], labels[op[3]])
+            theta = theta_value(labels[op[1]], labels[op[2]], labels[op[3]])
+            num *= theta.numerator
+            den *= theta.denominator
         elif code == _CIRCLE:
-            acc *= loop_value(labels[op[1]])
+            num *= _loop(labels[op[1]])
         elif code == _EMPTY:
-            return acc
+            return num, den
         else:
-            return Fraction(0)
+            return 0, 1
 
 
-def _recouple(step: _Recoupling, state: tuple[int, ...], call: _Call) -> Fraction:
+def _recouple(step: _Recoupling, state: tuple[int, ...], call: _Call) -> tuple[int, int]:
     """The total over a recoupling step's branches, state the labels of its
-    edges in id order.  A branch's labels are state without j's label, then
-    the channel's."""
+    edges in id order, as a reduced (numerator, denominator) pair with a
+    positive denominator.  A branch's labels are state without j's label,
+    then the channel's.  The channels are summed as unreduced pairs and the
+    sum is reduced once."""
     la, lb, lc, ld = (state[r] for r in step.abcd)
     lj = state[step.j]
     kept = state[: step.j] + state[step.j + 1 :]
     # the channels i with (a,d,i) and (b,c,i) admissible; a + d and b + c
     # both have j's parity, so the two ranges share their step
-    total = Fraction(0)
+    num, den = 0, 1
     for li in range(max(abs(la - ld), abs(lb - lc)), min(la + ld, lb + lc) + 1, 2):
         coeff = recoupling_coefficient(la, lb, lc, ld, lj, li)
         call.branches += 1
         if call.branches > _MAX_BRANCHES:
             raise TooLarge(f"more than {_MAX_BRANCHES} recoupling branches")
-        total += coeff * _run(step.child(li == 0), kept + (li,), call)
-    return total
+        n, d = _run(step.child(li == 0), kept + (li,), call)
+        if n:
+            n *= coeff.numerator
+            d *= coeff.denominator
+            num, den = num * d + n * den, den * d
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 # -- strand expansion oracle --------------------------------------------

@@ -33,7 +33,9 @@ from .errors import (
     TooFewEnds,
     UnsupportedNetwork,
 )
-from .evaluator import evaluate_closed, loop_value, theta_value
+# evaluate_closed is not called here; it stays importable from this
+# module: perfbench/spans.py wraps the binding experiments.evaluate_closed.
+from .evaluator import evaluate_closed, evaluate_closed_relabelled, loop_value, theta_value  # noqa: F401
 from .model import (
     Edge,
     End,
@@ -199,11 +201,19 @@ def join_free_ends(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeDistribut
             raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
     a, b = net.label(end_a), net.label(end_b)
 
+    # Every channel closes onto one graph, whose last edge is the joined
+    # unit fused with its mirror image: build it once and evaluate it under
+    # each channel's label there.
+    channels = admissible_couplings(a, b)
+    closed, circles = _mirror_closure(merge_free_ends(net, end_a, end_b, channels[0]))
+    labels = [e.label for e in closed.edges]
+    labellings = []
+    for c in channels:
+        labels[-1] = c
+        labellings.append(tuple(labels))
+
     weights: dict[int, Fraction] = {}
-    for c in admissible_couplings(a, b):
-        joined = merge_free_ends(net, end_a, end_b, c)
-        closed, circles = _mirror_closure(joined)
-        value = evaluate_closed(closed)
+    for c, value in zip(channels, evaluate_closed_relabelled(closed, labellings)):
         for lbl in circles:
             value *= loop_value(lbl)
         weights[c] = loop_value(c) / theta_value(a, b, c) * value
@@ -367,8 +377,9 @@ def stability_measure(
         raise OutOfRange(f"repetitions must be >= 0, got {repetitions}")
     if end_a == end_b:
         raise NotAFreeEnd("cannot exchange an end with itself")
-    if not net.is_free(end_a):
-        raise NotAFreeEnd(f"end {end_a.edge}:{end_a.side} is not a free end")
+    for end in (end_a, end_b):
+        if not net.is_free(end):
+            raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
     if net.label(end_a) < repetitions:
         raise ExhaustedEnd(
             f"end {end_a.edge}:{end_a.side} (label {net.label(end_a)}) would reach 0 "

@@ -25,6 +25,7 @@ from spinnet.errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, TooL
 from spinnet.evaluator import (
     _TET_SYMMETRIES,
     evaluate_closed,
+    evaluate_closed_relabelled,
     loop_value,
     recoupling_coefficient,
     recoupling_six_j_magnitude,
@@ -33,7 +34,16 @@ from spinnet.evaluator import (
     tet_value,
     theta_value,
 )
-from spinnet.model import Edge, End, SpinNetwork, Vertex, admissible_couplings, vertex_admissible
+from spinnet.experiments import _mirror_closure
+from spinnet.model import (
+    Edge,
+    End,
+    SpinNetwork,
+    Vertex,
+    admissible_couplings,
+    merge_free_ends,
+    vertex_admissible,
+)
 
 THETA_CASES = [
     (1, 1, 0), (1, 1, 2), (2, 2, 2), (2, 2, 0), (3, 3, 0), (2, 1, 1),
@@ -307,6 +317,27 @@ def test_six_j_bridge_sweep():
                             ) == pytest.approx(_hilbert_six_j(a, b, c, d, e, f), abs=1e-12)
                             checked += 1
     assert checked > 50
+
+
+def _recoupling_admissible(a, b, c, d, j, i):
+    return all(vertex_admissible(*t) for t in ((a, b, j), (c, d, j), (a, d, i), (b, c, i)))
+
+
+def test_recoupling_coefficient_is_loop_times_tet_over_thetas():
+    large = [(384,) * 6, (600,) * 6, (384, 384, 600, 600, 768, 216), (600, 384, 600, 384, 600, 216)]
+    assert all(_recoupling_admissible(*labels) for labels in large)
+    small = [labels for labels in itertools.product(range(7), repeat=6) if _recoupling_admissible(*labels)]
+    for a, b, c, d, j, i in small + large:
+        want = loop_value(i) * tet_value(a, b, c, d, i, j) / (theta_value(a, d, i) * theta_value(b, c, i))
+        got = recoupling_coefficient(a, b, c, d, j, i)
+        assert type(got) is Fraction and got == want, (a, b, c, d, j, i)
+
+
+@pytest.mark.parametrize("labels", [(1, 1, 1, 1, 2, 1), (2, 2, 2, 2, 2, 6), (1, 1, 1, 1, 1, 0)])
+def test_recoupling_coefficient_refuses_inadmissible_labels(labels):
+    assert not _recoupling_admissible(*labels)
+    with pytest.raises(InadmissibleTriple):
+        recoupling_coefficient(*labels)
 
 
 # -- the reference engine, the programs, the memo and the finders ------------
@@ -886,15 +917,35 @@ def test_step_memo_keys_on_labels(monkeypatch):
     labels = tuple(e.label for e in net.edges)  # edge k has position k
     states = [labels] + [labels[:e] + (labels[e] + 2,) + labels[e + 1:] for e in range(len(labels))]
     totals = itertools.count(1)
-    monkeypatch.setattr(ev, "_recouple", lambda step, state, call: Fraction(next(totals)))
+    monkeypatch.setattr(ev, "_recouple", lambda step, state, call: (next(totals), 1))
     ops = ev._compile(ev._MGraph.from_network(net))
     (code, step), = ops  # the cube has girth 4: its program is one recoupling step
     assert code == ev._RECOUPLE
     call = ev._Call()
-    assert [ev._run(ops, lbls, call) for lbls in states] == list(range(1, len(states) + 1))
+    assert [ev._run(ops, lbls, call) for lbls in states] == [(k, 1) for k in range(1, len(states) + 1)]
     assert list(step.memo) == [tuple(lbls[p] for p in step.gather) for lbls in states]
-    assert ev._run(ops, states[0], call) == 1
+    assert ev._run(ops, states[0], call) == (1, 1)
     assert len(step.memo) == len(states)
+
+
+def test_step_memos_hold_reduced_pairs(monkeypatch):
+    # a recoupling total is stored as one reduced pair with a positive
+    # denominator, so a zero total as (0, 1); _ladder(6, 6) has one
+    steps = []
+
+    class Step(ev._Recoupling):
+        def __init__(self, g):
+            super().__init__(g)
+            steps.append(self)
+
+    monkeypatch.setattr(ev, "_Recoupling", Step)
+    for net in (_ladder(8, 33), _ladder(6, 6)):
+        assert evaluate_closed(net) == _reference_value(net)
+    totals = [total for step in steps for total in step.memo.values()]
+    for n, d in totals:
+        assert type(n) is int and type(d) is int
+        assert d > 0 and math.gcd(n, d) == 1
+    assert (0, 1) in totals
 
 
 def _laddered_cycle(prefix, chords):
@@ -956,3 +1007,59 @@ def test_one_scan_picks_what_the_reference_finders_pick(seed, n, kind):
     else:
         g = _random_multigraph(rng, n, (0, 1, 2) if kind == "multigraph" else (1, 2))
     assert ev._next_move(g) == _ref_move(g)
+
+
+# -- one graph under several labellings ----------------------------------
+
+
+def test_a_relabelled_graph_evaluates_as_each_relabelled_network(open_nets):
+    # the closures of one join differ only in the last edge's label: the
+    # joined unit, fused with its mirror image
+    checked = 0
+    for net in open_nets[:80]:
+        end_a, end_b = net.free_ends[:2]
+        channels = admissible_couplings(net.label(end_a), net.label(end_b))
+        closures = [_mirror_closure(merge_free_ends(net, end_a, end_b, c))[0] for c in channels]
+        ids = [e.id for e in closures[0].edges]
+        assert all([e.id for e in c.edges] == ids for c in closures)
+        assert [c.edges[-1].label for c in closures] == list(channels)
+        labellings = [[e.label for e in c.edges] for c in closures]
+        got = evaluate_closed_relabelled(closures[0], labellings)
+        assert got == [evaluate_closed(c) for c in closures]
+        checked += len(channels) > 1
+    assert checked >= 40
+
+
+def test_labellings_share_the_step_memos(monkeypatch):
+    # a labelling met twice finds every recoupling total the first one left
+    net = _ladder(8, 33)
+    labels = [e.label for e in net.edges]
+    value, once = _counted(monkeypatch, net, "recoupling_coefficient")
+    calls = 0
+    coefficient = ev.recoupling_coefficient
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return coefficient(*args)
+
+    monkeypatch.setattr(ev, "recoupling_coefficient", counted)
+    assert evaluate_closed_relabelled(net, [labels, labels]) == [value, value]
+    assert calls == once["recoupling_coefficient"] > 0
+
+
+@pytest.mark.parametrize(
+    "labelling, match",
+    [
+        ((2, 2, 1), "admissibility"),  # odd at both vertices
+        ((2, 2, 6), "admissibility"),  # triangle inequality
+        ((2, 2), "3 non-negative integer labels"),
+        ((2, 2, -2), "3 non-negative integer labels"),
+        ((2, 2, True), "3 non-negative integer labels"),
+    ],
+)
+def test_a_relabelling_is_validated_like_a_network(labelling, match):
+    with pytest.raises(InvalidNetwork, match=match):
+        evaluate_closed_relabelled(theta_net(2, 2, 2), [(2, 2, 2), labelling])
+    with pytest.raises(HasFreeEnds):
+        evaluate_closed_relabelled(SpinNetwork.from_spec({"a": 1}), [(1,)])

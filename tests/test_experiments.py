@@ -120,6 +120,25 @@ def test_chain_join_at_label_512_within_budget(fresh_cache):
     assert dist.support == tuple(range(0, 1025, 2))
 
 
+def test_join_builds_one_closure_for_every_channel(monkeypatch):
+    # the channels differ only in the joined unit's label, so one mirror
+    # closure and one compiled program serve them all
+    import spinnet.evaluator as ev
+    import spinnet.experiments as ex
+
+    net = SpinNetwork.from_spec({"a": 6, "b": 4})
+    want = join_free_ends(net, End("a", 1), End("b", 1))
+    counts = {"_mirror_closure": 0, "_compile": 0}
+    for owner, name in ((ex, "_mirror_closure"), (ev, "_compile")):
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    assert join_free_ends(net, End("a", 1), End("b", 1)) == want
+    assert want.entries == {c: F(c + 1, 35) for c in (2, 4, 6, 8, 10)}
+    assert counts == {"_mirror_closure": 1, "_compile": 1}
+
+
 def test_join_past_the_closed_form_bound_is_too_large():
     top = MAX_CLOSED_FORM_LABEL
     net = SpinNetwork.from_spec({"x": 1, "y": top + 1, "z": top + 2}, [("u", ("x", "y", "z"))])
@@ -329,6 +348,15 @@ def test_stability_refuses_an_end_that_is_not_free(end_a):
     net = SpinNetwork.from_spec({"a": 2, "b": 2, "s": 0}, [("v", ("a", "b", "s"))])
     with pytest.raises(NotAFreeEnd):
         stability_measure(net, end_a, End("b", 0), 1, rng_seed=1)
+
+
+@pytest.mark.parametrize("end_b", [End("zz", 0), End("b", 0)])
+@pytest.mark.parametrize("repetitions", [0, 1])
+def test_stability_refuses_a_second_end_that_is_not_free(end_b, repetitions):
+    # refused before any repetition runs, so also when none does
+    net = SpinNetwork.from_spec({"a": 2, "b": 2, "s": 0}, [("v", ("a", "b", "s"))])
+    with pytest.raises(NotAFreeEnd, match=f"{end_b.edge}:{end_b.side}"):
+        stability_measure(net, End("a", 1), end_b, repetitions, rng_seed=1)
 
 
 def test_stability_needs_label_headroom():
