@@ -26,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from .dsl import parse_network
-from .dynamics import approximate_unitary_search
-from .errors import SpinNetError
+from .dynamics import MAX_QUBITS, approximate_unitary_search
+from .errors import OutOfRange, SpinNetError
 from .evaluator import evaluate_closed
 from .experiments import (
     angle_matrix,
@@ -222,6 +222,8 @@ def _cmd_stability(cfg: RunConfig, args) -> int:
 
 def _cmd_dynamics(cfg: RunConfig, args) -> int:
     ancillas = args.ancillas
+    if not 0 <= ancillas <= MAX_QUBITS:  # before an ancilla state is built
+        raise OutOfRange(f"--ancillas must lie in 0..{MAX_QUBITS}, got {ancillas}")
     if args.ancilla_state == "singlets":
         anc = None
     elif args.ancilla_state == "plus":

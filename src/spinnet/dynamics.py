@@ -39,6 +39,8 @@ from .hilbert import LinearMapRep, StateVector
 
 _PROB_FLOOR = 1e-18  # squared norms below this count as impossible
 
+MAX_QUBITS = 6  # system and ancilla qubits one search may hold
+
 
 class PairChannel(enum.Enum):
     SINGLET = "singlet"
@@ -278,8 +280,8 @@ def approximate_unitary_search(
     if beam_width is not None and beam_width < 1:
         raise OutOfRange(f"beam_width must be >= 1, got {beam_width}")
     n = k + ancillas
-    if n > 6:
-        raise OutOfRange(f"{n} qubits exceeds the desk-scale bound of 6")
+    if n > MAX_QUBITS:
+        raise OutOfRange(f"{n} qubits exceeds the desk-scale bound of {MAX_QUBITS}")
 
     if ancilla_state is None:
         ancilla_state = default_ancilla_state(ancillas)

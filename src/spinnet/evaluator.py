@@ -17,12 +17,12 @@ import functools
 import itertools
 import math
 import os
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from .errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, OutOfRange, TooLarge
-from .model import End, SpinNetwork, Violation, validate_network, vertex_admissible
+from .model import End, SpinNetwork, validate_network, vertex_admissible
 
 _ENV_CACHE_SIZE = "SPINNET_CACHE_SIZE"
 
@@ -270,8 +270,9 @@ class _MGraph:
     is read with.  eports: edge -> [port, port] where a port is a (vertex,
     slot) pair or None for the stub left when a zero-labelled neighbour was
     deleted (only zero edges ever carry stubs).  vports: vertex ->
-    [(edge, side) x 3].  zeros: the edges whose label is 0.  circles
-    collects the positions of closed loops awaiting their op.
+    [(edge, side) x 3].  zeros: the edges whose label is 0; the builders
+    read no labels and leave it empty.  circles collects the positions of
+    closed loops awaiting their op.
     """
 
     __slots__ = ("epos", "eports", "vports", "zeros", "circles")
@@ -288,11 +289,9 @@ class _MGraph:
         """net's graph; the k-th declared edge has id and position k."""
         g = _MGraph()
         eid_of = {e.id: k for k, e in enumerate(net.edges)}
-        for k, e in enumerate(net.edges):
+        for k in range(len(net.edges)):
             g.epos[k] = k
             g.eports[k] = [None, None]
-            if e.label == 0:
-                g.zeros.add(k)
         for vk, v in enumerate(net.vertices):
             ports = []
             for slot, end in enumerate(v.ends):
@@ -300,6 +299,36 @@ class _MGraph:
                 g.eports[ek][end.side] = (vk, slot)
                 ports.append((ek, end.side))
             g.vports[vk] = ports
+        return g
+
+    @staticmethod
+    def mirror_closure(net: SpinNetwork) -> "_MGraph":
+        """net glued to its mirror copy along every free end, the closed
+        graph a join evaluates, read with net's labels: each edge holds the
+        position of the edge of net it copies.  Vertex k's copies are 2k and
+        2k + 1, and edge ids follow net's declaration order: an edge with one
+        free end fuses with its mirror image (side 0 at the first copy),
+        any other edge has one id per copy.  An edge with both ends free
+        would close into a bare loop, a factor every labelling shares, and
+        is left out."""
+        n_free = Counter(end.edge for end in net.free_ends)
+        first: dict[str, int] = {}  # edge id -> the id of its first copy
+        g = _MGraph()
+        for k, e in enumerate(net.edges):
+            if n_free[e.id] < 2:
+                first[e.id] = len(g.epos)
+                for ek in range(len(g.epos), len(g.epos) + 2 - n_free[e.id]):
+                    g.epos[ek] = k
+                    g.eports[ek] = [None, None]
+        for vk, v in enumerate(net.vertices):
+            for copy in (0, 1):
+                ports = []
+                for slot, end in enumerate(v.ends):
+                    ek = first[end.edge]
+                    port = (ek, copy) if end.edge in n_free else (ek + copy, end.side)
+                    g.eports[port[0]][port[1]] = (2 * vk + copy, slot)
+                    ports.append(port)
+                g.vports[2 * vk + copy] = ports
         return g
 
     def copy(self) -> "_MGraph":
@@ -694,49 +723,31 @@ def evaluate_closed(net: SpinNetwork) -> Fraction:
     ``TooLarge``.
     """
     _require_closed_valid(net)
-    return _evaluate(net, [tuple(e.label for e in net.edges)])[0]
+    return _evaluate(lambda: _MGraph.from_network(net), [tuple(e.label for e in net.edges)])[0]
 
 
-def evaluate_closed_relabelled(net: SpinNetwork, labellings: Sequence[Sequence[int]]) -> list[Fraction]:
-    """``evaluate_closed`` of net's graph once per labelling, where
-    labelling[k] stands for the label of net.edges[k].
-
-    net must be a valid closed network, and each labelling must be valid on
-    its graph too (non-negative integers, admissible at every vertex), else
-    ``InvalidNetwork``.  The labellings share one record of programs and
-    step memos, so a recoupling state two of them reach is totalled once;
-    each has its own ``_MAX_BRANCHES`` budget.
-    """
-    _require_closed_valid(net)
-    edge_pos = {e.id: k for k, e in enumerate(net.edges)}
-    corners = [(v.id, [edge_pos[end.edge] for end in v.ends]) for v in net.vertices]
-    checked = []
-    for labelling in labellings:
-        labels = tuple(labelling)
-        if len(labels) != len(net.edges) or not all(
-            isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in labels
-        ):
-            raise InvalidNetwork(message=f"a labelling needs {len(net.edges)} non-negative integer labels")
-        for vid, pos in corners:
-            triple = tuple(labels[p] for p in pos)
-            if not vertex_admissible(*triple):
-                raise InvalidNetwork([Violation("admissibility", vid, f"labels {triple} violate triangle or parity")])
-        checked.append(labels)
-    return _evaluate(net, checked)
+def _evaluate_mirror_closure(net: SpinNetwork, labellings: list[tuple[int, ...]]) -> list[Fraction]:
+    """The value of ``_MGraph.mirror_closure(net)`` under each labelling of
+    net's edges.  Nothing is checked: net must be valid and each labelling
+    admissible at its vertices.  The labellings share one record of
+    programs and step memos; each has its own ``_MAX_BRANCHES`` budget."""
+    return _evaluate(lambda: _MGraph.mirror_closure(net), labellings)
 
 
-def _evaluate(net: SpinNetwork, labellings: list[tuple[int, ...]]) -> list[Fraction]:
-    """The value of net's graph under each labelling, all checked valid.
-    The programs are compiled once per set of zero-labelled edges, since
-    zero edges are the only labels the shape step reads."""
+def _evaluate(build: Callable[[], _MGraph], labellings: list[tuple[int, ...]]) -> list[Fraction]:
+    """The value of the graph build() returns under each labelling, each
+    admissible on it, where an edge's label is the labelling's entry at the
+    edge's position.  The programs are compiled once per set of
+    zero-labelled positions, from a graph built for it, since zero edges
+    are the only labels the shape step reads."""
     programs: dict[frozenset[int], list[tuple]] = {}
     values = []
     for labels in labellings:
         zeros = frozenset(k for k, x in enumerate(labels) if x == 0)
         comps = programs.get(zeros)
         if comps is None:
-            g = _MGraph.from_network(net)
-            g.zeros = set(zeros)  # an edge's id is its position here
+            g = build()
+            g.zeros = {e for e, p in g.epos.items() if p in zeros}
             comps = programs[zeros] = [_compile(comp) for comp in _components(g)]
         call = _Call()
         num = den = 1

@@ -35,7 +35,7 @@ from .errors import (
 )
 # evaluate_closed is not called here; it stays importable from this
 # module: perfbench/spans.py wraps the binding experiments.evaluate_closed.
-from .evaluator import evaluate_closed, evaluate_closed_relabelled, loop_value, theta_value  # noqa: F401
+from .evaluator import _evaluate_mirror_closure, evaluate_closed, loop_value, theta_value  # noqa: F401
 from .model import (
     Edge,
     End,
@@ -119,9 +119,10 @@ class AngleMatrix:
             raise OutOfRange("angles must lie in [0, pi]")
 
     def angle(self, end_a: End, end_b: End) -> float:
-        i = self.ends.index(end_a)
-        j = self.ends.index(end_b)
-        return float(self.angles[i, j])
+        for end in (end_a, end_b):
+            if end not in self.ends:
+                raise NotAFreeEnd(f"end {end.edge}:{end.side} is not an end of this matrix")
+        return float(self.angles[self.ends.index(end_a), self.ends.index(end_b)])
 
 
 @dataclass(frozen=True)
@@ -145,51 +146,16 @@ class StabilityReport:
 # -- joining -------------------------------------------------------------
 
 
-def _mirror_closure(net: SpinNetwork) -> tuple[SpinNetwork, list[int]]:
-    """Glue a mirror copy of the network along every free end.
-
-    Each edge with one free end fuses with its mirror image into a single
-    edge between the copies; an edge with both ends free fuses into a bare
-    loop, returned separately as a label (the model cannot hold a
-    vertex-free loop).  The result is closed, so the evaluator applies.
-    """
-    free_sides: dict[str, set[int]] = {}
-    for end in net.free_ends:
-        free_sides.setdefault(end.edge, set()).add(end.side)
-
-    circles: list[int] = []
-    edges: list[Edge] = []
-    for e in net.edges:
-        n_free = len(free_sides.get(e.id, ()))
-        if n_free == 2:
-            circles.append(e.label)
-        elif n_free == 1:
-            edges.append(Edge("g." + e.id, e.label))
-        else:
-            edges.append(Edge("o." + e.id, e.label))
-            edges.append(Edge("m." + e.id, e.label))
-
-    def port(end: End, copy: str) -> End:
-        if len(free_sides.get(end.edge, ())) == 1:
-            return End("g." + end.edge, 0 if copy == "o" else 1)
-        return End(copy + "." + end.edge, end.side)
-
-    vertices: list[Vertex] = []
-    for v in net.vertices:
-        vertices.append(Vertex("o." + v.id, tuple(port(end, "o") for end in v.ends)))
-        vertices.append(Vertex("m." + v.id, tuple(port(end, "m") for end in v.ends)))
-    return SpinNetwork(tuple(edges), tuple(vertices)), circles
-
-
 def join_free_ends(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeDistribution:
     """Distribution over the label of the unit formed by joining two free ends.
 
     For each admissible label c the joined network is closed on itself
     through the new unit (mirror gluing along all free ends) and weighted
     by loop(c)/theta(a, b, c); the weights, which all carry one common
-    sign, normalize to exact rational probabilities.  Weights of mixed
-    sign come from a nonplanar mirror closure, which the evaluator does
-    not yet read right, and raise UnsupportedNetwork.
+    sign, normalize to exact rational probabilities, so a bare loop's
+    factor, common to every channel, is left out.  Weights of mixed sign
+    come from a nonplanar mirror closure, which the evaluator does not yet
+    read right, and raise UnsupportedNetwork.
     """
     problems = validate_network(net)
     if problems:
@@ -201,22 +167,21 @@ def join_free_ends(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeDistribut
             raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
     a, b = net.label(end_a), net.label(end_b)
 
-    # Every channel closes onto one graph, whose last edge is the joined
-    # unit fused with its mirror image: build it once and evaluate it under
-    # each channel's label there.
+    # Every channel closes onto one graph, in which the joined unit (the
+    # merged network's last edge) is fused with its mirror image: evaluate
+    # it under each channel's label there, unchecked, since net is valid.
     channels = admissible_couplings(a, b)
-    closed, circles = _mirror_closure(merge_free_ends(net, end_a, end_b, channels[0]))
-    labels = [e.label for e in closed.edges]
+    merged = merge_free_ends(net, end_a, end_b, channels[0])
+    labels = [e.label for e in merged.edges]
     labellings = []
     for c in channels:
         labels[-1] = c
         labellings.append(tuple(labels))
 
-    weights: dict[int, Fraction] = {}
-    for c, value in zip(channels, evaluate_closed_relabelled(closed, labellings)):
-        for lbl in circles:
-            value *= loop_value(lbl)
-        weights[c] = loop_value(c) / theta_value(a, b, c) * value
+    weights = {
+        c: loop_value(c) / theta_value(a, b, c) * value
+        for c, value in zip(channels, _evaluate_mirror_closure(merged, labellings))
+    }
 
     nonzero = {c: w for c, w in weights.items() if w != 0}
     if not nonzero:

@@ -1,7 +1,8 @@
 """Deterministic network corpora shared by the test modules.
 
-Everything here is seeded or enumerated so test runs are reproducible;
-nothing depends on the module under test beyond the public model API.
+Everything here is seeded or enumerated so test runs are reproducible.
+Beyond the public model API, only mirror_closures_planar reads the
+evaluator: the closure graph a join runs.
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ import random
 
 import networkx as nx
 
-from spinnet.experiments import _mirror_closure, split_unit
+from spinnet.evaluator import _MGraph
+from spinnet.experiments import split_unit
 from spinnet.model import (
+    Edge,
     End,
     SpinNetwork,
+    Vertex,
     admissible_couplings,
     merge_free_ends,
     vertex_admissible,
@@ -246,19 +250,59 @@ def free_end_pairs(nets: list[SpinNetwork]) -> list[tuple[SpinNetwork, End, End]
     ]
 
 
-def mirror_closures_planar(net: SpinNetwork, end_a: End, end_b: End) -> bool:
-    """Whether every closed network the join of two free ends evaluates is planar.
+def reference_mirror_closure(net: SpinNetwork) -> tuple[SpinNetwork, list[int]]:
+    """Glue a mirror copy of the network along every free end, as a network.
 
-    Label-0 edges are left out, as the evaluator removes them (welding
-    the two edges each one held apart) before any other move.
+    Each edge with one free end fuses with its mirror image into a single
+    edge between the copies; an edge with both ends free fuses into a bare
+    loop, returned separately as a label (the model cannot hold a
+    vertex-free loop).  The evaluator builds the same closure straight into
+    its own graph (``_MGraph.mirror_closure``); this is the reference.
+    """
+    free_sides: dict[str, set[int]] = {}
+    for end in net.free_ends:
+        free_sides.setdefault(end.edge, set()).add(end.side)
+
+    circles: list[int] = []
+    edges: list[Edge] = []
+    for e in net.edges:
+        n_free = len(free_sides.get(e.id, ()))
+        if n_free == 2:
+            circles.append(e.label)
+        elif n_free == 1:
+            edges.append(Edge("g." + e.id, e.label))
+        else:
+            edges.append(Edge("o." + e.id, e.label))
+            edges.append(Edge("m." + e.id, e.label))
+
+    def port(end: End, copy: str) -> End:
+        if len(free_sides.get(end.edge, ())) == 1:
+            return End("g." + end.edge, 0 if copy == "o" else 1)
+        return End(copy + "." + end.edge, end.side)
+
+    vertices: list[Vertex] = []
+    for v in net.vertices:
+        vertices.append(Vertex("o." + v.id, tuple(port(end, "o") for end in v.ends)))
+        vertices.append(Vertex("m." + v.id, tuple(port(end, "m") for end in v.ends)))
+    return SpinNetwork(tuple(edges), tuple(vertices)), circles
+
+
+def mirror_closures_planar(net: SpinNetwork, end_a: End, end_b: End) -> bool:
+    """Whether every closed graph the join of two free ends evaluates is planar.
+
+    The graphs are the evaluator's own (``_MGraph.mirror_closure``).
+    Label-0 edges are left out, as the evaluator removes them (welding the
+    two edges each one held apart) before any other move.
     """
     for c in admissible_couplings(net.label(end_a), net.label(end_b)):
-        closed, _circles = _mirror_closure(merge_free_ends(net, end_a, end_b, c))
-        owner = {end: v.id for v in closed.vertices for end in v.ends}
+        merged = merge_free_ends(net, end_a, end_b, c)
+        closure = _MGraph.mirror_closure(merged)
         graph = nx.Graph()
-        graph.add_nodes_from(v.id for v in closed.vertices)
+        graph.add_nodes_from(closure.vports)
         graph.add_edges_from(
-            (owner[End(e.id, 0)], owner[End(e.id, 1)]) for e in closed.edges if e.label
+            (p0[0], p1[0])
+            for e, (p0, p1) in closure.eports.items()
+            if merged.edges[closure.epos[e]].label
         )
         if not nx.check_planarity(graph)[0]:
             return False

@@ -343,6 +343,18 @@ def test_dynamics_zero_beam_width_exits_3(capsys):
     assert err.startswith("OutOfRange:")
 
 
+@pytest.mark.parametrize("ancillas", ["-1", "7", "100"])
+@pytest.mark.parametrize("state", ["plus", "up", "singlets"])
+def test_dynamics_ancillas_out_of_bounds_exit_3(capsys, ancillas, state):
+    # refused before an ancilla state of 2^ancillas amplitudes is built
+    code, out, err = run(
+        ["dynamics", "--max-len", "1", "--ancillas", ancillas, "--ancilla-state", state],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("OutOfRange:")
+
+
 def test_usage_errors_exit_2(fx, capsys):
     assert run([], capsys)[0] == 2
     assert run(["nope"], capsys)[0] == 2

@@ -15,8 +15,10 @@ from netgen import (
     cube_net,
     cycle_labelled_net,
     dumbbell_net,
+    free_end_pairs,
     prism_net,
     random_cubic_graph,
+    reference_mirror_closure,
     tet_net,
     theta_net,
 )
@@ -25,7 +27,6 @@ from spinnet.errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, TooL
 from spinnet.evaluator import (
     _TET_SYMMETRIES,
     evaluate_closed,
-    evaluate_closed_relabelled,
     loop_value,
     recoupling_coefficient,
     recoupling_six_j_magnitude,
@@ -34,7 +35,6 @@ from spinnet.evaluator import (
     tet_value,
     theta_value,
 )
-from spinnet.experiments import _mirror_closure
 from spinnet.model import (
     Edge,
     End,
@@ -354,6 +354,7 @@ def _labelled(net):
     """net's graph with each edge holding its label."""
     g = ev._MGraph.from_network(net)
     g.epos = {e: net.edges[p].label for e, p in g.epos.items()}
+    g.zeros = {e for e, label in g.epos.items() if label == 0}
     return g
 
 
@@ -1012,28 +1013,43 @@ def test_one_scan_picks_what_the_reference_finders_pick(seed, n, kind):
 # -- one graph under several labellings ----------------------------------
 
 
+def test_a_mirror_closure_graph_is_the_reference_closures_graph(open_nets):
+    # the evaluator builds a join's closure straight into its graph, with
+    # the ids, ports and slots from_network gives the reference closure,
+    # each edge at the position of the edge it copies
+    pairs = free_end_pairs(open_nets)
+    assert len(pairs) == 1307
+    for net, end_a, end_b in pairs:
+        c = admissible_couplings(net.label(end_a), net.label(end_b))[0]
+        merged = merge_free_ends(net, end_a, end_b, c)
+        closed, _circles = reference_mirror_closure(merged)
+        want = ev._MGraph.from_network(closed)
+        got = ev._MGraph.mirror_closure(merged)
+        assert (got.eports, got.vports) == (want.eports, want.vports)
+        assert [merged.edges[p].label for p in got.epos.values()] == [e.label for e in closed.edges]
+
+
 def test_a_relabelled_graph_evaluates_as_each_relabelled_network(open_nets):
-    # the closures of one join differ only in the last edge's label: the
-    # joined unit, fused with its mirror image
+    # the closures of one join differ only in the joined unit's label,
+    # which is the merged network's last edge, fused with its mirror image;
+    # the bare loops the reference returns apart are no part of the value
     checked = 0
     for net in open_nets[:80]:
         end_a, end_b = net.free_ends[:2]
         channels = admissible_couplings(net.label(end_a), net.label(end_b))
-        closures = [_mirror_closure(merge_free_ends(net, end_a, end_b, c))[0] for c in channels]
-        ids = [e.id for e in closures[0].edges]
-        assert all([e.id for e in c.edges] == ids for c in closures)
-        assert [c.edges[-1].label for c in closures] == list(channels)
-        labellings = [[e.label for e in c.edges] for c in closures]
-        got = evaluate_closed_relabelled(closures[0], labellings)
-        assert got == [evaluate_closed(c) for c in closures]
+        merged = [merge_free_ends(net, end_a, end_b, c) for c in channels]
+        labellings = [tuple(e.label for e in m.edges) for m in merged]
+        got = ev._evaluate_mirror_closure(merged[0], labellings)
+        assert got == [evaluate_closed(reference_mirror_closure(m)[0]) for m in merged]
         checked += len(channels) > 1
     assert checked >= 40
 
 
 def test_labellings_share_the_step_memos(monkeypatch):
-    # a labelling met twice finds every recoupling total the first one left
+    # a labelling met twice finds every recoupling total the first one
+    # left; the mirror closure of a closed network is two copies of it
     net = _ladder(8, 33)
-    labels = [e.label for e in net.edges]
+    labels = tuple(e.label for e in net.edges)
     value, once = _counted(monkeypatch, net, "recoupling_coefficient")
     calls = 0
     coefficient = ev.recoupling_coefficient
@@ -1044,22 +1060,5 @@ def test_labellings_share_the_step_memos(monkeypatch):
         return coefficient(*args)
 
     monkeypatch.setattr(ev, "recoupling_coefficient", counted)
-    assert evaluate_closed_relabelled(net, [labels, labels]) == [value, value]
-    assert calls == once["recoupling_coefficient"] > 0
-
-
-@pytest.mark.parametrize(
-    "labelling, match",
-    [
-        ((2, 2, 1), "admissibility"),  # odd at both vertices
-        ((2, 2, 6), "admissibility"),  # triangle inequality
-        ((2, 2), "3 non-negative integer labels"),
-        ((2, 2, -2), "3 non-negative integer labels"),
-        ((2, 2, True), "3 non-negative integer labels"),
-    ],
-)
-def test_a_relabelling_is_validated_like_a_network(labelling, match):
-    with pytest.raises(InvalidNetwork, match=match):
-        evaluate_closed_relabelled(theta_net(2, 2, 2), [(2, 2, 2), labelling])
-    with pytest.raises(HasFreeEnds):
-        evaluate_closed_relabelled(SpinNetwork.from_spec({"a": 1}), [(1,)])
+    assert ev._evaluate_mirror_closure(net, [labels, labels]) == [value**2, value**2]
+    assert calls == 2 * once["recoupling_coefficient"] > 0

@@ -124,19 +124,42 @@ def test_join_builds_one_closure_for_every_channel(monkeypatch):
     # the channels differ only in the joined unit's label, so one mirror
     # closure and one compiled program serve them all
     import spinnet.evaluator as ev
-    import spinnet.experiments as ex
 
     net = SpinNetwork.from_spec({"a": 6, "b": 4})
     want = join_free_ends(net, End("a", 1), End("b", 1))
-    counts = {"_mirror_closure": 0, "_compile": 0}
-    for owner, name in ((ex, "_mirror_closure"), (ev, "_compile")):
+    counts = {"mirror_closure": 0, "_compile": 0}
+    for owner, name in ((ev._MGraph, "mirror_closure"), (ev, "_compile")):
         def counted(*args, _name=name, _fn=getattr(owner, name)):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
     assert join_free_ends(net, End("a", 1), End("b", 1)) == want
     assert want.entries == {c: F(c + 1, 35) for c in (2, 4, 6, 8, 10)}
-    assert counts == {"_mirror_closure": 1, "_compile": 1}
+    assert counts == {"mirror_closure": 1, "_compile": 1}
+
+
+def test_join_validates_its_network_once(monkeypatch, open_nets):
+    # the closure comes from a network just validated, so neither module
+    # validates it again
+    import spinnet.evaluator as ev
+    import spinnet.experiments as ex
+
+    calls = 0
+    validate = ex.validate_network
+
+    def counted(net):
+        nonlocal calls
+        calls += 1
+        return validate(net)
+
+    for owner in (ex, ev):
+        monkeypatch.setattr(owner, "validate_network", counted)
+    for joins, net in enumerate(open_nets[:20], 1):
+        try:
+            join_free_ends(net, *net.free_ends[:2])
+        except (NullState, UnsupportedNetwork):
+            pass
+        assert calls == joins
 
 
 def test_join_past_the_closed_form_bound_is_too_large():
@@ -255,6 +278,15 @@ def test_angle_matrix_triplet_fixture():
     assert am.angle(End("a", 1), End("b", 1)) == 0.0
     assert am.angle(End("a", 1), End("t", 1)) == pytest.approx(math.pi)
     assert np.array_equal(am.angles, am.angles.T)
+
+
+def test_angle_of_an_end_the_matrix_does_not_hold_is_refused():
+    am = angle_matrix(triplet_net())
+    for stranger in (End("v", 1), End("a", 0)):
+        with pytest.raises(NotAFreeEnd, match=f"end {stranger.edge}:{stranger.side}"):
+            am.angle(End("a", 1), stranger)
+        with pytest.raises(NotAFreeEnd):
+            am.angle(stranger, End("t", 1))
 
 
 def test_angle_matrix_preconditions():
