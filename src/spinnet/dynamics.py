@@ -40,6 +40,7 @@ from .hilbert import LinearMapRep, StateVector
 _PROB_FLOOR = 1e-18  # squared norms below this count as impossible
 
 MAX_QUBITS = 6  # system and ancilla qubits one search may hold
+_BLOCK_BYTES = 1 << 18  # bytes of children's lifts the search makes at once
 
 
 class PairChannel(enum.Enum):
@@ -258,12 +259,17 @@ def approximate_unitary_search(
     prepared ancilla.
 
     Both only use the lift M E, so the search carries lifts (2^n x 2^k)
-    instead of sequences' matrices, and scores a whole level at once: one
-    stacked matmul makes every child, and sigma_max comes in closed form
-    for a one-qubit target, from one batched SVD for a larger one.  Lifts
-    are float64 when the ancilla amplitudes are real, complex128
-    otherwise.  The node budget counts the root and every child, and is
-    checked before a level is computed.
+    instead of sequences' matrices.  A level is made and scored in blocks
+    of parents, about _BLOCK_BYTES of children's lifts at a time: one
+    stacked matmul makes a block's children, and sigma_max comes in closed
+    form for a one-qubit target, from a batched SVD for a larger one.
+    Children's lifts are kept only when they are the next frontier (an
+    exhaustive level before the last); the best child and the beam are
+    remade from their parents' lifts, which gives the same bits, since
+    each entry of P L is one rounding of (L[r] +- L[s])/2.  Lifts are
+    float64 when the ancilla amplitudes are real, complex128 otherwise.
+    The node budget counts the root and every child, must be at least 1,
+    and is checked before a level is computed.
     """
     target = np.asarray(target, dtype=np.complex128)
     if target.ndim != 2 or target.shape[0] != target.shape[1]:
@@ -279,6 +285,8 @@ def approximate_unitary_search(
         raise OutOfRange("ancillas and max_len must be nonnegative")
     if beam_width is not None and beam_width < 1:
         raise OutOfRange(f"beam_width must be >= 1, got {beam_width}")
+    if node_budget < 1:
+        raise OutOfRange(f"node_budget must be >= 1, got {node_budget}")
     n = k + ancillas
     if n > MAX_QUBITS:
         raise OutOfRange(f"{n} qubits exceeds the desk-scale bound of {MAX_QUBITS}")
@@ -305,37 +313,52 @@ def approximate_unitary_search(
         [_pair_matrix(n, i, j, ch) for i, j, ch in ops], dtype=embed.dtype
     ).reshape(len(ops), 1 << n, 1 << n)
 
-    def score(lifts: np.ndarray) -> np.ndarray:
-        return _map_fidelities(target, embed_h @ lifts)
-
     # Row c of seqs holds the indices into ops of frontier sequence c.  ops
     # is listed in (i, j, channel value) order, so comparing rows orders
     # the beam exactly as comparing the steps' (i, j, channel value) lists.
     lifts = embed[None]  # the lifts M E of the frontier, in frontier order
     seqs = np.zeros((1, 0), dtype=np.intp)
     last = np.array([-1])  # index in ops of each sequence's last step
-    best_fid = float(score(lifts)[0])
+    best_fid = float(_map_fidelities(target, embed_h @ embed[None])[0])
     best_seq, best_lift = seqs[0], embed
     best_by_length = [best_fid]
     nodes = 1
-    for _level in range(max_len):
+    block = max(1, _BLOCK_BYTES // (max(len(ops), 1) * embed.nbytes))  # parents at once
+    for level in range(max_len):
         keep = np.arange(len(ops))[None, :] != last[:, None]
-        nodes += int(keep.sum())
+        size = np.count_nonzero(keep)
+        nodes += size
         if nodes > node_budget:
             raise BudgetExceeded(f"search exceeded the node budget of {node_budget}")
-        parent, last = np.nonzero(keep)  # children in parent-then-op order
-        lifts = np.matmul(mats[None], lifts[:, None]).reshape(-1, *embed.shape)[keep.ravel()]
-        seqs = np.column_stack((seqs[parent], last))
-        fids = score(lifts)
+        frontier = beam_width is None and level + 1 < max_len
+        kids = np.empty((size, *embed.shape), embed.dtype) if frontier else None
+        fids = np.empty(size)  # children in parent-then-op order
+        done = 0
+        for start in range(0, len(lifts), block):
+            made = np.matmul(mats[None], lifts[start:start + block, None])
+            made = made.reshape(-1, *embed.shape)
+            mask = keep[start:start + block].ravel()
+            induced = np.compress(mask, embed_h @ made, axis=0)
+            end = done + len(induced)
+            fids[done:end] = _map_fidelities(target, induced)
+            if frontier:
+                np.compress(mask, made, axis=0, out=kids[done:end])
+            done = end
+        parent, op = np.nonzero(keep)
         child, best_fid = _serial_best(fids, best_fid)
         if child >= 0:
-            best_seq, best_lift = seqs[child], lifts[child].copy()
-        if beam_width is not None:
-            order = np.lexsort((*seqs.T[::-1], -fids))[:beam_width]
-            lifts, last, seqs = lifts[order], last[order], seqs[order]
+            best_seq = np.append(seqs[parent[child]], op[child])
+            best_lift = mats[op[child]] @ lifts[parent[child]]
         best_by_length.append(best_fid)
-        if not len(seqs):
+        if not size:
             break
+        if beam_width is not None:
+            seqs = np.concatenate((seqs[parent], op[:, None]), axis=1)
+            order = np.lexsort((*seqs.T[::-1], -fids))[:beam_width]
+            lifts = mats[op[order]] @ lifts[parent[order]]
+            last, seqs = op[order], seqs[order]
+        elif frontier:
+            lifts, last, seqs = kids, op, np.concatenate((seqs[parent], op[:, None]), axis=1)
 
     steps = tuple(pair_projector(n, *ops[o]) for o in best_seq.tolist())
     return SearchReport(

@@ -343,6 +343,12 @@ def test_dynamics_zero_beam_width_exits_3(capsys):
     assert err.startswith("OutOfRange:")
 
 
+def test_dynamics_zero_node_budget_exits_3(capsys):
+    code, out, err = run(["dynamics", "--max-len", "1", "--node-budget", "0"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("OutOfRange:")
+
+
 @pytest.mark.parametrize("ancillas", ["-1", "7", "100"])
 @pytest.mark.parametrize("state", ["plus", "up", "singlets"])
 def test_dynamics_ancillas_out_of_bounds_exit_3(capsys, ancillas, state):

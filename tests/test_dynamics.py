@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ from spinnet.dynamics import (
     SINGLET,
     TRIPLET,
     MeasurementSequence,
+    SearchReport,
+    _map_fidelities,
     _pair_matrix,
     _serial_best,
     _sigma_max,
@@ -41,6 +44,7 @@ PLUS = np.array([1, 1], dtype=np.complex128) / math.sqrt(2)
 SINGLET_VEC = np.array([0, 1, -1, 0], dtype=np.complex128) / math.sqrt(2)
 X_GATE = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 H_GATE = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
+T_GATE = np.diag([1, np.exp(1j * math.pi / 4)])
 
 # Established by the exhaustive runs below and frozen; see the search tests.
 X_PLUS_UP_FIDELITY = 0.535236766545937
@@ -312,6 +316,14 @@ def test_search_beam_agrees_with_exhaustive_when_wide():
     assert narrow.fidelity <= full.fidelity + 1e-12
 
 
+@pytest.mark.parametrize("node_budget", [0, -5])
+def test_search_rejects_node_budget_below_one(node_budget):
+    # The budget counts the root, so no search fits in less than 1 node.
+    with pytest.raises(OutOfRange):
+        approximate_unitary_search(X_GATE, 2, 0, node_budget=node_budget)
+    assert approximate_unitary_search(X_GATE, 2, 0, node_budget=1).best_by_length == (0.0,)
+
+
 def test_search_budget_is_enforced():
     with pytest.raises(BudgetExceeded):
         approximate_unitary_search(X_GATE, 2, max_len=2, node_budget=5)
@@ -407,6 +419,133 @@ def test_batched_real_search_matches_naive_search(system, ancillas, beam_width, 
     # A real ancilla state runs the search in float64; the naive search is
     # complex128 either way.
     check_against_naive_search(system, ancillas, beam_width, max_len, real=True)
+
+
+def whole_level_search(target, ancillas, max_len, ancilla_state=None, beam_width=None):
+    """The search as it scored a whole level at once, kept as the reference.
+
+    One stacked matmul makes every child of a level, a boolean mask drops
+    consecutive repeats, and the masked copy of every child's lift is
+    scored in one call.  Inputs are taken to be valid.
+    """
+    k = target.shape[0].bit_length() - 1
+    n = k + ancillas
+    if ancilla_state is None:
+        ancilla_state = default_ancilla_state(ancillas)
+    anc = np.asarray(ancilla_state.amplitudes, dtype=np.complex128) / ancilla_state.norm
+    if not anc.imag.any():
+        anc = anc.real
+    embed = np.kron(np.eye(1 << k), anc[:, None])
+    embed_h = embed.conj().T
+    ops = [(i, j, ch) for i, j in itertools.combinations(range(n), 2) for ch in (SINGLET, TRIPLET)]
+    mats = np.array(
+        [_pair_matrix(n, i, j, ch) for i, j, ch in ops], dtype=embed.dtype
+    ).reshape(len(ops), 1 << n, 1 << n)
+
+    def score(lifts):
+        return _map_fidelities(target, embed_h @ lifts)
+
+    lifts = embed[None]
+    seqs = np.zeros((1, 0), dtype=np.intp)
+    last = np.array([-1])
+    best_fid = float(score(lifts)[0])
+    best_seq, best_lift = seqs[0], embed
+    best_by_length = [best_fid]
+    for _level in range(max_len):
+        keep = np.arange(len(ops))[None, :] != last[:, None]
+        parent, last = np.nonzero(keep)
+        lifts = np.matmul(mats[None], lifts[:, None]).reshape(-1, *embed.shape)[keep.ravel()]
+        seqs = np.column_stack((seqs[parent], last))
+        fids = score(lifts)
+        child, best_fid = _serial_best(fids, best_fid)
+        if child >= 0:
+            best_seq, best_lift = seqs[child], lifts[child].copy()
+        if beam_width is not None:
+            order = np.lexsort((*seqs.T[::-1], -fids))[:beam_width]
+            lifts, last, seqs = lifts[order], last[order], seqs[order]
+        best_by_length.append(best_fid)
+        if not len(seqs):
+            break
+
+    steps = tuple(pair_projector(n, *ops[o]) for o in best_seq.tolist())
+    return SearchReport(
+        MeasurementSequence(steps, ancilla_count=ancillas),
+        best_fid,
+        float(np.sum(np.abs(best_lift) ** 2)) / (1 << k),
+        tuple(best_by_length),
+    )
+
+
+def exactness_cases():
+    """(id, target, ancillas, max_len, ancilla state, beam width) for the reference."""
+    cases = []
+    for system, ancillas, beam_width, max_len in NAIVE_CASES:
+        for real in (False, True):
+            rng = np.random.default_rng(1000 * system + 100 * ancillas + (beam_width or 0))
+            target = traceless_unitary(rng, 1 << system)
+            anc = random_state(rng, ancillas, real)
+            name = f"k{system}-a{ancillas}-w{beam_width}-L{max_len}-{'real' if real else 'complex'}"
+            cases.append((name, target, ancillas, max_len, anc, beam_width))
+    # The benchmark's dynamics-search requests: x, h and t in turn, default ancillas.
+    pool = []
+    for ancillas in (2, 3):
+        exhaustive = (2, 3, 4) if ancillas == 2 else (1, 2, 3, 4)
+        pool += [(ancillas, m, None) for m in exhaustive] + [(ancillas, m, 64) for m in (5, 6, 7, 8)]
+    for index, (ancillas, max_len, beam) in enumerate(pool):
+        name = "xht"[index % 3]
+        target = {"x": X_GATE, "h": H_GATE, "t": T_GATE}[name]
+        cases.append((f"{name}-a{ancillas}-w{beam}-L{max_len}", target, ancillas, max_len, None, beam))
+    cnot = np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]]
+    cases.append(("cnot-a2-L2", cnot, 2, 2, None, None))
+    # One qubit and no ancillas: no projectors, so the search stops after a level.
+    cases.append(("t-a0-L3", T_GATE, 0, 3, None, None))
+    cases.append(("h-a0-w4-L2", H_GATE, 0, 2, None, 4))
+    return cases
+
+
+EXACTNESS_CASES = exactness_cases()
+
+
+@pytest.mark.parametrize("one_parent", [False, True], ids=["default-block", "one-parent"])
+@pytest.mark.parametrize(
+    "target, ancillas, max_len, anc, beam_width",
+    [case[1:] for case in EXACTNESS_CASES],
+    ids=[case[0] for case in EXACTNESS_CASES],
+)
+def test_blockwise_search_equals_whole_level_search(
+    monkeypatch, target, ancillas, max_len, anc, beam_width, one_parent
+):
+    if one_parent:
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 1)
+    got = approximate_unitary_search(target, ancillas, max_len, anc, beam_width=beam_width)
+    want = whole_level_search(target, ancillas, max_len, anc, beam_width)
+    assert got.fidelity == want.fidelity
+    assert got.success_prob == want.success_prob
+    assert got.best_by_length == want.best_by_length
+    assert got.best_sequence.ancilla_count == want.best_sequence.ancilla_count
+    shape = [(p.pair, p.channel) for p in got.best_sequence.steps]
+    assert shape == [(p.pair, p.channel) for p in want.best_sequence.steps]
+    if ancillas == 0:
+        assert len(got.best_by_length) == min(max_len, 1) + 1
+
+
+def test_search_peak_memory_stays_small():
+    # The benchmark's heaviest request: 17,568 children of 16 x 2 lifts.  A
+    # level's children are made and scored in blocks, so no whole-level
+    # array of them is built (about 9 MB when it was).
+    approximate_unitary_search(H_GATE, 3, 4)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        approximate_unitary_search(H_GATE, 3, 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def spy_dtypes(monkeypatch):
