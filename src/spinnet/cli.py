@@ -80,15 +80,22 @@ def _rational(q: Fraction, cfg: RunConfig):
 
 
 def _load_network(path: str) -> SpinNetwork:
+    # A file and stdin are both read as bytes and decoded here, so neither
+    # depends on the locale, and both get a text-mode file's universal
+    # newlines.
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
+            with open(path, "rb") as f:
+                data = f.read()
     except OSError as exc:
         raise _Failure(EXIT_IO, str(exc))
-    result = parse_network(text)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _Failure(EXIT_USAGE, f"{path}: not valid UTF-8 at byte {exc.start}")
+    result = parse_network(text.replace("\r\n", "\n").replace("\r", "\n"))
     if isinstance(result, SpinNetwork):
         return result
     listing = "\n".join(f"{path}:{e}" for e in result)

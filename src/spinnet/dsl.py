@@ -18,6 +18,7 @@ networks the model does.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -60,72 +61,75 @@ class ParseError:
 def parse_network(text: str) -> SpinNetwork | list[ParseError]:
     """Parse the format above; returns the network or every error found."""
     errors: list[ParseError] = []
+    lines = text.split("\n")
 
-    def err(kind: ErrorKind, token: tuple[str, int, int], message: str) -> None:
-        word, line, column = token
-        errors.append(ParseError(message, SourceSpan(line, column, len(word)), kind))
+    def err(kind: ErrorKind, token: tuple[int, int], message: str) -> None:
+        # str.split() and _TOKEN break a line at the same code points, so a
+        # token is the match at its word index
+        line, index = token
+        word = next(itertools.islice(_TOKEN.finditer(lines[line - 1]), index, None))
+        errors.append(ParseError(message, SourceSpan(line, word.start() + 1, len(word.group())), kind))
 
-    # A token is (text, line, column).  Edges resolve as they are read;
-    # vertex lines wait for the last edge, so a vertex may precede its edges.
+    # A token is (line, word index); its column is found only for an error.
+    # Edges resolve as they are read; vertex lines wait for the last edge,
+    # so a vertex may precede its edges.
     claims: dict[str, int] = {}  # edge id -> ends claimed so far
     edges: list[Edge] = []
-    vertex_lines: list[list[tuple[str, int, int]]] = []
+    vertex_lines: list[tuple[int, list[str]]] = []
     seen_version = seen_statement = False
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        tokens = [(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(line)]
-        if not tokens or tokens[0][0].startswith("#"):
+    for lineno, line in enumerate(lines, start=1):
+        words = line.split()
+        if not words or words[0].startswith("#"):
             continue
-        head, *args = tokens
-        statement = head[0]
+        statement = words[0]
+        nargs = len(words) - 1
         if statement == "version":
             if seen_version or seen_statement:
-                err(ErrorKind.SYNTACTIC, head, "version line must come first, once")
-            elif len(args) != 1 or args[0][0] != "1":
-                err(ErrorKind.SYNTACTIC, args[0] if args else head, "only `version 1` is supported")
+                err(ErrorKind.SYNTACTIC, (lineno, 0), "version line must come first, once")
+            elif nargs != 1 or words[1] != "1":
+                err(ErrorKind.SYNTACTIC, (lineno, 1 if nargs else 0), "only `version 1` is supported")
             seen_version = True
             continue
         seen_statement = True
         if statement == "edge":
-            if len(args) != 2:
-                err(ErrorKind.SYNTACTIC, head, "expected `edge <id> <label>`")
+            if nargs != 2:
+                err(ErrorKind.SYNTACTIC, (lineno, 0), "expected `edge <id> <label>`")
                 continue
-            (eid, _, _), label = args
+            _, eid, word = words
             if eid in claims:
-                err(ErrorKind.SEMANTIC, args[0], f"duplicate edge id {eid!r}")
+                err(ErrorKind.SEMANTIC, (lineno, 1), f"duplicate edge id {eid!r}")
                 continue
             claims[eid] = 0
-            word, value = label[0], 0
+            value = 0
             if not (word.isascii() and word.isdigit()):
-                err(ErrorKind.LEXICAL, label, f"label must be a non-negative integer, got {word!r}")
+                err(ErrorKind.LEXICAL, (lineno, 2), f"label must be a non-negative integer, got {word!r}")
             elif len(word) > MAX_LABEL_DIGITS:
-                err(ErrorKind.LEXICAL, label, f"label has {len(word)} digits, more than {MAX_LABEL_DIGITS}")
+                err(ErrorKind.LEXICAL, (lineno, 2), f"label has {len(word)} digits, more than {MAX_LABEL_DIGITS}")
             else:
                 value = int(word)
             edges.append(Edge(eid, value))
         elif statement == "vertex":
-            if len(args) != 4:
-                err(ErrorKind.SYNTACTIC, head, "expected `vertex <id> <edge> <edge> <edge>`")
+            if nargs != 4:
+                err(ErrorKind.SYNTACTIC, (lineno, 0), "expected `vertex <id> <edge> <edge> <edge>`")
                 continue
-            vertex_lines.append(args)
+            vertex_lines.append((lineno, words))
         else:
-            err(ErrorKind.SYNTACTIC, head, f"unknown statement {statement!r}")
+            err(ErrorKind.SYNTACTIC, (lineno, 0), f"unknown statement {statement!r}")
 
-    vertex_at: dict[str, tuple[str, int, int]] = {}
+    vertex_at: dict[str, tuple[int, int]] = {}
     vertices: list[Vertex] = []
-    for id_token, *refs in vertex_lines:
-        vid = id_token[0]
+    for lineno, (_, vid, *refs) in vertex_lines:
         if vid in vertex_at:
-            err(ErrorKind.SEMANTIC, id_token, f"duplicate vertex id {vid!r}")
+            err(ErrorKind.SEMANTIC, (lineno, 1), f"duplicate vertex id {vid!r}")
             continue
-        vertex_at[vid] = id_token
+        vertex_at[vid] = (lineno, 1)
         ends = []
-        for ref in refs:
-            eid = ref[0]
+        for index, eid in enumerate(refs, start=2):
             n = claims.get(eid)
             if n is None:
-                err(ErrorKind.SEMANTIC, ref, f"unknown edge id {eid!r}")
+                err(ErrorKind.SEMANTIC, (lineno, index), f"unknown edge id {eid!r}")
             elif n == 2:
-                err(ErrorKind.SEMANTIC, ref, f"edge {eid!r} has no end left to attach")
+                err(ErrorKind.SEMANTIC, (lineno, index), f"edge {eid!r} has no end left to attach")
             else:
                 claims[eid] = n + 1
                 ends.append(End(eid, n))

@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 import os
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Callable, TypeVar
 
@@ -48,13 +48,15 @@ class EvalCache:
         self.hits = 0
         self.misses = 0
 
-    def get_or(self, key, compute: Callable[[], _T]) -> _T:
-        """The cached value for key, else compute() stored under it.  A
-        compute() that raises stores nothing and counts as no miss."""
+    def get_or(self, key, compute: Callable[..., _T], *args) -> _T:
+        """The cached value for key, else compute(*args) stored under it.
+        A compute that raises stores nothing and counts as no miss.  A hit
+        moves key to the back of the eviction order only when the cache is
+        bounded: an unbounded cache evicts nothing, so its order is moot."""
         try:
             value = self._data[key]
         except KeyError:
-            value = compute()
+            value = compute(*args)
             self.misses += 1
             self._data[key] = value
             if self.max_entries is not None:
@@ -62,7 +64,8 @@ class EvalCache:
                     self._data.popitem(last=False)
             return value
         self.hits += 1
-        self._data.move_to_end(key)
+        if self.max_entries is not None:
+            self._data.move_to_end(key)
         return value
 
     def clear(self) -> None:
@@ -113,8 +116,16 @@ def _loop(n: int) -> int:
 
 def theta_value(a: int, b: int, c: int) -> Fraction:
     """Value of the two-vertex network whose three edges carry a, b, c."""
-    key = ("theta",) + tuple(sorted((a, b, c)))
-    return default_cache().get_or(key, lambda: _theta(a, b, c))
+    # the key holds the labels in increasing order, found by comparisons
+    # rather than sorted(): a hit is the label step's most frequent call
+    lo, hi = (a, b) if a <= b else (b, a)
+    if c >= hi:
+        key = ("theta", lo, hi, c)
+    elif c >= lo:
+        key = ("theta", lo, c, hi)
+    else:
+        key = ("theta", c, lo, hi)
+    return default_cache().get_or(key, _theta, a, b, c)
 
 
 # The largest label a closed form takes; a larger one raises TooLarge.  The
@@ -180,7 +191,7 @@ def tet_value(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
     """Value of the tetrahedral network with vertex triples
     (a,d,e), (b,c,e), (a,b,f), (c,d,f)."""
     key = ("tet",) + tet_canonical_key(a, b, c, d, e, f)
-    return default_cache().get_or(key, lambda: _tet(a, b, c, d, e, f))
+    return default_cache().get_or(key, _tet, a, b, c, d, e, f)
 
 
 def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
@@ -258,9 +269,11 @@ def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -
 # closed-form lookup per op, in integers: a value is a (numerator,
 # denominator) pair, multiplied unreduced, and reduced once per recoupling
 # total, by one gcd, before the step memoises it.  The process cache keeps
-# the closed forms as Fractions; the label step reads their parts.  A
-# program is compiled once per schedule node and read by every branch that
-# reaches that node.
+# the closed forms as Fractions; the label step reads their parts.  Once
+# the cache is warm nearly every lookup is a hit, so a hit only builds its
+# key and reads the cache: no sort, no closure, and no reordering unless
+# the cache is bounded.  A program is compiled once per schedule node and
+# read by every branch that reaches that node.
 
 
 class _MGraph:
@@ -302,30 +315,44 @@ class _MGraph:
         return g
 
     @staticmethod
-    def mirror_closure(net: SpinNetwork) -> "_MGraph":
-        """net glued to its mirror copy along every free end, the closed
-        graph a join evaluates, read with net's labels: each edge holds the
-        position of the edge of net it copies.  Vertex k's copies are 2k and
-        2k + 1, and edge ids follow net's declaration order: an edge with one
-        free end fuses with its mirror image (side 0 at the first copy),
-        any other edge has one id per copy.  An edge with both ends free
-        would close into a bare loop, a factor every labelling shares, and
-        is left out."""
-        n_free = Counter(end.edge for end in net.free_ends)
-        first: dict[str, int] = {}  # edge id -> the id of its first copy
+    def mirror_closure(net: SpinNetwork, end_a: End, end_b: End) -> "_MGraph":
+        """The closed graph a join of two free ends of net evaluates: net
+        with end_a and end_b joined at a vertex (end_a, end_b, unit:0),
+        glued to its mirror copy along every free end left.  It is read with
+        net's labels followed by the unit's: each edge holds the position of
+        the edge it copies, the unit's being len(net.edges).  No merged
+        network is built, and an end's freedom is counted from the
+        vertices' slots by edge index.
+
+        The numbering is the one a closure of ``merge_free_ends(net, end_a,
+        end_b, c)`` has: the join vertex is vertex len(net.vertices) and the
+        unit edge len(net.edges); vertex k's copies are 2k and 2k + 1, and
+        edge ids follow declaration order.  An edge with one free end fuses
+        with its mirror image (side 0 at the first copy); any other edge has
+        one id per copy.  An edge with both ends free would close into a
+        bare loop, a factor every labelling shares, and is left out."""
+        unit = len(net.edges)
+        eid_of = {e.id: k for k, e in enumerate(net.edges)}
+        slots = [[(eid_of[end.edge], end.side) for end in v.ends] for v in net.vertices]
+        slots.append([(eid_of[end_a.edge], end_a.side), (eid_of[end_b.edge], end_b.side), (unit, 0)])
+        attached = [0] * (unit + 1)
+        for ends in slots:
+            for k, _side in ends:
+                attached[k] += 1
+        # an edge has one copy per attached end: two, one if it fuses with
+        # its mirror image, none if it would close into a bare loop
+        first: list[int] = []  # edge index -> the id of its first copy
         g = _MGraph()
-        for k, e in enumerate(net.edges):
-            if n_free[e.id] < 2:
-                first[e.id] = len(g.epos)
-                for ek in range(len(g.epos), len(g.epos) + 2 - n_free[e.id]):
-                    g.epos[ek] = k
-                    g.eports[ek] = [None, None]
-        for vk, v in enumerate(net.vertices):
+        for k, n in enumerate(attached):
+            first.append(len(g.epos))
+            for ek in range(first[k], first[k] + n):
+                g.epos[ek] = k
+                g.eports[ek] = [None, None]
+        for vk, ends in enumerate(slots):
             for copy in (0, 1):
                 ports = []
-                for slot, end in enumerate(v.ends):
-                    ek = first[end.edge]
-                    port = (ek, copy) if end.edge in n_free else (ek + copy, end.side)
+                for slot, (k, side) in enumerate(ends):
+                    port = (first[k], copy) if attached[k] == 1 else (first[k] + copy, side)
                     g.eports[port[0]][port[1]] = (2 * vk + copy, slot)
                     ports.append(port)
                 g.vports[2 * vk + copy] = ports
@@ -726,12 +753,16 @@ def evaluate_closed(net: SpinNetwork) -> Fraction:
     return _evaluate(lambda: _MGraph.from_network(net), [tuple(e.label for e in net.edges)])[0]
 
 
-def _evaluate_mirror_closure(net: SpinNetwork, labellings: list[tuple[int, ...]]) -> list[Fraction]:
-    """The value of ``_MGraph.mirror_closure(net)`` under each labelling of
-    net's edges.  Nothing is checked: net must be valid and each labelling
-    admissible at its vertices.  The labellings share one record of
+def _evaluate_mirror_closure(
+    net: SpinNetwork, end_a: End, end_b: End, labellings: list[tuple[int, ...]]
+) -> list[Fraction]:
+    """The value of ``_MGraph.mirror_closure(net, end_a, end_b)`` under each
+    labelling, net's labels followed by the joined unit's.  Nothing is
+    checked: net must be valid, end_a and end_b distinct free ends of it,
+    and each labelling admissible at net's vertices and the join vertex.
+    No merged network is built.  The labellings share one record of
     programs and step memos; each has its own ``_MAX_BRANCHES`` budget."""
-    return _evaluate(lambda: _MGraph.mirror_closure(net), labellings)
+    return _evaluate(lambda: _MGraph.mirror_closure(net, end_a, end_b), labellings)
 
 
 def _evaluate(build: Callable[[], _MGraph], labellings: list[tuple[int, ...]]) -> list[Fraction]:

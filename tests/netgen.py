@@ -290,19 +290,21 @@ def reference_mirror_closure(net: SpinNetwork) -> tuple[SpinNetwork, list[int]]:
 def mirror_closures_planar(net: SpinNetwork, end_a: End, end_b: End) -> bool:
     """Whether every closed graph the join of two free ends evaluates is planar.
 
-    The graphs are the evaluator's own (``_MGraph.mirror_closure``).
-    Label-0 edges are left out, as the evaluator removes them (welding the
-    two edges each one held apart) before any other move.
+    The graph is the evaluator's own (``_MGraph.mirror_closure``), one for
+    every channel, read under each channel's labels.  Label-0 edges are
+    left out, as the evaluator removes them (welding the two edges each one
+    held apart) before any other move.
     """
+    closure = _MGraph.mirror_closure(net, end_a, end_b)
+    labels = [e.label for e in net.edges]
     for c in admissible_couplings(net.label(end_a), net.label(end_b)):
-        merged = merge_free_ends(net, end_a, end_b, c)
-        closure = _MGraph.mirror_closure(merged)
+        channel_labels = labels + [c]
         graph = nx.Graph()
         graph.add_nodes_from(closure.vports)
         graph.add_edges_from(
             (p0[0], p1[0])
             for e, (p0, p1) in closure.eports.items()
-            if merged.edges[closure.epos[e]].label
+            if channel_labels[closure.epos[e]]
         )
         if not nx.check_planarity(graph)[0]:
             return False

@@ -101,11 +101,59 @@ def test_eval_parse_errors_print_spans(fx, capsys):
     assert ":2:1: syntactic:" in lines[1]
 
 
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    # the shape of a real stdin: text over a byte buffer, which the CLI reads
+    return io.TextIOWrapper(io.BytesIO(data), encoding="latin-1", newline="\n")
+
+
 def test_eval_reads_stdin(fx, capsys, monkeypatch):
     text = "edge a 2\nedge b 2\nedge c 2\nvertex u a b c\nvertex v a b c\n"
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(sys, "stdin", _stdin(text.encode()))
     code, out, _ = run(["eval", "-"], capsys)
     assert (code, out) == (0, "-3/1\n")
+
+
+THETA_CRLF_TABS = b"edge\ta\t2\r\nedge\tb\t2\r\nedge\tc\t2\r\nvertex\tu\ta\tb\tc\r\nvertex\tv\ta\tb\tc\r\n"
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"])
+def test_a_file_and_stdin_read_the_same_text(tmp_path, capsys, monkeypatch, line_end):
+    data = THETA_CRLF_TABS.replace(b"\r\n", line_end)
+    path = tmp_path / "theta.snet"
+    path.write_bytes(data)
+    assert run(["eval", str(path)], capsys) == (0, "-3/1\n", "")
+    monkeypatch.setattr(sys, "stdin", _stdin(data))
+    assert run(["eval", "-"], capsys) == (0, "-3/1\n", "")
+
+
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.snet"
+    path.write_bytes(b"edge a 2\xff\n")
+    assert run(["eval", str(path)], capsys) == (2, "", f"{path}: not valid UTF-8 at byte 8\n")
+
+
+def test_stdin_that_is_not_utf8_is_a_usage_error(capsys, monkeypatch):
+    # the stream's own encoding (latin-1 here) decodes any byte; the CLI
+    # reads UTF-8 whatever the locale says
+    monkeypatch.setattr(sys, "stdin", _stdin(b"edge a 2\nedge b \xc3\n"))
+    assert run(["eval", "-"], capsys) == (2, "", "-: not valid UTF-8 at byte 16\n")
+
+
+def test_non_utf8_input_exits_2_without_a_traceback(tmp_path):
+    """`python -m spinnet eval` on a file and on stdin, under a latin-1
+    stdin encoding."""
+    path = tmp_path / "bad.snet"
+    path.write_bytes(b"edge a 2\xff\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="latin-1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for arg, data, name in ((str(path), b"", str(path)), ("-", path.read_bytes(), "-")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinnet", "eval", arg],
+            input=data, capture_output=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode() == f"{name}: not valid UTF-8 at byte 8\n"
 
 
 def test_eval_prints_values_past_the_int_str_digit_limit(tmp_path, capsys):

@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinnet.dsl import ErrorKind, ParseError, parse_network, serialize_network
+from spinnet.dsl import (
+    MAX_LABEL_DIGITS,
+    ErrorKind,
+    ParseError,
+    SourceSpan,
+    parse_network,
+    serialize_network,
+)
 from spinnet.errors import InvalidNetwork
-from spinnet.model import Edge, End, SpinNetwork, Vertex, networks_isomorphic
+from spinnet.model import Edge, End, SpinNetwork, Vertex, networks_isomorphic, validate_network
 
 SPEC_TEXT = "edge e1 2\nedge e2 2\nedge e3 0\nvertex v1 e1 e2 e3"
 
@@ -239,3 +247,136 @@ def test_fuzz_near_miss_grammar_inputs():
         out = parse_network(text)
         if isinstance(out, list):
             assert spans_lie_within(text, out)
+
+
+# -- the reference parser ---------------------------------------------------------
+
+_TOKEN = re.compile(r"\S+")
+
+
+def reference_parse_network(text: str) -> SpinNetwork | list[ParseError]:
+    """The parser as it was before it split lines with str.split(): every
+    token is a regex match carrying its (text, line, column)."""
+    errors: list[ParseError] = []
+
+    def err(kind: ErrorKind, token: tuple[str, int, int], message: str) -> None:
+        word, line, column = token
+        errors.append(ParseError(message, SourceSpan(line, column, len(word)), kind))
+
+    claims: dict[str, int] = {}
+    edges: list[Edge] = []
+    vertex_lines: list[list[tuple[str, int, int]]] = []
+    seen_version = seen_statement = False
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = [(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(line)]
+        if not tokens or tokens[0][0].startswith("#"):
+            continue
+        head, *args = tokens
+        statement = head[0]
+        if statement == "version":
+            if seen_version or seen_statement:
+                err(ErrorKind.SYNTACTIC, head, "version line must come first, once")
+            elif len(args) != 1 or args[0][0] != "1":
+                err(ErrorKind.SYNTACTIC, args[0] if args else head, "only `version 1` is supported")
+            seen_version = True
+            continue
+        seen_statement = True
+        if statement == "edge":
+            if len(args) != 2:
+                err(ErrorKind.SYNTACTIC, head, "expected `edge <id> <label>`")
+                continue
+            (eid, _, _), label = args
+            if eid in claims:
+                err(ErrorKind.SEMANTIC, args[0], f"duplicate edge id {eid!r}")
+                continue
+            claims[eid] = 0
+            word, value = label[0], 0
+            if not (word.isascii() and word.isdigit()):
+                err(ErrorKind.LEXICAL, label, f"label must be a non-negative integer, got {word!r}")
+            elif len(word) > MAX_LABEL_DIGITS:
+                err(ErrorKind.LEXICAL, label, f"label has {len(word)} digits, more than {MAX_LABEL_DIGITS}")
+            else:
+                value = int(word)
+            edges.append(Edge(eid, value))
+        elif statement == "vertex":
+            if len(args) != 4:
+                err(ErrorKind.SYNTACTIC, head, "expected `vertex <id> <edge> <edge> <edge>`")
+                continue
+            vertex_lines.append(args)
+        else:
+            err(ErrorKind.SYNTACTIC, head, f"unknown statement {statement!r}")
+
+    vertex_at: dict[str, tuple[str, int, int]] = {}
+    vertices: list[Vertex] = []
+    for id_token, *refs in vertex_lines:
+        vid = id_token[0]
+        if vid in vertex_at:
+            err(ErrorKind.SEMANTIC, id_token, f"duplicate vertex id {vid!r}")
+            continue
+        vertex_at[vid] = id_token
+        ends = []
+        for ref in refs:
+            eid = ref[0]
+            n = claims.get(eid)
+            if n is None:
+                err(ErrorKind.SEMANTIC, ref, f"unknown edge id {eid!r}")
+            elif n == 2:
+                err(ErrorKind.SEMANTIC, ref, f"edge {eid!r} has no end left to attach")
+            else:
+                claims[eid] = n + 1
+                ends.append(End(eid, n))
+        if len(ends) == 3:
+            vertices.append(Vertex(vid, tuple(ends)))
+
+    net = SpinNetwork(tuple(edges), tuple(vertices))
+    for violation in validate_network(net):
+        err(ErrorKind.SEMANTIC, vertex_at[violation.subject], str(violation))
+    if errors:
+        return sorted(errors, key=lambda e: (e.span.line, e.span.column, e.message))
+    return net
+
+
+# Lines of the grammar's words, ids short enough to collide, between runs
+# of every kind of whitespace str.split() and \\S+ break at: the ASCII
+# separators and the Unicode spaces past ASCII.  Most lines have the shape
+# of a statement, so that semantic errors and whole networks come up.
+_SPACE = st.sampled_from(
+    [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+)
+_GAP = st.lists(_SPACE, min_size=1, max_size=2).map("".join)
+_ID = st.sampled_from(["a", "b", "c", "v", "#"])
+_WORD = st.sampled_from(["edge", "vertex", "version", "#", "a", "b", "c", "0", "1", "2", "3", "12", "-1", "2#"])
+
+
+def _line(head, *words):
+    return st.builds(
+        lambda lead, pairs, tail: lead + head + "".join(gap + word for gap, word in pairs) + tail,
+        st.lists(_SPACE, max_size=2).map("".join),
+        st.tuples(*(st.tuples(_GAP, word) for word in words)),
+        st.lists(_SPACE, max_size=2).map("".join),
+    )
+
+
+_LINE = st.one_of(
+    _line("edge", _ID, st.sampled_from(["0", "1", "2", "3", "12", "-1"])),
+    _line("vertex", _ID, _ID, _ID, _ID),
+    st.sampled_from(["edge", "vertex", "version", "#", "a"]).flatmap(
+        lambda head: st.integers(0, 5).flatmap(lambda n: _line(head, *[_WORD] * n))
+    ),
+)
+
+
+@given(st.lists(_LINE, max_size=8).map("\n".join))
+@settings(max_examples=400, deadline=None)
+def test_the_parser_answers_as_the_reference_parser(text):
+    assert parse_network(text) == reference_parse_network(text)
+
+
+@pytest.mark.parametrize("text", [
+    "edge a 2\nedge b 2\nedge c 2\nvertex v a b c\nvertex w a b c\n",
+    "version 1\nedge\ta\x852\r\nedge b\u30002\nvertex v a b a\n",
+    "edge a 1\nedge a 1\nvertex v a b c x\nvertex v a a a\nversion 2\n  edge\xa0b 7 x\n",
+    "\u2028edge a 3\nedge b 1\nedge c 1\n vertex v a b c\nfrob",
+])
+def test_the_parser_answers_as_the_reference_parser_on_examples(text):
+    assert parse_network(text) == reference_parse_network(text)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -23,8 +24,9 @@ from netgen import (
     theta_net,
 )
 from spinnet import evaluator as ev
-from spinnet.errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, TooLarge
+from spinnet.errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, SpinNetError, TooLarge
 from spinnet.evaluator import (
+    EvalCache,
     _TET_SYMMETRIES,
     evaluate_closed,
     loop_value,
@@ -35,6 +37,7 @@ from spinnet.evaluator import (
     tet_value,
     theta_value,
 )
+from spinnet.experiments import join_free_ends
 from spinnet.model import (
     Edge,
     End,
@@ -264,7 +267,6 @@ def test_cold_and_warm_cache_agree(fresh_cache):
 
 
 def test_each_request_records_traffic_on_the_process_cache(fresh_cache):
-    from spinnet.experiments import join_free_ends
     from spinnet.hilbert import born_join_distribution
 
     triplet = SpinNetwork.from_spec({"a": 1, "b": 1, "t": 2}, [("v", ("a", "b", "t"))])
@@ -279,6 +281,32 @@ def test_each_request_records_traffic_on_the_process_cache(fresh_cache):
         assert fresh_cache.misses > 0 and len(fresh_cache) == fresh_cache.misses
         request()
         assert fresh_cache.hits > 0 and len(fresh_cache) == fresh_cache.misses
+
+
+def test_a_bounded_cache_evicts_the_least_recently_used():
+    cache = EvalCache(2)
+    computed = []
+
+    def compute(key):
+        computed.append(key)
+        return key.upper()
+
+    for key in "abac":  # store a, store b, hit a, store c: b goes
+        assert cache.get_or(key, compute, key) == key.upper()
+    assert computed == ["a", "b", "c"]
+    assert cache.get_or("a", compute, "a") == "A"
+    assert cache.get_or("b", compute, "b") == "B"
+    assert computed == ["a", "b", "c", "b"]
+    assert cache.stats == {"size": 2, "hits": 2, "misses": 4}
+
+
+def test_get_or_passes_its_arguments_and_keeps_nothing_from_a_failed_compute():
+    cache = EvalCache()
+    assert cache.get_or(("sum", 1, 2, 3), lambda *xs: sum(xs), 1, 2, 3) == 6
+    with pytest.raises(ValueError):
+        cache.get_or(("int", "x"), int, "x")
+    assert cache.get_or(("sum", 1, 2, 3), int, "x") == 6
+    assert cache.stats == {"size": 1, "hits": 1, "misses": 1}
 
 
 def _hilbert_six_j(a, b, c, d, e, f):
@@ -1014,9 +1042,10 @@ def test_one_scan_picks_what_the_reference_finders_pick(seed, n, kind):
 
 
 def test_a_mirror_closure_graph_is_the_reference_closures_graph(open_nets):
-    # the evaluator builds a join's closure straight into its graph, with
-    # the ids, ports and slots from_network gives the reference closure,
-    # each edge at the position of the edge it copies
+    # the evaluator builds a join's closure straight from the open network
+    # and its two ends, with the ids, ports and slots from_network gives the
+    # reference closure of the merged network, each edge at the position of
+    # the merged network's edge it copies
     pairs = free_end_pairs(open_nets)
     assert len(pairs) == 1307
     for net, end_a, end_b in pairs:
@@ -1024,9 +1053,43 @@ def test_a_mirror_closure_graph_is_the_reference_closures_graph(open_nets):
         merged = merge_free_ends(net, end_a, end_b, c)
         closed, _circles = reference_mirror_closure(merged)
         want = ev._MGraph.from_network(closed)
-        got = ev._MGraph.mirror_closure(merged)
+        got = ev._MGraph.mirror_closure(net, end_a, end_b)
         assert (got.eports, got.vports) == (want.eports, want.vports)
         assert [merged.edges[p].label for p in got.epos.values()] == [e.label for e in closed.edges]
+
+
+def _digest(answers) -> str:
+    h = hashlib.sha256()
+    for answer in answers:
+        h.update(answer.encode() + b"\n")
+    return h.hexdigest()
+
+
+def _join_answer(net, end_a, end_b) -> str:
+    try:
+        dist = join_free_ends(net, end_a, end_b)
+    except SpinNetError as exc:
+        return type(exc).__name__
+    return " ".join(f"{c}={p}" for c, p in sorted(dist.entries.items()))
+
+
+def _closed_answer(net) -> str:
+    try:
+        return str(evaluate_closed(net))
+    except SpinNetError as exc:
+        return type(exc).__name__
+
+
+def test_the_corpora_answer_as_the_merged_network_closures_did(open_nets, closed_nets):
+    # digests of every join answer on the open corpus and every closed
+    # value, as they read when joins built a merged network and its closure
+    pairs = free_end_pairs(open_nets)
+    assert (len(pairs), len(closed_nets)) == (1307, 214)
+    joins = [_join_answer(*pair) for pair in pairs]
+    assert joins.count("NullState") == 193
+    assert _digest(joins) == "cd6cf28ff162bd264bcfb425277d1ae2e94df5725dbe867d1cc34802dd8acbfe"
+    closed = [_closed_answer(net) for net in closed_nets]
+    assert _digest(closed) == "f825ddada5c58a34d8674249b4655851a180fea6b598c691f87336b145dcef06"
 
 
 def test_a_relabelled_graph_evaluates_as_each_relabelled_network(open_nets):
@@ -1039,7 +1102,7 @@ def test_a_relabelled_graph_evaluates_as_each_relabelled_network(open_nets):
         channels = admissible_couplings(net.label(end_a), net.label(end_b))
         merged = [merge_free_ends(net, end_a, end_b, c) for c in channels]
         labellings = [tuple(e.label for e in m.edges) for m in merged]
-        got = ev._evaluate_mirror_closure(merged[0], labellings)
+        got = ev._evaluate_mirror_closure(net, end_a, end_b, labellings)
         assert got == [evaluate_closed(reference_mirror_closure(m)[0]) for m in merged]
         checked += len(channels) > 1
     assert checked >= 40
@@ -1047,10 +1110,12 @@ def test_a_relabelled_graph_evaluates_as_each_relabelled_network(open_nets):
 
 def test_labellings_share_the_step_memos(monkeypatch):
     # a labelling met twice finds every recoupling total the first one
-    # left; the mirror closure of a closed network is two copies of it
+    # left; joining two bare edges beside a closed network closes it into
+    # two copies of it and a theta (1, 1, 2)
     net = _ladder(8, 33)
-    labels = tuple(e.label for e in net.edges)
     value, once = _counted(monkeypatch, net, "recoupling_coefficient")
+    open_net = SpinNetwork(net.edges + (Edge("x", 1), Edge("y", 1)), net.vertices)
+    labels = tuple(e.label for e in open_net.edges) + (2,)
     calls = 0
     coefficient = ev.recoupling_coefficient
 
@@ -1060,5 +1125,6 @@ def test_labellings_share_the_step_memos(monkeypatch):
         return coefficient(*args)
 
     monkeypatch.setattr(ev, "recoupling_coefficient", counted)
-    assert ev._evaluate_mirror_closure(net, [labels, labels]) == [value**2, value**2]
+    want = value**2 * theta_value(1, 1, 2)
+    assert ev._evaluate_mirror_closure(open_net, End("x", 0), End("y", 0), [labels, labels]) == [want, want]
     assert calls == 2 * once["recoupling_coefficient"] > 0
