@@ -750,14 +750,15 @@ def evaluate_closed(net: SpinNetwork) -> Fraction:
     ``TooLarge``.
     """
     _require_closed_valid(net)
-    return _evaluate(lambda: _MGraph.from_network(net), [tuple(e.label for e in net.edges)])[0]
+    return Fraction(*_evaluate(lambda: _MGraph.from_network(net), [tuple(e.label for e in net.edges)])[0])
 
 
 def _evaluate_mirror_closure(
     net: SpinNetwork, end_a: End, end_b: End, labellings: list[tuple[int, ...]]
-) -> list[Fraction]:
+) -> list[tuple[int, int]]:
     """The value of ``_MGraph.mirror_closure(net, end_a, end_b)`` under each
-    labelling, net's labels followed by the joined unit's.  Nothing is
+    labelling, net's labels followed by the joined unit's, as an unreduced
+    (numerator, denominator) pair (see ``_evaluate``).  Nothing is
     checked: net must be valid, end_a and end_b distinct free ends of it,
     and each labelling admissible at net's vertices and the join vertex.
     No merged network is built.  The labellings share one record of
@@ -765,12 +766,15 @@ def _evaluate_mirror_closure(
     return _evaluate(lambda: _MGraph.mirror_closure(net, end_a, end_b), labellings)
 
 
-def _evaluate(build: Callable[[], _MGraph], labellings: list[tuple[int, ...]]) -> list[Fraction]:
+def _evaluate(build: Callable[[], _MGraph], labellings: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     """The value of the graph build() returns under each labelling, each
     admissible on it, where an edge's label is the labelling's entry at the
-    edge's position.  The programs are compiled once per set of
-    zero-labelled positions, from a graph built for it, since zero edges
-    are the only labels the shape step reads."""
+    edge's position.  Each value is the unreduced (numerator, denominator)
+    pair the components' ``_run`` pairs multiply to; the denominator is
+    nonzero but may be negative, and a zero value has numerator 0.  The
+    caller reduces it once, into whatever it builds from it.  The programs
+    are compiled once per set of zero-labelled positions, from a graph built
+    for it, since zero edges are the only labels the shape step reads."""
     programs: dict[frozenset[int], list[tuple]] = {}
     values = []
     for labels in labellings:
@@ -789,7 +793,7 @@ def _evaluate(build: Callable[[], _MGraph], labellings: list[tuple[int, ...]]) -
                 break
             num *= n
             den *= d
-        values.append(Fraction(num, den))
+        values.append((num, den))
     return values
 
 

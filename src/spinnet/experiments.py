@@ -35,7 +35,7 @@ from .errors import (
 )
 # evaluate_closed is not called here; it stays importable from this
 # module: perfbench/spans.py wraps the binding experiments.evaluate_closed.
-from .evaluator import _evaluate_mirror_closure, evaluate_closed, loop_value, theta_value  # noqa: F401
+from .evaluator import _evaluate_mirror_closure, _loop, evaluate_closed, theta_value  # noqa: F401
 from .model import (
     Edge,
     End,
@@ -146,6 +146,18 @@ class StabilityReport:
 # -- joining -------------------------------------------------------------
 
 
+def _require_valid(net: SpinNetwork) -> None:
+    problems = validate_network(net)
+    if problems:
+        raise InvalidNetwork(problems)
+
+
+def _require_free(net: SpinNetwork, *ends: End) -> None:
+    for end in ends:
+        if not net.is_free(end):
+            raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
+
+
 def join_free_ends(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeDistribution:
     """Distribution over the label of the unit formed by joining two free ends.
 
@@ -158,31 +170,49 @@ def join_free_ends(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeDistribut
     channel's labelling; no joined network is built.  Weights of mixed sign
     come from a nonplanar mirror closure, which the evaluator does not yet
     read right, and raise UnsupportedNetwork.
+
+    net is validated here (``validate_network`` finds a network's
+    violations once, so a network the parser has checked costs no second
+    pass) and the ends are checked; the rest is ``_join``.
     """
-    problems = validate_network(net)
-    if problems:
-        raise InvalidNetwork(problems)
+    _require_valid(net)
     if end_a == end_b:
         raise NotAFreeEnd("cannot join an end with itself")
-    for end in (end_a, end_b):
-        if not net.is_free(end):
-            raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
-    a, b = net.label(end_a), net.label(end_b)
+    _require_free(net, end_a, end_b)
+    nonzero = _common_sign(_join(net, end_a, end_b))
+    total = sum(nonzero.values())
+    entries = {c: w / total for c, w in nonzero.items()}
+    return OutcomeDistribution(net.label(end_a), net.label(end_b), entries)
 
+
+def _join(net: SpinNetwork, end_a: End, end_b: End) -> dict[int, Fraction]:
+    """Each admissible label c of the joined unit, in increasing order, with
+    its weight loop(c)/theta(a, b, c) times the value of net's mirror
+    closure through it.  Nothing is checked: net must be valid, and end_a
+    and end_b distinct free ends of it."""
+    a, b = net.label(end_a), net.label(end_b)
     # Every channel closes onto one graph, in which the joined unit is fused
     # with its mirror image: evaluate it under net's labels and each
-    # channel's, unchecked, since net is valid.
+    # channel's.
     channels = admissible_couplings(a, b)
     # a tuple made from a list, not a generator: tuple() sizes a generator's
     # result by a guess and shrinks it, and over many joins the shrunk
     # blocks pile up in the interpreter's tuple free lists (3 MB more peak
     # RSS over a 20 s probe-warm run)
     labels = tuple([e.label for e in net.edges])
-    labellings = [labels + (c,) for c in channels]
-    values = _evaluate_mirror_closure(net, end_a, end_b, labellings)
-    weights = {c: loop_value(c) / theta_value(a, b, c) * value for c, value in zip(channels, values)}
+    values = _evaluate_mirror_closure(net, end_a, end_b, [labels + (c,) for c in channels])
+    # each value is an unreduced pair (n, d): the weight
+    # loop(c)·n·theta_den / (d·theta_num) is reduced once, by Fraction
+    weights = {}
+    for c, (n, d) in zip(channels, values):
+        theta = theta_value(a, b, c)
+        weights[c] = Fraction(_loop(c) * n * theta.denominator, d * theta.numerator)
+    return weights
 
-    nonzero = {c: w for c, w in weights.items() if w != 0}
+
+def _common_sign(weights: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The nonzero channel weights, which must carry one common sign."""
+    nonzero = {c: w for c, w in weights.items() if w}
     if not nonzero:
         raise NullState("the network state vanishes; no outcome has weight")
     if len({w > 0 for w in nonzero.values()}) > 1:
@@ -190,9 +220,7 @@ def join_free_ends(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeDistribut
             "the channel weights differ in sign: the mirror closure is nonplanar, and "
             "evaluate_closed does not read slot order as a rotation system yet (ROADMAP item 1)"
         )
-    total = sum(nonzero.values())
-    entries = {c: w / total for c, w in sorted(nonzero.items())}
-    return OutcomeDistribution(a, b, entries)
+    return nonzero
 
 
 # -- splitting and the exchange ------------------------------------------
@@ -212,6 +240,8 @@ def split_unit(
     A fresh vertex (a, k, a-k) absorbs the old end; the side-1 ends of the
     two fresh edges are the new free ends.  Ids default to fresh ``u<n>``
     (the split-off unit), ``r<n>`` (the remainder) and ``x<n>`` (vertex).
+    The vertex is admissible and the ids are new, so for an integer k the
+    result is valid whenever net is.
     """
     if not net.is_free(end_a):
         raise NotAFreeEnd(f"end {end_a.edge}:{end_a.side} is not a free end")
@@ -221,37 +251,55 @@ def split_unit(
     uid = unit_id if unit_id is not None else net.fresh_id("u")
     rid = rest_id if rest_id is not None else net.fresh_id("r")
     vid = vertex_id if vertex_id is not None else net.fresh_id("x")
-    used = {e.id for e in net.edges} | {v.id for v in net.vertices}
-    if {uid, rid, vid} & used or len({uid, rid, vid}) < 3:
+    if {uid, rid, vid} & net._used_ids or len({uid, rid, vid}) < 3:
         raise InvalidNetwork(message=f"ids {uid!r}/{rid!r}/{vid!r} collide")
     new_edges = net.edges + (Edge(uid, k), Edge(rid, a - k))
     new_vertex = Vertex(vid, (end_a, End(uid, 0), End(rid, 0)))
     return SpinNetwork(new_edges, net.vertices + (new_vertex,))
 
 
-def _exchange(net: SpinNetwork, end_a: End, end_b: End) -> tuple[ExchangeResult, SpinNetwork, End, End]:
-    """Exchange result plus the split network and its new ends (for commits)."""
+def _split_off_unit(net: SpinNetwork, end_a: End) -> tuple[SpinNetwork, End, End]:
+    """``split_unit(net, end_a, 1)`` with the free ends of its unit and of
+    its remainder."""
     uid = net.fresh_id("u")
     rid = net.fresh_id("r")
-    split = split_unit(net, end_a, 1, unit_id=uid, rest_id=rid)
-    dist = join_free_ends(split, End(uid, 1), end_b)
-    b = net.label(end_b)
-    p_up = dist.probability(b + 1)
-    p_down = dist.probability(b - 1) if b >= 1 else Fraction(0)
-    result = ExchangeResult(p_up, p_down, angle_from_probability(p_up))
-    return result, split, End(uid, 1), End(rid, 1)
+    return split_unit(net, end_a, 1, unit_id=uid, rest_id=rid), End(uid, 1), End(rid, 1)
+
+
+_ZERO = Fraction(0)
+
+
+def _exchange(split: SpinNetwork, unit_end: End, end_b: End) -> ExchangeResult:
+    """The exchange read off the join of a split-off unit with end_b.
+    Nothing is checked: split must be valid (a split of a valid network
+    is), and end_b a free end of it other than the unit's."""
+    b = split.label(end_b)
+    weights = _join(split, unit_end, end_b)
+    _common_sign(weights)
+    # the unit comes out as b+1 or b-1: p_up = up/(up+down) and
+    # p_down = down/(up+down), over one common denominator
+    up, down = weights[b + 1], weights.get(b - 1, _ZERO)
+    x = up.numerator * down.denominator
+    y = down.numerator * up.denominator
+    p_up = Fraction(x, x + y)
+    return ExchangeResult(p_up, Fraction(y, x + y), angle_from_probability(p_up))
 
 
 def exchange_experiment(net: SpinNetwork, end_a: End, end_b: End) -> ExchangeResult:
     """Split a unit 1 off end_a and join it with end_b.
 
     The joined unit can only come out as b+1 or b-1; p = p_up defines the
-    angle between the two ends through p = cos^2(theta/2).
+    angle between the two ends through p = cos^2(theta/2).  net is
+    validated once, after the split's own checks; the split, valid by
+    construction, is joined without a second validation, and no
+    ``OutcomeDistribution`` is built for the two outcomes.
     """
     if end_a == end_b:
         raise NotAFreeEnd("cannot exchange an end with itself")
-    result, _split, _unit, _rest = _exchange(net, end_a, end_b)
-    return result
+    split, unit_end, _rest = _split_off_unit(net, end_a)
+    _require_valid(net)
+    _require_free(net, end_b)
+    return _exchange(split, unit_end, end_b)
 
 
 def angle_from_probability(p) -> float:
@@ -268,7 +316,9 @@ def angle_matrix(net: SpinNetwork, ends: Sequence[End] | None = None) -> AngleMa
     """Angles between every pair of the given free ends (default: all).
 
     Each pair is measured counterfactually on the original network, so
-    the order of pairs cannot matter.
+    the order of pairs cannot matter.  net is validated once, after the
+    ends are checked, and each chosen end but the last is split once: the
+    exchanges of the pairs (i, j), j > i, all join the split of end i.
     """
     chosen = tuple(ends) if ends is not None else net.free_ends
     if len(chosen) < 2:
@@ -276,16 +326,16 @@ def angle_matrix(net: SpinNetwork, ends: Sequence[End] | None = None) -> AngleMa
     if len(set(chosen)) != len(chosen):
         raise NotAFreeEnd("ends must be distinct")
     for end in chosen:
-        if not net.is_free(end):
-            raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
+        _require_free(net, end)
         if net.label(end) < 1:
             raise InadmissibleSplit(f"end {end.edge}:{end.side} has label 0, no unit to split")
+    _require_valid(net)
 
     matrix = np.zeros((len(chosen), len(chosen)))
-    for i in range(len(chosen)):
+    for i, end_a in enumerate(chosen[:-1]):
+        split, unit_end, _rest = _split_off_unit(net, end_a)
         for j in range(i + 1, len(chosen)):
-            theta = exchange_experiment(net, chosen[i], chosen[j]).theta
-            matrix[i, j] = matrix[j, i] = theta
+            matrix[i, j] = matrix[j, i] = _exchange(split, unit_end, chosen[j]).theta
     return AngleMatrix(chosen, matrix)
 
 
@@ -336,26 +386,31 @@ def stability_measure(
     the tracked ends are the remainder (label a-1) and the new unit
     (label b+1 or b-1).  Each repetition consumes one unit of end_a's
     label, so the label must not run out before the repetitions do.
+
+    net is validated once, after the arguments are checked, also when no
+    repetition runs.  Each split and each committed network is valid by
+    construction (a unit split off a free end, joined at an admissible
+    label under fresh ids), so none is validated again.
     """
     if repetitions < 0:
         raise OutOfRange(f"repetitions must be >= 0, got {repetitions}")
     if end_a == end_b:
         raise NotAFreeEnd("cannot exchange an end with itself")
-    for end in (end_a, end_b):
-        if not net.is_free(end):
-            raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
+    _require_free(net, end_a, end_b)
     if net.label(end_a) < repetitions:
         raise ExhaustedEnd(
             f"end {end_a.edge}:{end_a.side} (label {net.label(end_a)}) would reach 0 "
             f"before {repetitions} repetitions complete"
         )
+    _require_valid(net)
     rng = random.Random(rng_seed)
 
     angles: list[float] = []
     outcomes: list[int] = []
     current, cur_a, cur_b = net, end_a, end_b
     for _ in range(repetitions):
-        result, split, unit_end, rest_end = _exchange(current, cur_a, cur_b)
+        split, unit_end, rest_end = _split_off_unit(current, cur_a)
+        result = _exchange(split, unit_end, cur_b)
         angles.append(result.theta)
         b = current.label(cur_b)
         up = rng.random() < float(result.p_up)

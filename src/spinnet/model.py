@@ -162,9 +162,17 @@ class SpinNetwork:
                     out.append(end)
         return tuple(out)
 
+    @cached_property
+    def _used_ids(self) -> frozenset[str]:
+        return frozenset(self._edge_by_id) | frozenset(self._vertex_by_id)
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return tuple(_find_violations(self))
+
     def fresh_id(self, prefix: str) -> str:
         """Smallest prefixN not already used as an edge or vertex id."""
-        used = set(self._edge_by_id) | set(self._vertex_by_id)
+        used = self._used_ids
         n = 1
         while f"{prefix}{n}" in used:
             n += 1
@@ -172,7 +180,15 @@ class SpinNetwork:
 
 
 def validate_network(net: SpinNetwork) -> list[Violation]:
-    """All structural, label and admissibility violations, empty when valid."""
+    """All structural, label and admissibility violations, empty when valid.
+
+    A network is immutable, so its violations are found once, on the first
+    call, and kept with it; each call returns a new list of them.
+    """
+    return list(net._violations)
+
+
+def _find_violations(net: SpinNetwork) -> list[Violation]:
     out: list[Violation] = []
     seen_edges: set[str] = set()
     for e in net.edges:
@@ -227,12 +243,14 @@ def merge_free_ends(
     The two old ends attach to the new vertex together with side 0 of the new
     edge; side 1 of the new edge is the merged network's new free end.  Ids
     default to fresh ``j<n>`` / ``w<n>`` names and may be pinned by callers
-    that need to refer to the result.
+    that need to refer to the result; an id that net already uses for an
+    edge or a vertex raises InvalidNetwork.  So the result is valid
+    whenever net is.
     """
     if end_a == end_b:
         raise NotAFreeEnd("cannot merge an end with itself")
     for end in (end_a, end_b):
-        if end.edge not in {e.id for e in net.edges}:
+        if end.edge not in net._edge_by_id:
             raise NotAFreeEnd(f"no edge {end.edge!r} in network")
         if end.side not in (0, 1):
             raise NotAFreeEnd(f"end {end.edge}:{end.side}: an edge has only sides 0 and 1")
@@ -244,7 +262,7 @@ def merge_free_ends(
         raise InadmissibleJoin(f"cannot couple labels {a} and {b} to {new_label}")
     eid = edge_id if edge_id is not None else net.fresh_id("j")
     vid = vertex_id if vertex_id is not None else net.fresh_id("w")
-    if eid in {e.id for e in net.edges} or vid in {v.id for v in net.vertices} or eid == vid:
+    if {eid, vid} & net._used_ids or eid == vid:
         raise InvalidNetwork(message=f"id {eid!r}/{vid!r} already in use")
     new_edge = Edge(eid, new_label)
     new_vertex = Vertex(vid, (end_a, end_b, End(eid, 0)))

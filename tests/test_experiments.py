@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import time
 from fractions import Fraction as F
@@ -14,6 +16,7 @@ from spinnet.errors import (
     NotAFreeEnd,
     NullState,
     OutOfRange,
+    SpinNetError,
     TooFewEnds,
     TooLarge,
     UnsupportedNetwork,
@@ -21,6 +24,7 @@ from spinnet.errors import (
 from spinnet.evaluator import MAX_CLOSED_FORM_LABEL
 from spinnet.experiments import (
     AngleMatrix,
+    ExchangeResult,
     OutcomeDistribution,
     angle_from_probability,
     angle_matrix,
@@ -31,7 +35,15 @@ from spinnet.experiments import (
     stability_measure,
 )
 from spinnet.hilbert import born_join_distribution
-from spinnet.model import End, SpinNetwork, merge_free_ends, validate_network
+from spinnet.model import (
+    Edge,
+    End,
+    SpinNetwork,
+    Vertex,
+    admissible_couplings,
+    merge_free_ends,
+    validate_network,
+)
 
 
 def singlet_net():
@@ -259,6 +271,27 @@ def test_split_unit_structure():
     assert labels == [1, 2, 3]
 
 
+def test_derived_networks_are_valid(open_nets):
+    # what exchanges and stability commits join without validating: a unit
+    # split off a valid network's end, and that unit merged with another end
+    merges = 0
+    for net in open_nets:
+        for end in net.free_ends:
+            if net.label(end) < 1:
+                continue
+            uid = net.fresh_id("u")
+            split = split_unit(net, end, 1, unit_id=uid)
+            assert validate_network(split) == []
+            unit = End(uid, 1)
+            for other in split.free_ends:
+                if other == unit:
+                    continue
+                for c in admissible_couplings(1, split.label(other)):
+                    assert validate_network(merge_free_ends(split, unit, other, c)) == []
+                    merges += 1
+    assert merges > 1000
+
+
 def test_split_unit_rejects_bad_k():
     net = SpinNetwork.from_spec({"a": 3})
     for k in (-1, 4):
@@ -368,6 +401,76 @@ def test_an_end_is_not_exchanged_with_itself(entry):
 # -- stability -----------------------------------------------------------------
 
 
+def _inadmissible_net(a=1, b=1, c=1):
+    # one vertex whose labels break parity, such as (1, 1, 1)
+    return SpinNetwork(
+        (Edge("a", a), Edge("b", b), Edge("c", c)),
+        (Vertex("v", (End("a", 0), End("b", 0), End("c", 0))),),
+    )
+
+
+@pytest.mark.parametrize("repetitions", [0, 1])
+def test_stability_refuses_an_invalid_network_also_with_no_repetitions(repetitions):
+    with pytest.raises(InvalidNetwork):
+        stability_measure(_inadmissible_net(), End("a", 1), End("b", 1), repetitions, 1)
+
+
+# each probe on a network with three free ends a:1, b:1, c:1 and a spare
+# unit on a: three exchanges, or three repetitions, join three splits
+_PROBES = {
+    "exchange_experiment": lambda net: exchange_experiment(net, End("a", 1), End("b", 1)),
+    "angle_matrix": lambda net: angle_matrix(net, [End("a", 1), End("b", 1), End("c", 1)]),
+    "stability_measure": lambda net: stability_measure(net, End("a", 1), End("b", 1), 3, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_PROBES))
+def test_a_probe_validates_its_network_once(monkeypatch, entry):
+    import spinnet.evaluator as ev
+    import spinnet.experiments as ex
+
+    calls = 0
+    validate = ex.validate_network
+
+    def counted(net):
+        nonlocal calls
+        calls += 1
+        return validate(net)
+
+    for owner in (ex, ev):
+        monkeypatch.setattr(owner, "validate_network", counted)
+    net = SpinNetwork.from_spec({"a": 4, "b": 3, "c": 3}, [("v", ("a", "b", "c"))])
+    _PROBES[entry](net)
+    assert calls == 1
+    with pytest.raises(InvalidNetwork):
+        _PROBES[entry](_inadmissible_net(4, 3, 2))
+
+
+def test_an_angle_matrix_splits_each_end_once(monkeypatch):
+    import spinnet.experiments as ex
+
+    splits = []
+    split = ex.split_unit
+
+    def counted(net, end, *args, **kwargs):
+        splits.append(end)
+        return split(net, end, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "split_unit", counted)
+    net = SpinNetwork.from_spec({"a": 2, "b": 2, "c": 2, "d": 2})
+    ends = [End("a", 0), End("b", 1), End("c", 0), End("d", 1)]
+    angle_matrix(net, ends)
+    assert splits == ends[:-1]
+
+
+def test_an_exchange_refuses_an_end_its_split_would_make():
+    # the split adds edges u1 and r1; neither is an end of the network given
+    net = SpinNetwork.from_spec({"a": 2, "b": 2})
+    for end_b in (End("r1", 1), End("u1", 1)):
+        with pytest.raises(NotAFreeEnd):
+            exchange_experiment(net, End("a", 0), end_b)
+
+
 def test_stability_zero_reps():
     net = SpinNetwork.from_spec({"a": 4, "b": 4})
     report = stability_measure(net, End("a", 0), End("b", 0), 0, rng_seed=1)
@@ -416,3 +519,41 @@ def test_stability_drift_small_on_large_ends(seed):
     report = stability_measure(net, End("a", 1), End("b", 1), 3, rng_seed=seed)
     assert report.angles[0] == 0.0  # aligned preparation
     assert report.max_drift < 0.35
+
+
+# -- every probe on the open corpus --------------------------------------------
+
+
+def _probe_answer(run, *args) -> str:
+    try:
+        result = run(*args)
+    except SpinNetError as exc:
+        return type(exc).__name__
+    if isinstance(result, ExchangeResult):
+        return f"exchange {result.p_up} {result.p_down} {result.theta!r}"
+    if isinstance(result, AngleMatrix):
+        return f"angles {result.ends!r} {result.angles.tolist()!r}"
+    return f"stability {result.angles!r} {result.outcomes!r} {result.max_drift!r}"
+
+
+def test_the_open_corpus_probes_answer_as_before(open_nets):
+    # a digest of every exchange and stability run over each ordered pair of
+    # free ends, and of both angle matrices (all ends, ends of label >= 1) of
+    # every open-corpus network, taken before exchanges validated once and
+    # split each end once
+    answers = []
+    for net in open_nets:
+        for end_a, end_b in itertools.permutations(net.free_ends, 2):
+            answers.append(_probe_answer(exchange_experiment, net, end_a, end_b))
+            reps = min(net.label(end_a), 3)
+            answers.append(_probe_answer(stability_measure, net, end_a, end_b, reps, len(answers)))
+        answers.append(_probe_answer(angle_matrix, net))
+        answers.append(_probe_answer(angle_matrix, net, [e for e in net.free_ends if net.label(e) >= 1]))
+    assert len(answers) == 5668
+    assert sum(a.startswith("exchange") for a in answers) == 1812
+    assert sum(a.startswith("stability") for a in answers) == 2288
+    assert sum(a.startswith("angles") for a in answers) == 242
+    h = hashlib.sha256()
+    for answer in answers:
+        h.update(answer.encode() + b"\n")
+    assert h.hexdigest() == "619f913e0f4ec78f1e38bb477b2f362284e58abbca21070a19eef8b33d2ab93b"

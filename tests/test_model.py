@@ -85,6 +85,15 @@ def test_merge_adds_vertex_and_free_end():
     assert validate_network(merged) == []
 
 
+@pytest.mark.parametrize("ids", [{"vertex_id": "c"}, {"edge_id": "v"}])
+def test_merge_refuses_an_id_of_the_other_kind(ids):
+    # a vertex named as an edge, or an edge as a vertex, would make a
+    # network that validate_network flags; split_unit refuses the same
+    net = SpinNetwork.from_spec({"a": 2, "b": 2, "c": 2}, [("v", ("a", "b", "c"))])
+    with pytest.raises(InvalidNetwork, match="already in use"):
+        merge_free_ends(net, End("a", 1), End("b", 1), 0, **ids)
+
+
 def test_merge_rejects_bad_coupling():
     net = SpinNetwork.from_spec({"a": 1, "b": 1})
     with pytest.raises(InadmissibleJoin):
@@ -134,6 +143,30 @@ def test_fresh_id_avoids_collisions():
     net = SpinNetwork.from_spec({"u1": 1, "u2": 3})
     fresh = net.fresh_id("u")
     assert fresh not in {e.id for e in net.edges}
+
+
+def test_a_network_is_validated_once_and_each_call_gets_its_own_list(monkeypatch):
+    import spinnet.model as model
+
+    calls = 0
+    find = model._find_violations
+
+    def counted(net):
+        nonlocal calls
+        calls += 1
+        return find(net)
+
+    monkeypatch.setattr(model, "_find_violations", counted)
+    net = SpinNetwork(
+        (Edge("x", 1), Edge("y", 1), Edge("z", 1)),
+        (Vertex("v", (End("x", 0), End("y", 0), End("z", 0))),),
+    )
+    first = validate_network(net)
+    first.clear()
+    second = validate_network(net)
+    assert [v.kind for v in second] == ["admissibility"]
+    assert second is not validate_network(net)
+    assert calls == 1
 
 
 def test_isomorphism_ignores_slot_order_but_not_labels():
