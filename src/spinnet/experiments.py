@@ -6,7 +6,9 @@ another end turns that distribution into a probability p whose angle
 reading theta = 2*arccos(sqrt(p)) is the angle "between" the two ends.
 The collection of pairwise angles is then checked against the geometry
 of directions in three-dimensional space, and the angle's stability is
-probed by committing sampled outcomes and repeating.
+probed by repeating the exchange, each time on the network the sampled
+outcome would commit.  Such a run is a chain on the tracked label, read
+from one join of the tracked pair.
 
 Probabilities come from closed-network evaluations alone: the network is
 closed on itself through each candidate joined unit and the values are
@@ -36,13 +38,16 @@ from .errors import (
 # evaluate_closed is not called here; it stays importable from this
 # module: perfbench/spans.py wraps the binding experiments.evaluate_closed.
 from .evaluator import _evaluate_mirror_closure, _loop, evaluate_closed, theta_value  # noqa: F401
+# merge_free_ends is not called here either; it stays importable from this
+# module: perfbench/spans.py wraps the binding experiments.merge_free_ends.
 from .model import (
     Edge,
     End,
     SpinNetwork,
     Vertex,
+    _is_label,
     admissible_couplings,
-    merge_free_ends,
+    merge_free_ends,  # noqa: F401
     validate_network,
 )
 
@@ -240,13 +245,14 @@ def split_unit(
     A fresh vertex (a, k, a-k) absorbs the old end; the side-1 ends of the
     two fresh edges are the new free ends.  Ids default to fresh ``u<n>``
     (the split-off unit), ``r<n>`` (the remainder) and ``x<n>`` (vertex).
-    The vertex is admissible and the ids are new, so for an integer k the
-    result is valid whenever net is.
+    A k that is not a label ``validate_network`` accepts (a non-negative
+    ``int``), or exceeds a, raises InadmissibleSplit.  The vertex is
+    admissible and the ids are new, so the result is valid whenever net is.
     """
     if not net.is_free(end_a):
         raise NotAFreeEnd(f"end {end_a.edge}:{end_a.side} is not a free end")
     a = net.label(end_a)
-    if not 0 <= k <= a:
+    if not (_is_label(k) and k <= a):
         raise InadmissibleSplit(f"cannot split a unit of {k} from an end of label {a}")
     uid = unit_id if unit_id is not None else net.fresh_id("u")
     rid = rest_id if rest_id is not None else net.fresh_id("r")
@@ -258,12 +264,10 @@ def split_unit(
     return SpinNetwork(new_edges, net.vertices + (new_vertex,))
 
 
-def _split_off_unit(net: SpinNetwork, end_a: End) -> tuple[SpinNetwork, End, End]:
-    """``split_unit(net, end_a, 1)`` with the free ends of its unit and of
-    its remainder."""
+def _split_off_unit(net: SpinNetwork, end_a: End) -> tuple[SpinNetwork, End]:
+    """``split_unit(net, end_a, 1)`` with the free end of its unit."""
     uid = net.fresh_id("u")
-    rid = net.fresh_id("r")
-    return split_unit(net, end_a, 1, unit_id=uid, rest_id=rid), End(uid, 1), End(rid, 1)
+    return split_unit(net, end_a, 1, unit_id=uid), End(uid, 1)
 
 
 _ZERO = Fraction(0)
@@ -296,7 +300,7 @@ def exchange_experiment(net: SpinNetwork, end_a: End, end_b: End) -> ExchangeRes
     """
     if end_a == end_b:
         raise NotAFreeEnd("cannot exchange an end with itself")
-    split, unit_end, _rest = _split_off_unit(net, end_a)
+    split, unit_end = _split_off_unit(net, end_a)
     _require_valid(net)
     _require_free(net, end_b)
     return _exchange(split, unit_end, end_b)
@@ -333,7 +337,7 @@ def angle_matrix(net: SpinNetwork, ends: Sequence[End] | None = None) -> AngleMa
 
     matrix = np.zeros((len(chosen), len(chosen)))
     for i, end_a in enumerate(chosen[:-1]):
-        split, unit_end, _rest = _split_off_unit(net, end_a)
+        split, unit_end = _split_off_unit(net, end_a)
         for j in range(i + 1, len(chosen)):
             matrix[i, j] = matrix[j, i] = _exchange(split, unit_end, chosen[j]).theta
     return AngleMatrix(chosen, matrix)
@@ -382,15 +386,22 @@ def stability_measure(
 
     Every repetition records the current angle between the tracked ends,
     samples up/down with the exchange probabilities, and commits: the
-    split-off unit is actually joined at the sampled label, after which
-    the tracked ends are the remainder (label a-1) and the new unit
-    (label b+1 or b-1).  Each repetition consumes one unit of end_a's
-    label, so the label must not run out before the repetitions do.
+    split-off unit is joined at the sampled label, after which the tracked
+    ends are the remainder (label a-1) and the new unit (label b+1 or b-1).
+    Each repetition consumes one unit of end_a's label, so the label must
+    not run out before the repetitions do.
+
+    The run has the law of that committing procedure, and for a seed the
+    same report, but it commits no network.  A commit moves one unit from
+    a to b, so the pair's joined label x never changes, and at the vertex
+    (a, b, x) the unit comes out up with weight (a+x-b)(b+x-a+2) and down
+    with weight (a+b-x)(a+b+x+2), both over 4a(b+1).  So the run is a
+    chain on the tracked label: end_a and end_b are joined once, each
+    repetition reads p_up from the pair's channel weights w_x and the
+    vertex weights, and then multiplies each w_x by its branch's weight.
 
     net is validated once, after the arguments are checked, also when no
-    repetition runs.  Each split and each committed network is valid by
-    construction (a unit split off a free end, joined at an admissible
-    label under fresh ids), so none is validated again.
+    repetition runs; a run of no repetition makes no join.
     """
     if repetitions < 0:
         raise OutOfRange(f"repetitions must be >= 0, got {repetitions}")
@@ -407,18 +418,21 @@ def stability_measure(
 
     angles: list[float] = []
     outcomes: list[int] = []
-    current, cur_a, cur_b = net, end_a, end_b
+    a, b = net.label(end_a), net.label(end_b)
+    # the pair's channel weights w_x, as integers over one common denominator
+    weights = _common_sign(_join(net, end_a, end_b)) if repetitions else {}
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    weights = {x: w.numerator * (scale // w.denominator) for x, w in weights.items()}
     for _ in range(repetitions):
-        split, unit_end, rest_end = _split_off_unit(current, cur_a)
-        result = _exchange(split, unit_end, cur_b)
-        angles.append(result.theta)
-        b = current.label(cur_b)
-        up = rng.random() < float(result.p_up)
-        c = b + 1 if up else b - 1
-        outcomes.append(c)
-        jid = split.fresh_id("j")
-        current = merge_free_ends(split, unit_end, cur_b, c, edge_id=jid)
-        cur_a, cur_b = rest_end, End(jid, 1)
+        # each w_x times the up weight at (a, b, x); up + down = 4a(b+1) for
+        # every x, so p_up's denominator is 4a(b+1) times the sum of the w_x
+        ups = {x: w * (a + x - b) * (b + x - a + 2) for x, w in weights.items()}
+        p_up = Fraction(sum(ups.values()), 4 * a * (b + 1) * sum(weights.values()))
+        angles.append(angle_from_probability(p_up))
+        up = rng.random() < float(p_up)
+        weights = ups if up else {x: w * (a + b - x) * (a + b + x + 2) for x, w in weights.items()}
+        a, b = a - 1, (b + 1 if up else b - 1)
+        outcomes.append(b)
 
     drift = max((abs(t - angles[0]) for t in angles), default=0.0)
     return StabilityReport(tuple(angles), tuple(outcomes), drift)

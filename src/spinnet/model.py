@@ -30,6 +30,11 @@ def vertex_admissible(a: int, b: int, c: int) -> bool:
     return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
 
 
+def _is_label(x) -> bool:
+    """True for an edge label: a non-negative ``int`` that is not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def admissible_couplings(a: int, b: int) -> tuple[int, ...]:
     """All labels c with vertex_admissible(a, b, c), in increasing order.
 
@@ -195,7 +200,7 @@ def _find_violations(net: SpinNetwork) -> list[Violation]:
         if e.id in seen_edges:
             out.append(Violation("structure", e.id, "duplicate edge id"))
         seen_edges.add(e.id)
-        if not isinstance(e.label, int) or isinstance(e.label, bool) or e.label < 0:
+        if not _is_label(e.label):
             out.append(Violation("label", e.id, f"label must be a non-negative integer, got {e.label!r}"))
     seen_vertices: set[str] = set()
     end_owner: dict[End, str] = {}
@@ -244,8 +249,10 @@ def merge_free_ends(
     edge; side 1 of the new edge is the merged network's new free end.  Ids
     default to fresh ``j<n>`` / ``w<n>`` names and may be pinned by callers
     that need to refer to the result; an id that net already uses for an
-    edge or a vertex raises InvalidNetwork.  So the result is valid
-    whenever net is.
+    edge or a vertex raises InvalidNetwork, and a new_label that is not a
+    label ``validate_network`` accepts (a non-negative ``int``), or that
+    cannot couple the two ends, raises InadmissibleJoin.  So the result is
+    valid whenever net is.
     """
     if end_a == end_b:
         raise NotAFreeEnd("cannot merge an end with itself")
@@ -258,7 +265,7 @@ def merge_free_ends(
             raise NotAFreeEnd(f"end {end.edge}:{end.side} is attached to vertex {net.attachment(end)!r}")
     a = net.label(end_a)
     b = net.label(end_b)
-    if not vertex_admissible(a, b, new_label):
+    if not _is_label(new_label) or not vertex_admissible(a, b, new_label):
         raise InadmissibleJoin(f"cannot couple labels {a} and {b} to {new_label}")
     eid = edge_id if edge_id is not None else net.fresh_id("j")
     vid = vertex_id if vertex_id is not None else net.fresh_id("w")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -98,6 +99,17 @@ def test_merge_rejects_bad_coupling():
     net = SpinNetwork.from_spec({"a": 1, "b": 1})
     with pytest.raises(InadmissibleJoin):
         merge_free_ends(net, End("a", 0), End("b", 0), 1)
+
+
+@pytest.mark.parametrize("labels, new_label", [
+    ((1, 1), 2.0), ((1, 1), Fraction(2)), ((1, 0), True), ((1, 1), "2"),
+])
+def test_merge_refuses_a_label_that_is_not_an_int(labels, new_label):
+    # each one couples the two ends in value, but validate_network would flag
+    # the merged edge's label
+    net = SpinNetwork.from_spec({"a": labels[0], "b": labels[1]})
+    with pytest.raises(InadmissibleJoin):
+        merge_free_ends(net, End("a", 0), End("b", 0), new_label)
 
 
 def test_merge_label_zero_forces_copy():
