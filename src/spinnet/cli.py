@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -55,24 +54,14 @@ _GATES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Options shared by all subcommands."""
-
-    format: str = "human"  # human | jsonl
-    numeric: str = "exact"  # exact | float
-    tol: float = 1e-9
-    seed: int = 0
-
-
 class _Failure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
 
 
-def _rational(q: Fraction, cfg: RunConfig):
-    if cfg.numeric == "exact":
+def _rational(q: Fraction, args):
+    if args.numeric == "exact":
         # Decimal prints an int of any length; str(int) refuses past the
         # interpreter's int-to-str digit limit (4,300 by default).
         return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
@@ -120,8 +109,8 @@ def _end_name(end: End) -> str:
     return f"{end.edge}:{end.side}"
 
 
-def _emit(cfg: RunConfig, record: dict, human: str) -> None:
-    if cfg.format == "jsonl":
+def _emit(args, record: dict, human: str) -> None:
+    if args.format == "jsonl":
         print(json.dumps(record, sort_keys=True))
     else:
         print(human)
@@ -130,45 +119,31 @@ def _emit(cfg: RunConfig, record: dict, human: str) -> None:
 # -- subcommands -----------------------------------------------------------
 
 
-def _cmd_eval(cfg: RunConfig, args) -> int:
-    value = evaluate_closed(_load_network(args.file))
-    shown = _rational(value, cfg)
-    _emit(cfg, {"value": shown}, str(shown))
+def _cmd_eval(args) -> int:
+    shown = _rational(evaluate_closed(_load_network(args.file)), args)
+    _emit(args, {"value": shown}, str(shown))
     return EXIT_OK
 
 
-def _emit_distribution(cfg: RunConfig, dist) -> int:
-    record = {str(label): _rational(p, cfg) for label, p in dist.entries.items()}
-    human = " ".join(f"c={label} p={_rational(dist.entries[label], cfg)}" for label in dist.support)
-    _emit(cfg, record, human)
+def _pair(args) -> tuple[SpinNetwork, End, End]:
+    net = _load_network(args.file)
+    return net, _resolve_end(net, args.end_a), _resolve_end(net, args.end_b)
+
+
+def _cmd_join(args) -> int:
+    # join and born: args.join is join_free_ends or born_join_distribution
+    dist = args.join(*_pair(args))
+    record = {str(label): _rational(p, args) for label, p in dist.entries.items()}
+    human = " ".join(f"c={label} p={_rational(dist.entries[label], args)}" for label in dist.support)
+    _emit(args, record, human)
     return EXIT_OK
 
 
-def _cmd_join(cfg: RunConfig, args) -> int:
-    net = _load_network(args.file)
-    ends = (_resolve_end(net, args.end_a), _resolve_end(net, args.end_b))
-    return _emit_distribution(cfg, join_free_ends(net, *ends))
-
-
-def _cmd_born(cfg: RunConfig, args) -> int:
-    net = _load_network(args.file)
-    ends = (_resolve_end(net, args.end_a), _resolve_end(net, args.end_b))
-    return _emit_distribution(cfg, born_join_distribution(net, *ends))
-
-
-def _cmd_exchange(cfg: RunConfig, args) -> int:
-    net = _load_network(args.file)
-    r = exchange_experiment(net, _resolve_end(net, args.end_a), _resolve_end(net, args.end_b))
-    record = {
-        "p_up": _rational(r.p_up, cfg),
-        "p_down": _rational(r.p_down, cfg),
-        "theta": r.theta,
-    }
-    human = (
-        f"p_up={_rational(r.p_up, cfg)} p_down={_rational(r.p_down, cfg)} "
-        f"theta={r.theta!r} rad ({math.degrees(r.theta):.6f} deg)"
-    )
-    _emit(cfg, record, human)
+def _cmd_exchange(args) -> int:
+    r = exchange_experiment(*_pair(args))
+    p_up, p_down = _rational(r.p_up, args), _rational(r.p_down, args)
+    human = f"p_up={p_up} p_down={p_down} theta={r.theta!r} rad ({math.degrees(r.theta):.6f} deg)"
+    _emit(args, {"p_up": p_up, "p_down": p_down, "theta": r.theta}, human)
     return EXIT_OK
 
 
@@ -178,21 +153,21 @@ def _angles_for(args):
     return angle_matrix(net, ends)
 
 
-def _cmd_angles(cfg: RunConfig, args) -> int:
+def _cmd_angles(args) -> int:
     am = _angles_for(args)
     names = [_end_name(e) for e in am.ends]
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             _emit(
-                cfg,
+                args,
                 {"end_a": names[i], "end_b": names[j], "theta": am.angles[i][j]},
                 f"{names[i]} {names[j]} theta={am.angles[i][j]!r}",
             )
     return EXIT_OK
 
 
-def _cmd_geometry(cfg: RunConfig, args) -> int:
-    report = geometry_consistency(_angles_for(args), tol=cfg.tol)
+def _cmd_geometry(args) -> int:
+    report = geometry_consistency(_angles_for(args), tol=args.tol)
     rows = report.embedding
     record = {
         "embeddable": report.embeddable,
@@ -200,34 +175,27 @@ def _cmd_geometry(cfg: RunConfig, args) -> int:
         "embedding": None if rows is None else [[float(x) for x in row] for row in rows],
     }
     human = f"embeddable={'true' if report.embeddable else 'false'} residual={report.gram_residual:g}"
-    _emit(cfg, record, human)
+    _emit(args, record, human)
     return EXIT_OK
 
 
-def _cmd_stability(cfg: RunConfig, args) -> int:
-    net = _load_network(args.file)
-    report = stability_measure(
-        net,
-        _resolve_end(net, args.end_a),
-        _resolve_end(net, args.end_b),
-        args.reps,
-        cfg.seed,
-    )
+def _cmd_stability(args) -> int:
+    report = stability_measure(*_pair(args), args.reps, args.seed)
     for i, (theta, outcome) in enumerate(zip(report.angles, report.outcomes)):
         _emit(
-            cfg,
+            args,
             {"outcome": outcome, "rep": i, "theta": theta},
             f"rep={i} theta={theta!r} outcome={outcome}",
         )
     _emit(
-        cfg,
+        args,
         {"max_drift": report.max_drift, "repetitions": args.reps},
         f"max_drift={report.max_drift!r}",
     )
     return EXIT_OK
 
 
-def _cmd_dynamics(cfg: RunConfig, args) -> int:
+def _cmd_dynamics(args) -> int:
     ancillas = args.ancillas
     if not 0 <= ancillas <= MAX_QUBITS:  # before an ancilla state is built
         raise OutOfRange(f"--ancillas must lie in 0..{MAX_QUBITS}, got {ancillas}")
@@ -263,7 +231,7 @@ def _cmd_dynamics(cfg: RunConfig, args) -> int:
         f"fidelity={report.fidelity!r} success_prob={report.success_prob!r} "
         f"sequence=[{human_steps}]"
     )
-    _emit(cfg, record, human)
+    _emit(args, record, human)
     return EXIT_OK
 
 
@@ -291,22 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("join", parents=[common], help="outcome distribution of joining two free ends")
-    p.add_argument("file")
-    p.add_argument("end_a")
-    p.add_argument("end_b")
-    p.set_defaults(handler=_cmd_join)
+    pair = argparse.ArgumentParser(add_help=False, parents=[common])
+    for name in ("file", "end_a", "end_b"):
+        pair.add_argument(name)
 
-    p = sub.add_parser("born", parents=[common], help="the same distribution by the Born rule (the check path)")
-    p.add_argument("file")
-    p.add_argument("end_a")
-    p.add_argument("end_b")
-    p.set_defaults(handler=_cmd_born)
+    p = sub.add_parser("join", parents=[pair], help="outcome distribution of joining two free ends")
+    p.set_defaults(handler=_cmd_join, join=join_free_ends)
 
-    p = sub.add_parser("exchange", parents=[common], help="unit-exchange probabilities and angle")
-    p.add_argument("file")
-    p.add_argument("end_a")
-    p.add_argument("end_b")
+    p = sub.add_parser("born", parents=[pair], help="the same distribution by the Born rule (the check path)")
+    p.set_defaults(handler=_cmd_join, join=born_join_distribution)
+
+    p = sub.add_parser("exchange", parents=[pair], help="unit-exchange probabilities and angle")
     p.set_defaults(handler=_cmd_exchange)
 
     p = sub.add_parser("angles", parents=[common], help="pairwise emergent angles between free ends")
@@ -320,10 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(handler=_cmd_geometry)
 
-    p = sub.add_parser("stability", parents=[common], help="repeat committed exchanges and track the angle")
-    p.add_argument("file")
-    p.add_argument("end_a")
-    p.add_argument("end_b")
+    p = sub.add_parser("stability", parents=[pair], help="repeat committed exchanges and track the angle")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_stability)
@@ -345,14 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig(
-        format=args.format,
-        numeric=args.numeric,
-        tol=getattr(args, "tol", 1e-9),
-        seed=getattr(args, "seed", 0),
-    )
     try:
-        return args.handler(cfg, args)
+        return args.handler(args)
     except _Failure as exc:
         print(exc, file=sys.stderr)
         return exc.code

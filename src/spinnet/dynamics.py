@@ -8,10 +8,11 @@ over short postselection sequences for ones whose induced action on a
 system register (with ancillas prepared and read back in a reference
 state) approximates a chosen unitary.
 
-Every projector entry is 0, +-1/2 or 1.  One index builder lays them out
-as a float matrix; pair_projector and sequence_channel hold the same
-entries as exact ``Fraction`` values, which is exact because they are
-dyadic.  States run in complex double precision with identities checked
+Every projector entry is 0, +-1/2 or 1.  A pair projector is the value
+(pair, channel, n_qubits); its float matrix, laid out by one index
+builder, and its exact ``Fraction`` rep, which sequence_channel composes,
+are derived from it on first use and hold the same entries, since they
+are dyadic.  States run in complex double precision with identities checked
 to 1e-12.  The search runs in real double precision when the ancilla
 state is real, as every named one is, and in complex double precision
 otherwise.
@@ -23,6 +24,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -56,17 +58,26 @@ TRIPLET = PairChannel.TRIPLET
 class PairProjector:
     """Total-spin projector on one qubit pair, identity elsewhere.
 
-    pair indexes two qubits (0 = most significant tensor factor); rep is
-    the exact matrix on the whole register.
+    pair indexes two qubits of an n_qubits register (0 = most significant
+    tensor factor).  matrix (float64, read-only) and rep (exact) are the
+    projector on the whole register, derived on first use.
     """
 
     pair: tuple[int, int]
     channel: PairChannel
-    rep: LinearMapRep
+    n_qubits: int
 
-    @property
-    def n_qubits(self) -> int:
-        return len(self.rep.in_labels)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        full = _pair_matrix(self.n_qubits, *self.pair, self.channel)
+        full.flags.writeable = False
+        return full
+
+    @cached_property
+    def rep(self) -> LinearMapRep:
+        exact = {v: Fraction(v) for v in np.unique(self.matrix).tolist()}  # dyadic, so exact
+        labels = (1,) * self.n_qubits
+        return LinearMapRep(labels, labels, np.vectorize(exact.__getitem__, otypes=[object])(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -103,18 +114,16 @@ def pair_projector(n_qubits: int, i: int, j: int, channel: PairChannel) -> PairP
     """Projector onto the singlet (rank 1) or triplet (rank 3) of qubits i, j."""
     if not 0 <= i < j < n_qubits:
         raise BadIndices(f"need 0 <= i < j < n_qubits, got i={i}, j={j}, n={n_qubits}")
-    full = _pair_matrix(n_qubits, i, j, channel)
-    exact = {v: Fraction(v) for v in np.unique(full).tolist()}  # dyadic, so exact
-    labels = (1,) * n_qubits
-    rep = LinearMapRep(labels, labels, np.vectorize(exact.__getitem__, otypes=[object])(full))
-    return PairProjector((i, j), channel, rep)
+    return PairProjector((i, j), channel, n_qubits)
 
 
 def apply_postselected(state: StateVector, p: PairProjector) -> tuple[StateVector, float]:
     """Project a normalized state and renormalize; returns the success probability."""
-    if state.labels != p.rep.in_labels:
-        raise MalformedArguments(f"state labels {state.labels} != {p.rep.in_labels}")
-    projected = p.rep.to_complex() @ state.amplitudes
+    labels = (1,) * p.n_qubits
+    if state.labels != labels:
+        raise MalformedArguments(f"state labels {state.labels} != {labels}")
+    # complex amplitudes out, real ones in included
+    projected = p.matrix @ np.asarray(state.amplitudes, dtype=np.complex128)
     prob = float(np.vdot(projected, projected).real)
     if prob <= _PROB_FLOOR:
         raise ZeroProbability(
@@ -221,20 +230,14 @@ def _serial_best(fids: np.ndarray, best: float) -> tuple[int, float]:
     """The scan `for c, f in enumerate(fids): if f > best + 1e-15: best = f`.
 
     Returns the last child the scan takes (-1 for none) and the best after
-    it.  Only children above the starting best can be taken; each step
-    jumps to the first later one that beats the current best by 1e-15.
+    it.  Only children above the starting best can be taken, so only they
+    are scanned.
     """
-    cand = np.flatnonzero(fids > best + 1e-15)
-    vals = fids[cand]
-    taken = -1  # position in cand
-    while taken + 1 < len(vals):
-        ahead = vals[taken + 1:] > best + 1e-15
-        step = int(ahead.argmax())
-        if not ahead[step]:
-            break
-        taken += 1 + step
-        best = float(vals[taken])
-    return (int(cand[taken]) if taken >= 0 else -1), best
+    taken = -1
+    for c in np.flatnonzero(fids > best + 1e-15).tolist():
+        if fids[c] > best + 1e-15:
+            taken, best = c, float(fids[c])
+    return taken, best
 
 
 def approximate_unitary_search(
@@ -305,13 +308,11 @@ def approximate_unitary_search(
     embed_h = embed.conj().T
 
     ops = [
-        (i, j, ch)
+        pair_projector(n, i, j, ch)
         for i, j in itertools.combinations(range(n), 2)
         for ch in (SINGLET, TRIPLET)
     ]
-    mats = np.array(
-        [_pair_matrix(n, i, j, ch) for i, j, ch in ops], dtype=embed.dtype
-    ).reshape(len(ops), 1 << n, 1 << n)
+    mats = np.array([p.matrix for p in ops], dtype=embed.dtype).reshape(len(ops), 1 << n, 1 << n)
 
     # Row c of seqs holds the indices into ops of frontier sequence c.  ops
     # is listed in (i, j, channel value) order, so comparing rows orders
@@ -360,7 +361,7 @@ def approximate_unitary_search(
         elif frontier:
             lifts, last, seqs = kids, op, np.concatenate((seqs[parent], op[:, None]), axis=1)
 
-    steps = tuple(pair_projector(n, *ops[o]) for o in best_seq.tolist())
+    steps = tuple(ops[o] for o in best_seq.tolist())
     return SearchReport(
         MeasurementSequence(steps, ancilla_count=ancillas),
         best_fid,

@@ -107,7 +107,7 @@ class ExchangeResult:
             raise OutOfRange(f"theta {self.theta} outside [0, pi]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleMatrix:
     """Pairwise angles between free ends; symmetric with zero diagonal."""
 
@@ -130,7 +130,7 @@ class AngleMatrix:
         return float(self.angles[self.ends.index(end_a), self.ends.index(end_b)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometryReport:
     """Whether an angle collection fits directions in three dimensions."""
 
@@ -168,13 +168,12 @@ def join_free_ends(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeDistribut
 
     For each admissible label c the joined network is closed on itself
     through the new unit (mirror gluing along all free ends) and weighted
-    by loop(c)/theta(a, b, c); the weights, which all carry one common
-    sign, normalize to exact rational probabilities, so a bare loop's
-    factor, common to every channel, is left out.  The closure is built
-    once, straight from net and the two ends, and read under each
-    channel's labelling; no joined network is built.  Weights of mixed sign
-    come from a nonplanar mirror closure, which the evaluator does not yet
-    read right, and raise UnsupportedNetwork.
+    by loop(c)/theta(a, b, c); the weights normalize to exact rational
+    probabilities, so a bare loop's factor, common to every channel, is
+    left out.  The closure is built once, straight from net and the two
+    ends, and read under each channel's labelling; no joined network is
+    built.  The weights come from ``_join``, which refuses a vanishing
+    state and weights of mixed sign.
 
     net is validated here (``validate_network`` finds a network's
     violations once, so a network the parser has checked costs no second
@@ -184,17 +183,23 @@ def join_free_ends(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeDistribut
     if end_a == end_b:
         raise NotAFreeEnd("cannot join an end with itself")
     _require_free(net, end_a, end_b)
-    nonzero = _common_sign(_join(net, end_a, end_b))
-    total = sum(nonzero.values())
-    entries = {c: w / total for c, w in nonzero.items()}
+    weights = _join(net, end_a, end_b)
+    total = sum(weights.values())
+    entries = {c: Fraction(w, total) for c, w in weights.items()}
     return OutcomeDistribution(net.label(end_a), net.label(end_b), entries)
 
 
-def _join(net: SpinNetwork, end_a: End, end_b: End) -> dict[int, Fraction]:
-    """Each admissible label c of the joined unit, in increasing order, with
-    its weight loop(c)/theta(a, b, c) times the value of net's mirror
-    closure through it.  Nothing is checked: net must be valid, and end_a
-    and end_b distinct free ends of it."""
+def _join(net: SpinNetwork, end_a: End, end_b: End) -> dict[int, int]:
+    """Each label c the joined unit takes with nonzero weight, in increasing
+    order, with its weight as a positive integer: loop(c)/theta(a, b, c)
+    times the value of net's mirror closure through c, over one common
+    denominator that is dropped (and the common sign with it).
+
+    Raises NullState when every weight is 0, and UnsupportedNetwork when
+    the weights differ in sign: then the mirror closure is nonplanar,
+    which the evaluator does not yet read right.  Nothing is checked: net
+    must be valid, and end_a and end_b distinct free ends of it.
+    """
     a, b = net.label(end_a), net.label(end_b)
     # Every channel closes onto one graph, in which the joined unit is fused
     # with its mirror image: evaluate it under net's labels and each
@@ -210,22 +215,19 @@ def _join(net: SpinNetwork, end_a: End, end_b: End) -> dict[int, Fraction]:
     # loop(c)·n·theta_den / (d·theta_num) is reduced once, by Fraction
     weights = {}
     for c, (n, d) in zip(channels, values):
+        # for every channel, a zero one too: each is refused past the label bound
         theta = theta_value(a, b, c)
-        weights[c] = Fraction(_loop(c) * n * theta.denominator, d * theta.numerator)
-    return weights
-
-
-def _common_sign(weights: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The nonzero channel weights, which must carry one common sign."""
-    nonzero = {c: w for c, w in weights.items() if w}
-    if not nonzero:
+        if n:
+            weights[c] = Fraction(_loop(c) * n * theta.denominator, d * theta.numerator)
+    if not weights:
         raise NullState("the network state vanishes; no outcome has weight")
-    if len({w > 0 for w in nonzero.values()}) > 1:
+    if len({w > 0 for w in weights.values()}) > 1:
         raise UnsupportedNetwork(
             "the channel weights differ in sign: the mirror closure is nonplanar, and "
             "evaluate_closed does not read slot order as a rotation system yet (ROADMAP item 1)"
         )
-    return nonzero
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    return {c: abs(w.numerator) * (scale // w.denominator) for c, w in weights.items()}
 
 
 # -- splitting and the exchange ------------------------------------------
@@ -270,23 +272,17 @@ def _split_off_unit(net: SpinNetwork, end_a: End) -> tuple[SpinNetwork, End]:
     return split_unit(net, end_a, 1, unit_id=uid), End(uid, 1)
 
 
-_ZERO = Fraction(0)
-
-
 def _exchange(split: SpinNetwork, unit_end: End, end_b: End) -> ExchangeResult:
     """The exchange read off the join of a split-off unit with end_b.
     Nothing is checked: split must be valid (a split of a valid network
     is), and end_b a free end of it other than the unit's."""
     b = split.label(end_b)
     weights = _join(split, unit_end, end_b)
-    _common_sign(weights)
-    # the unit comes out as b+1 or b-1: p_up = up/(up+down) and
-    # p_down = down/(up+down), over one common denominator
-    up, down = weights[b + 1], weights.get(b - 1, _ZERO)
-    x = up.numerator * down.denominator
-    y = down.numerator * up.denominator
-    p_up = Fraction(x, x + y)
-    return ExchangeResult(p_up, Fraction(y, x + y), angle_from_probability(p_up))
+    # the unit comes out as b+1 or b-1, the join's only channels; p_down is
+    # 1 - p_up, which takes no second reduction of the weights
+    up = weights.get(b + 1, 0)
+    p_up = Fraction(up, up + weights.get(b - 1, 0))
+    return ExchangeResult(p_up, 1 - p_up, angle_from_probability(p_up))
 
 
 def exchange_experiment(net: SpinNetwork, end_a: End, end_b: End) -> ExchangeResult:
@@ -419,10 +415,8 @@ def stability_measure(
     angles: list[float] = []
     outcomes: list[int] = []
     a, b = net.label(end_a), net.label(end_b)
-    # the pair's channel weights w_x, as integers over one common denominator
-    weights = _common_sign(_join(net, end_a, end_b)) if repetitions else {}
-    scale = math.lcm(*(w.denominator for w in weights.values()))
-    weights = {x: w.numerator * (scale // w.denominator) for x, w in weights.items()}
+    # the pair's channel weights w_x, positive integers
+    weights = _join(net, end_a, end_b) if repetitions else {}
     for _ in range(repetitions):
         # each w_x times the up weight at (a, b, x); up + down = 4a(b+1) for
         # every x, so p_up's denominator is 4a(b+1) times the sum of the w_x

@@ -371,7 +371,7 @@ def _outer_all(vectors: Sequence[np.ndarray]) -> np.ndarray:
 # -- Hilbert-space views ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """A vector in the tensor product of the labelled irreps."""
 
@@ -390,7 +390,7 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMapRep:
     """A linear map between tensor products of irreps, with exact entries.
 

@@ -21,26 +21,28 @@ SpinLabel = int
 def vertex_admissible(a: int, b: int, c: int) -> bool:
     """True when three edge labels may meet at a trivalent vertex.
 
-    Two conditions: the triangle inequality |a - b| <= c <= a + b, and
-    a + b + c even so every strand entering the vertex pairs off with a
-    strand of another edge (no strand can terminate).
+    Each must be a label (see _is_label).  Then two conditions: the
+    triangle inequality |a - b| <= c <= a + b, and a + b + c even so every
+    strand entering the vertex pairs off with a strand of another edge (no
+    strand can terminate).  The triangle inequality holds only when all
+    three are non-negative, so _is_label's sign check is not repeated:
+    this runs once per recoupling step.
     """
-    if min(a, b, c) < 0:
-        return False
-    return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
+    return type(a) is type(b) is type(c) is int and (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
 
 
 def _is_label(x) -> bool:
-    """True for an edge label: a non-negative ``int`` that is not a ``bool``."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+    """True for an edge label: a non-negative plain ``int`` (not a ``bool``)."""
+    return type(x) is int and x >= 0
 
 
 def admissible_couplings(a: int, b: int) -> tuple[int, ...]:
     """All labels c with vertex_admissible(a, b, c), in increasing order.
 
-    There are exactly min(a, b) + 1 of them: |a-b|, |a-b|+2, ..., a+b.
+    There are exactly min(a, b) + 1 of them: |a-b|, |a-b|+2, ..., a+b; none
+    when a or b is not a label.
     """
-    if a < 0 or b < 0:
+    if not (_is_label(a) and _is_label(b)):
         return ()
     return tuple(range(abs(a - b), a + b + 1, 2))
 
@@ -98,24 +100,26 @@ class SpinNetwork:
 
         Each vertex names three edge ids; ends are claimed in declaration
         order, side 0 before side 1.  Naming an edge a third time is a
-        structural violation.
+        structural violation.  Ids, in edges and in vertices alike, are
+        taken as ``str(id)``; labels are taken as given, so one that is not
+        a label (a non-negative ``int``) is a label violation.
         """
         if isinstance(edges, Mapping):
             edge_items = list(edges.items())
         else:
             edge_items = list(edges)
-        edge_objs = tuple(Edge(str(i), int(lbl)) for i, lbl in edge_items)
+        edge_objs = tuple(Edge(str(i), lbl) for i, lbl in edge_items)
         claimed: dict[str, int] = {}  # edge id -> number of ends used so far
         vertex_objs = []
         overclaimed = []
         for vid, eids in vertices:
             slot_ends = []
-            for eid in eids:
+            for eid in map(str, eids):
                 n = claimed.get(eid, 0)
                 claimed[eid] = n + 1
                 if n >= 2:
                     overclaimed.append(
-                        Violation("structure", vid, f"edge {eid!r} has no end left to attach")
+                        Violation("structure", str(vid), f"edge {eid!r} has no end left to attach")
                     )
                 slot_ends.append(End(eid, min(n, 1)))
             vertex_objs.append(Vertex(str(vid), tuple(slot_ends)))

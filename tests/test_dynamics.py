@@ -113,6 +113,42 @@ def test_pair_projector_rejects_bad_indices():
         pair_projector(2, -1, 0, SINGLET)
 
 
+def test_a_pair_projector_is_a_value():
+    p, q = pair_projector(2, 0, 1, SINGLET), pair_projector(2, 0, 1, SINGLET)
+    assert p == q and hash(p) == hash(q)
+    assert p != pair_projector(2, 0, 1, TRIPLET)
+    assert (p.pair, p.channel, p.n_qubits) == ((0, 1), SINGLET, 2)
+    assert MeasurementSequence((p,), 1) == MeasurementSequence((q,), 1)
+    assert hash(MeasurementSequence((p,), 1)) == hash(MeasurementSequence((q,), 1))
+
+
+def test_a_pair_projector_derives_a_read_only_float_matrix_once():
+    p = pair_projector(3, 0, 2, TRIPLET)
+    assert p.matrix is p.matrix and p.rep is p.rep
+    assert p.matrix.dtype == np.float64
+    assert p.matrix.tobytes() == _pair_matrix(3, 0, 2, TRIPLET).tobytes()
+    with pytest.raises(ValueError):
+        p.matrix[0, 0] = 2.0
+
+
+def test_search_reports_compare_as_values():
+    anc = StateVector((1, 1), np.kron(PLUS, UP))
+    report = approximate_unitary_search(X_GATE, 2, max_len=2, ancilla_state=anc)
+    assert report.best_sequence.steps  # a report with steps
+    assert report == approximate_unitary_search(X_GATE, 2, max_len=2, ancilla_state=anc)
+    hash(report.best_sequence)
+
+
+def test_states_and_exact_maps_compare_by_identity():
+    # they hold numpy arrays, whose == is elementwise, so equality is identity
+    rep = pair_projector(2, 0, 1, SINGLET).rep
+    other = pair_projector(2, 0, 1, SINGLET).rep
+    state = qubit_state(UP, DOWN)
+    for x, y in ((rep, other), (state, qubit_state(UP, DOWN))):
+        assert x == x and x != y
+        assert hash(x) == hash(x)
+
+
 def test_measurement_sequence_rejects_mixed_registers():
     two = pair_projector(2, 0, 1, SINGLET)
     three = pair_projector(3, 0, 1, SINGLET)

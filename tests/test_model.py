@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ def test_admissible_examples():
     assert vertex_admissible(1, 1, 2)
     assert not vertex_admissible(1, 1, 1)
     assert not vertex_admissible(1, 2, 5)
+    negative = [t for t in itertools.product(range(-4, 5), repeat=3) if min(t) < 0]
+    assert not any(vertex_admissible(*t) for t in negative)
 
 
 @given(labels, labels, labels)
@@ -46,6 +49,35 @@ def test_couplings_are_the_even_ladder(a, b):
     assert couplings == tuple(range(abs(a - b), a + b + 1, 2))
     assert len(couplings) == min(a, b) + 1
     assert all(vertex_admissible(a, b, c) for c in couplings)
+
+
+@pytest.mark.parametrize("triple", [
+    (1, 1, 2.0), (True, True, 0), (2, 1, Fraction(1)), (1, "1", 2), (1.0, 1, 0), (0, 0, False),
+])
+def test_vertex_admissible_refuses_what_is_not_a_label(triple):
+    # each triple couples in value
+    assert not vertex_admissible(*triple)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, Fraction(2), "2", 1.5, None, -1])
+def test_what_is_not_a_label_has_no_couplings(bad):
+    assert admissible_couplings(bad, 1) == () == admissible_couplings(1, bad)
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "3", Fraction(2), 2.0])
+def test_from_spec_refuses_a_label_that_is_not_an_int(bad):
+    with pytest.raises(InvalidNetwork) as info:
+        SpinNetwork.from_spec({"a": 2, "b": bad})
+    assert [v.kind for v in info.value.violations] == ["label"]
+
+
+def test_from_spec_names_edges_the_same_way_in_edges_and_vertices():
+    net = SpinNetwork.from_spec({1: 1, 2: 1, 3: 0}, [("v", (1, 2, 3))])
+    assert [e.id for e in net.edges] == ["1", "2", "3"]
+    assert net.vertex("v").ends == (End("1", 0), End("2", 0), End("3", 0))
+    with pytest.raises(InvalidNetwork) as info:
+        SpinNetwork.from_spec({1: 2, 2: 2}, [(5, (1, 1, 1))])
+    assert {v.subject for v in info.value.violations} == {"5"}
 
 
 def test_validate_empty_network():
