@@ -33,11 +33,12 @@ class EvalCache:
     """LRU memo keyed by tuples: the type of the process cache.
 
     ``default_cache()`` builds the one instance the package reads and
-    writes.  It holds the evaluator's theta and tet values (``Fraction``),
-    the ``hilbert`` coefficients ``cg`` and ``6j`` (``Radical``) and the
-    ``hilbert`` tensors with their scales (``cg-band``, ``vertex-3j``,
-    ``pairing``, ``bargmann-metric``), whose arrays are read-only because
-    every caller shares them.
+    writes.  It holds the evaluator's theta, tet and recoupling values
+    (``Fraction``) and its triangle factors (an unreduced ``(numerator,
+    denominator)`` pair of ints), the ``hilbert`` coefficients ``cg`` and
+    ``6j`` (``Radical``) and the ``hilbert`` tensors with their scales
+    (``cg-band``, ``vertex-3j``, ``pairing``, ``bargmann-metric``), whose
+    arrays are read-only because every caller shares them.
     """
 
     def __init__(self, max_entries: int | None = None):
@@ -116,8 +117,12 @@ def _loop(n: int) -> int:
 
 def theta_value(a: int, b: int, c: int) -> Fraction:
     """Value of the two-vertex network whose three edges carry a, b, c."""
+    # checked on every call, hits included: a float or bool label's key
+    # would equal an int one's
+    if not (type(a) is type(b) is type(c) is int):
+        raise InadmissibleTriple(a, b, c)
     # the key holds the labels in increasing order, found by comparisons
-    # rather than sorted(): a hit is the label step's most frequent call
+    # rather than sorted(): once the cache is warm nearly every call hits
     lo, hi = (a, b) if a <= b else (b, a)
     if c >= hi:
         key = ("theta", lo, hi, c)
@@ -190,16 +195,24 @@ def tet_canonical_key(a: int, b: int, c: int, d: int, e: int, f: int) -> tuple[i
 def tet_value(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
     """Value of the tetrahedral network with vertex triples
     (a,d,e), (b,c,e), (a,b,f), (c,d,f)."""
+    if not (type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is int):
+        # checked on every call, as in theta_value: a label that is not an
+        # int fails both its vertex triples, so this raises
+        _require_tet_admissible(a, b, c, d, e, f)
     key = ("tet",) + tet_canonical_key(a, b, c, d, e, f)
     return default_cache().get_or(key, _tet, a, b, c, d, e, f)
+
+
+def _require_tet_admissible(a: int, b: int, c: int, d: int, e: int, f: int) -> None:
+    for triple in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)):
+        if not vertex_admissible(*triple):
+            raise InadmissibleTriple(*triple)
 
 
 def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
     # checked on a cache miss only, as for _theta: the 24 symmetries only
     # permute the four vertex triples
-    for triple in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)):
-        if not vertex_admissible(*triple):
-            raise InadmissibleTriple(*triple)
+    _require_tet_admissible(a, b, c, d, e, f)
     _check_label_bound((a, b, c, d, e, f))
     half_sums = ((a + d + e) // 2, (b + c + e) // 2, (a + b + f) // 2, (c + d + f) // 2)
     pair_sums = ((b + d + e + f) // 2, (a + c + e + f) // 2, (a + b + c + d) // 2)
@@ -234,7 +247,15 @@ def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
 
 def recoupling_coefficient(a: int, b: int, c: int, d: int, j: int, i: int) -> Fraction:
     """Weight of the i-channel when an edge j with end vertices (a,b|j) and
-    (c,d|j) is traded for an edge i with end vertices (a,d|i) and (b,c|i)."""
+    (c,d|j) is traded for an edge i with end vertices (a,d|i) and (b,c|i):
+    loop(i) tet / (theta(a,d,i) theta(b,c,i))."""
+    if not (type(a) is type(b) is type(c) is type(d) is type(j) is type(i) is int):
+        _require_tet_admissible(a, b, c, d, i, j)  # raises, as in tet_value
+    return default_cache().get_or(("recoupling", a, b, c, d, j, i), _recoupling, a, b, c, d, j, i)
+
+
+def _recoupling(a: int, b: int, c: int, d: int, j: int, i: int) -> Fraction:
+    # its tet holds all six labels, so the tet checks them on a miss
     loop = _loop(i)
     tet = tet_value(a, b, c, d, i, j)
     ad, bc = theta_value(a, d, i), theta_value(b, c, i)
@@ -266,14 +287,17 @@ def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -
 # rewires an _MGraph whose edges hold positions into a label tuple, and
 # returns the ops the moves leave as a tuple, its program.  The label step
 # (_run, _recouple) reads those ops on one label tuple, with one
-# closed-form lookup per op, in integers: a value is a (numerator,
-# denominator) pair, multiplied unreduced, and reduced once per recoupling
-# total, by one gcd, before the step memoises it.  The process cache keeps
-# the closed forms as Fractions; the label step reads their parts.  Once
-# the cache is warm nearly every lookup is a hit, so a hit only builds its
-# key and reads the cache: no sort, no closure, and no reordering unless
-# the cache is bounded.  A program is compiled once per schedule node and
-# read by every branch that reaches that node.
+# closed-form lookup per op and per recoupling branch, in integers: a value
+# is a (numerator, denominator) pair, multiplied unreduced, and reduced
+# once per recoupling total, by one gcd, before the step memoises it.  A
+# move's scalar is cached whole: a triangle's tet/theta as the pair it
+# multiplies in, keyed by its six labels, and a branch's recoupling
+# coefficient as a Fraction, so the tets and thetas they are built from are
+# looked up only on a miss.  Once the cache is warm nearly every lookup is
+# a hit, so a hit only builds its key and reads the cache: no sort, no
+# closure, and no reordering unless the cache is bounded.  A program is
+# compiled once per schedule node and read by every branch that reaches
+# that node.
 
 
 class _MGraph:
@@ -841,10 +865,12 @@ def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> tuple[int, int]:
             alpha, beta, gamma = labels[pa], labels[pb], labels[pg]
             if not vertex_admissible(alpha, beta, gamma):
                 return 0, 1
-            tet = tet_value(alpha, beta, labels[pq], labels[pr], labels[pp], gamma)
-            theta = theta_value(alpha, beta, gamma)
-            num *= tet.numerator * theta.denominator
-            den *= tet.denominator * theta.numerator
+            lp, lq, lr = labels[pp], labels[pq], labels[pr]
+            tn, td = default_cache().get_or(
+                ("triangle", alpha, beta, gamma, lp, lq, lr), _triangle, alpha, beta, gamma, lp, lq, lr
+            )
+            num *= tn
+            den *= td
         elif code == _RECOUPLE:
             step = op[1]
             state = tuple([labels[p] for p in step.gather])
@@ -870,6 +896,16 @@ def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> tuple[int, int]:
             return num, den
         else:
             return 0, 1
+
+
+def _triangle(alpha: int, beta: int, gamma: int, p: int, q: int, r: int) -> tuple[int, int]:
+    """The factor a triangle op multiplies in, tet over theta, as the
+    unreduced (numerator, denominator) pair the label step reads: the
+    3-cycle with edges p, q, r and outer legs alpha, beta, gamma (an
+    admissible triple) contracts to one vertex on those legs."""
+    tet = tet_value(alpha, beta, q, r, p, gamma)
+    theta = theta_value(alpha, beta, gamma)
+    return tet.numerator * theta.denominator, tet.denominator * theta.numerator
 
 
 def _recouple(step: _Recoupling, state: tuple[int, ...], call: _Call) -> tuple[int, int]:

@@ -93,6 +93,24 @@ def test_tet_rejects_inadmissible_vertex(fresh_cache):
     assert ev.default_cache().stats == {"size": 1, "hits": 0, "misses": 1}
 
 
+@pytest.mark.parametrize("fn, labels, bad", [
+    (theta_value, (1, 1, 2), (1, 1, 2.0)),
+    (theta_value, (1, 1, 2), (True, 1, 2)),
+    (tet_value, (1, 1, 1, 1, 0, 0), (1.0, 1, 1, 1, 0, 0)),
+    (tet_value, (1, 1, 1, 1, 2, 2), (1, 1, 1, True, 2, 2)),
+    (recoupling_coefficient, (1, 1, 1, 1, 0, 2), (1, 1, 1, 1, 0, 2.0)),
+    (recoupling_coefficient, (1, 1, 1, 1, 2, 0), (True, 1, 1, 1, 2, 0)),
+])
+def test_a_label_that_is_not_an_int_is_refused_once_its_key_is_cached(fresh_cache, fn, labels, bad):
+    # a float or bool label's key equals the int one's: the label types are
+    # checked on every call, not only when the lookup misses
+    fn(*labels)
+    stats = fresh_cache.stats
+    with pytest.raises(InadmissibleTriple):
+        fn(*bad)
+    assert fresh_cache.stats == stats
+
+
 def test_degenerate_tet_reduces_to_theta():
     # an f=0 rung welds the two (a,b,·) vertices into a theta
     assert tet_value(1, 1, 1, 1, 2, 0) == theta_value(1, 1, 2)
@@ -212,6 +230,13 @@ def test_a_label_past_the_closed_form_bound_is_too_large(fresh_cache):
         evaluate_closed(theta_net(top + 1, top + 1, 2))
     with pytest.raises(TooLarge, match="closed-form bound"):
         tet_value(top + 1, top + 1, top + 1, top + 1, 2, 2)
+    # a move factor past the bound is refused by its tet and stores nothing
+    size = len(fresh_cache)
+    with pytest.raises(TooLarge, match="closed-form bound"):
+        recoupling_coefficient(top + 1, top + 1, top + 1, top + 1, 2, 2)
+    with pytest.raises(TooLarge, match="closed-form bound"):
+        evaluate_closed(tet_net(top + 1, top + 1, top + 1, top + 1, 2, 2))
+    assert len(fresh_cache) == size
 
 
 _IMPORT_CHECK = """
@@ -366,6 +391,32 @@ def test_recoupling_coefficient_refuses_inadmissible_labels(labels):
     assert not _recoupling_admissible(*labels)
     with pytest.raises(InadmissibleTriple):
         recoupling_coefficient(*labels)
+
+
+def test_a_warm_recoupling_coefficient_equals_a_cold_one(fresh_cache):
+    cases = [labels for labels in itertools.product(range(5), repeat=6) if _recoupling_admissible(*labels)]
+    for labels in cases:
+        recoupling_coefficient(*labels)
+    warm = {labels: recoupling_coefficient(*labels) for labels in cases}
+    assert fresh_cache.hits >= len(cases)
+    for labels in cases:
+        fresh_cache.clear()
+        assert recoupling_coefficient(*labels) == warm[labels], labels
+
+
+def test_each_cached_triangle_factor_is_its_tet_over_its_theta(fresh_cache):
+    # tet networks reduce by one triangle op; every factor cached under a
+    # ("triangle", alpha, beta, gamma, p, q, r) key must be the pair the op
+    # multiplies in, built here from uncached tet and theta values
+    grid = [(a, b, c, d, e, f) for a, b, c, d, e, f in itertools.product(range(4), repeat=6)
+            if _recoupling_admissible(a, b, c, d, f, e)]  # the tet's four vertex triples
+    for labels in grid:
+        assert evaluate_closed(tet_net(*labels)) == ev._tet(*labels)
+    factors = {key[1:]: value for key, value in fresh_cache._data.items() if key[0] == "triangle"}
+    assert len(factors) > 50
+    for (alpha, beta, gamma, p, q, r), pair in factors.items():
+        tet, theta = ev._tet(alpha, beta, q, r, p, gamma), ev._theta(alpha, beta, gamma)
+        assert pair == (tet.numerator * theta.denominator, tet.denominator * theta.numerator)
 
 
 # -- the reference engine, the programs, the memo and the finders ------------
@@ -764,6 +815,18 @@ def _counted(monkeypatch, net, *names):
             patch.setattr(ev, name, spy(name, getattr(ev, name)))
         value = evaluate_closed(net)
     return value, calls
+
+
+def test_a_warm_evaluation_looks_up_move_factors_and_no_tet(monkeypatch, fresh_cache):
+    # a move's scalar is one cache entry: once the cache is warm no tet is
+    # looked up, and every branch still reads its recoupling coefficient
+    net = _ladder(8, 33)
+    names = ("tet_value", "recoupling_coefficient")
+    cold_value, cold = _counted(monkeypatch, net, *names)
+    warm_value, warm = _counted(monkeypatch, net, *names)
+    assert warm_value == cold_value == _reference_value(net)
+    assert cold["tet_value"] > 0 and warm["tet_value"] == 0
+    assert warm["recoupling_coefficient"] == cold["recoupling_coefficient"] > 0
 
 
 def test_schedule_tree_searches_a_repeated_shape_once(monkeypatch):
