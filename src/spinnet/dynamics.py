@@ -284,12 +284,13 @@ def approximate_unitary_search(
         raise MalformedArguments("target has non-finite entries")
     if np.max(np.abs(target.conj().T @ target - np.eye(1 << k))) > 1e-9:
         raise MalformedArguments("target is not unitary")
-    if ancillas < 0 or max_len < 0:
-        raise OutOfRange("ancillas and max_len must be nonnegative")
-    if beam_width is not None and beam_width < 1:
-        raise OutOfRange(f"beam_width must be >= 1, got {beam_width}")
-    if node_budget < 1:
-        raise OutOfRange(f"node_budget must be >= 1, got {node_budget}")
+    # counts are plain ints: a bool or float one would run as a number
+    if not (type(ancillas) is type(max_len) is int and ancillas >= 0 and max_len >= 0):
+        raise OutOfRange(f"ancillas and max_len must be ints >= 0, got {ancillas!r} and {max_len!r}")
+    if beam_width is not None and (type(beam_width) is not int or beam_width < 1):
+        raise OutOfRange(f"beam_width must be an int >= 1, got {beam_width!r}")
+    if type(node_budget) is not int or node_budget < 1:
+        raise OutOfRange(f"node_budget must be an int >= 1, got {node_budget!r}")
     n = k + ancillas
     if n > MAX_QUBITS:
         raise OutOfRange(f"{n} qubits exceeds the desk-scale bound of {MAX_QUBITS}")

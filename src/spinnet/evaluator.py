@@ -13,7 +13,6 @@ coefficients are the closed forms below.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -33,12 +32,15 @@ class EvalCache:
     """LRU memo keyed by tuples: the type of the process cache.
 
     ``default_cache()`` builds the one instance the package reads and
-    writes.  It holds the evaluator's theta, tet and recoupling values
-    (``Fraction``) and its triangle factors (an unreduced ``(numerator,
-    denominator)`` pair of ints), the ``hilbert`` coefficients ``cg`` and
-    ``6j`` (``Radical``) and the ``hilbert`` tensors with their scales
-    (``cg-band``, ``vertex-3j``, ``pairing``, ``bargmann-metric``), whose
-    arrays are read-only because every caller shares them.
+    writes, and the package keeps no other memo across calls, so a cleared
+    cache is a cold one.  It holds the evaluator's theta and recoupling
+    values (``Fraction``) and its triangle factors (an unreduced
+    ``(numerator, denominator)`` pair of ints), the ``hilbert``
+    coefficients ``cg`` and ``6j`` (``Radical``) and the ``hilbert``
+    tensors with their scales (``cg-band``, ``vertex-3j``, ``pairing``,
+    ``bargmann-metric``), whose arrays are read-only because every caller
+    shares them.  Tets are not cached: each is computed when a move factor
+    built from it misses.
     """
 
     def __init__(self, max_entries: int | None = None):
@@ -105,6 +107,8 @@ def default_cache() -> EvalCache:
 
 def loop_value(n: int) -> Fraction:
     """Value of a free loop of label n: (-1)^n (n + 1)."""
+    if type(n) is not int:
+        raise OutOfRange(f"label must be a non-negative int, got {n!r}")
     return Fraction(_loop(n))
 
 
@@ -134,9 +138,9 @@ def theta_value(a: int, b: int, c: int) -> Fraction:
 
 
 # The largest label a closed form takes; a larger one raises TooLarge.  The
-# cost grows with the labels (factorials of them, and for _tet a Racah sum
+# cost grows with the labels (factorials of them, and for a tet a Racah sum
 # whose length grows with them too): with every label at the bound, one
-# _theta takes about 0.4 s and one _tet about 4 s on a 2-core host, and
+# _theta takes about 0.4 s and one tet_value about 4 s on a 2-core host, and
 # _theta(n, n, n) takes about 4x as long per doubling of n past it.
 MAX_CLOSED_FORM_LABEL = 32_768
 
@@ -161,57 +165,11 @@ def _theta(a: int, b: int, c: int) -> Fraction:
     return Fraction(sign * num, den)
 
 
-# The six arguments label the edges of a tetrahedral network whose four
-# vertices carry the triples (a,d,e), (b,c,e), (a,b,f), (c,d,f).  The 24
-# relabelings induced by permuting the four vertices leave the value fixed;
-# _TET_SYMMETRIES holds them as index permutations for canonical cache keys.
-
-
-def _tet_symmetries() -> tuple[tuple[int, ...], ...]:
-    edge_of_pair = {
-        frozenset("wx"): 4, frozenset("wy"): 0, frozenset("wz"): 3,
-        frozenset("xy"): 1, frozenset("xz"): 2, frozenset("yz"): 5,
-    }
-    pair_of_index = {i: pair for pair, i in edge_of_pair.items()}
-    perms = set()
-    for sigma in itertools.permutations("wxyz"):
-        m = dict(zip("wxyz", sigma))
-        image = tuple(
-            edge_of_pair[frozenset(m[p] for p in pair_of_index[i])] for i in range(6)
-        )
-        perms.add(image)
-    return tuple(sorted(perms))
-
-
-_TET_SYMMETRIES = _tet_symmetries()
-
-
-@functools.lru_cache(maxsize=4096)  # asked for on every tet lookup, hits included
-def tet_canonical_key(a: int, b: int, c: int, d: int, e: int, f: int) -> tuple[int, ...]:
-    labels = (a, b, c, d, e, f)
-    return min(tuple(labels[i] for i in perm) for perm in _TET_SYMMETRIES)
-
-
 def tet_value(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
     """Value of the tetrahedral network with vertex triples
-    (a,d,e), (b,c,e), (a,b,f), (c,d,f)."""
-    if not (type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is int):
-        # checked on every call, as in theta_value: a label that is not an
-        # int fails both its vertex triples, so this raises
-        _require_tet_admissible(a, b, c, d, e, f)
-    key = ("tet",) + tet_canonical_key(a, b, c, d, e, f)
-    return default_cache().get_or(key, _tet, a, b, c, d, e, f)
-
-
-def _require_tet_admissible(a: int, b: int, c: int, d: int, e: int, f: int) -> None:
-    for triple in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)):
-        if not vertex_admissible(*triple):
-            raise InadmissibleTriple(*triple)
-
-
-def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
-    # checked on a cache miss only, as for _theta: the 24 symmetries only
-    # permute the four vertex triples
+    (a,d,e), (b,c,e), (a,b,f), (c,d,f).  Not cached: the label step looks
+    up the move factors built from it, and computes a tet only when one of
+    those misses."""
     _require_tet_admissible(a, b, c, d, e, f)
     _check_label_bound((a, b, c, d, e, f))
     half_sums = ((a + d + e) // 2, (b + c + e) // 2, (a + b + f) // 2, (c + d + f) // 2)
@@ -245,12 +203,19 @@ def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
     return Fraction(-numer if lo % 2 else numer, denom)
 
 
+def _require_tet_admissible(a: int, b: int, c: int, d: int, e: int, f: int) -> None:
+    # vertex_admissible refuses a label that is not a plain int
+    for triple in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)):
+        if not vertex_admissible(*triple):
+            raise InadmissibleTriple(*triple)
+
+
 def recoupling_coefficient(a: int, b: int, c: int, d: int, j: int, i: int) -> Fraction:
     """Weight of the i-channel when an edge j with end vertices (a,b|j) and
     (c,d|j) is traded for an edge i with end vertices (a,d|i) and (b,c|i):
     loop(i) tet / (theta(a,d,i) theta(b,c,i))."""
     if not (type(a) is type(b) is type(c) is type(d) is type(j) is type(i) is int):
-        _require_tet_admissible(a, b, c, d, i, j)  # raises, as in tet_value
+        _require_tet_admissible(a, b, c, d, i, j)  # raises: a non-int fails its triples
     return default_cache().get_or(("recoupling", a, b, c, d, j, i), _recoupling, a, b, c, d, j, i)
 
 
@@ -292,12 +257,12 @@ def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -
 # once per recoupling total, by one gcd, before the step memoises it.  A
 # move's scalar is cached whole: a triangle's tet/theta as the pair it
 # multiplies in, keyed by its six labels, and a branch's recoupling
-# coefficient as a Fraction, so the tets and thetas they are built from are
-# looked up only on a miss.  Once the cache is warm nearly every lookup is
-# a hit, so a hit only builds its key and reads the cache: no sort, no
-# closure, and no reordering unless the cache is bounded.  A program is
-# compiled once per schedule node and read by every branch that reaches
-# that node.
+# coefficient as a Fraction.  Only a miss computes the move's tet (tets are
+# not cached) and looks up its thetas.  Once the cache is warm nearly every
+# lookup is a hit, so a hit only builds its key and reads the cache: no
+# sort, no closure, and no reordering unless the cache is bounded.  A
+# program is compiled once per schedule node and read by every branch that
+# reaches that node.
 
 
 class _MGraph:

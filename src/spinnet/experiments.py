@@ -347,8 +347,11 @@ def geometry_consistency(am: AngleMatrix, tol: float = 1e-9) -> GeometryReport:
     the most negative eigenvalue to the magnitudes of eigenvalues beyond
     the third-largest, so it vanishes exactly on realizable collections.
     Eigenvalues within tol of zero count as zero, so solver noise on a
-    true-zero spectrum reports residual 0 rather than ~1e-16.
+    true-zero spectrum reports residual 0 rather than ~1e-16.  tol must
+    satisfy 0 <= tol < inf.
     """
+    if not 0 <= tol < math.inf:
+        raise OutOfRange(f"tol must satisfy 0 <= tol < inf, got {tol}")
     gram = np.cos(am.angles)
     np.fill_diagonal(gram, 1.0)
     eigenvalues, eigenvectors = np.linalg.eigh(gram)  # ascending
@@ -399,8 +402,8 @@ def stability_measure(
     net is validated once, after the arguments are checked, also when no
     repetition runs; a run of no repetition makes no join.
     """
-    if repetitions < 0:
-        raise OutOfRange(f"repetitions must be >= 0, got {repetitions}")
+    if type(repetitions) is not int or repetitions < 0:
+        raise OutOfRange(f"repetitions must be an int >= 0, got {repetitions!r}")
     if end_a == end_b:
         raise NotAFreeEnd("cannot exchange an end with itself")
     _require_free(net, end_a, end_b)

@@ -720,6 +720,25 @@ def test_search_rejects_beam_width_below_one(beam_width):
         approximate_unitary_search(X_GATE, 2, 3, beam_width=beam_width)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("ancillas", True), ("ancillas", 1.0), ("ancillas", "2"),
+    ("max_len", True), ("max_len", 2.0), ("max_len", None),
+    ("beam_width", True), ("beam_width", 2.5), ("beam_width", 4.0),
+    ("node_budget", True), ("node_budget", 100.0), ("node_budget", None),
+])
+def test_search_refuses_a_count_that_is_not_an_int(monkeypatch, name, value):
+    # refused before any state or projector is built
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("a refused search must not start")
+
+    monkeypatch.setattr(dynamics, "default_ancilla_state", no_work)
+    monkeypatch.setattr(dynamics, "pair_projector", no_work)
+    args = {"ancillas": 2, "max_len": 2, "beam_width": None, "node_budget": 1000}
+    args[name] = value
+    with pytest.raises(OutOfRange):
+        approximate_unitary_search(X_GATE, args.pop("ancillas"), args.pop("max_len"), **args)
+
+
 def test_search_rejects_out_of_range_sizes():
     with pytest.raises(OutOfRange):
         approximate_unitary_search(X_GATE, -1, 1)

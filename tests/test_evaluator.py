@@ -10,7 +10,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from netgen import (
     cube_net,
@@ -24,16 +24,14 @@ from netgen import (
     theta_net,
 )
 from spinnet import evaluator as ev
-from spinnet.errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, SpinNetError, TooLarge
+from spinnet.errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, OutOfRange, SpinNetError, TooLarge
 from spinnet.evaluator import (
     EvalCache,
-    _TET_SYMMETRIES,
     evaluate_closed,
     loop_value,
     recoupling_coefficient,
     recoupling_six_j_magnitude,
     strand_expansion_oracle,
-    tet_canonical_key,
     tet_value,
     theta_value,
 )
@@ -66,6 +64,12 @@ def test_loop_values():
         assert abs(loop_value(n)) == n + 1
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5, 1.0, True, False, "3", None])
+def test_loop_value_refuses_a_value_that_is_not_a_label(bad):
+    with pytest.raises(OutOfRange):
+        loop_value(bad)
+
+
 @given(st.integers(min_value=0, max_value=8))
 def test_theta_with_zero_leg_is_a_loop(n):
     assert theta_value(n, n, 0) == loop_value(n)
@@ -90,7 +94,8 @@ def test_tet_rejects_inadmissible_vertex(fresh_cache):
     tet_value(1, 1, 1, 1, 2, 2)
     with pytest.raises(InadmissibleTriple):
         tet_value(1, 1, 1, 1, 1, 1)
-    assert ev.default_cache().stats == {"size": 1, "hits": 0, "misses": 1}
+    # a tet is computed where it is asked for and stores nothing
+    assert ev.default_cache().stats == {"size": 0, "hits": 0, "misses": 0}
 
 
 @pytest.mark.parametrize("fn, labels, bad", [
@@ -124,12 +129,48 @@ def test_tet_matches_strand_oracle(labels):
     assert evaluate_closed(net) == want
 
 
-@given(st.tuples(*[st.integers(min_value=0, max_value=12)] * 6))
-def test_tet_canonical_key_is_the_least_relabeling(labels):
-    key = tet_canonical_key(*labels)
-    assert key == min(tuple(labels[i] for i in perm) for perm in _TET_SYMMETRIES)
-    for perm in _TET_SYMMETRIES:
-        assert tet_canonical_key(*(labels[i] for i in perm)) == key
+def _tet_relabelings() -> list[tuple[int, ...]]:
+    """The 24 permutations of tet_value's six arguments that relabeling the
+    tetrahedron's four vertices w, x, y, z induces: argument k labels the
+    edge between the pair of vertices at index k below."""
+    pairs = ["wy", "xy", "xz", "wz", "wx", "yz"]
+    index = {frozenset(pair): k for k, pair in enumerate(pairs)}
+    perms = set()
+    for sigma in itertools.permutations("wxyz"):
+        image = dict(zip("wxyz", sigma))
+        perms.add(tuple(index[frozenset(image[v] for v in pairs[k])] for k in range(6)))
+    return sorted(perms)
+
+
+TET_RELABELINGS = _tet_relabelings()
+
+
+@st.composite
+def _admissible_tets(draw, top=12):
+    """Labels (a, b, c, d, e, f) up to top whose four vertex triples
+    (a,d,e), (b,c,e), (a,b,f), (c,d,f) are admissible."""
+    label = st.integers(min_value=0, max_value=top)
+    a, b, d = draw(label), draw(label), draw(label)
+    e = draw(st.sampled_from([x for x in admissible_couplings(a, d) if x <= top]))
+    f = draw(st.sampled_from([x for x in admissible_couplings(a, b) if x <= top]))
+    cs = [x for x in admissible_couplings(b, e) if x <= top and x in admissible_couplings(d, f)]
+    assume(cs)
+    return a, b, draw(st.sampled_from(cs)), d, e, f
+
+
+@settings(deadline=None, max_examples=200)
+@given(_admissible_tets())
+def test_tet_is_invariant_under_the_24_vertex_relabelings(labels):
+    # no key stands in for the tet's symmetry: each relabeling is summed anew
+    assert len(TET_RELABELINGS) == 24
+    value = tet_value(*labels)
+    for perm in TET_RELABELINGS:
+        assert tet_value(*(labels[i] for i in perm)) == value, perm
+
+
+def test_the_evaluator_keeps_no_memo_outside_the_process_cache():
+    # a functools memo would survive default_cache().clear()
+    assert [name for name, obj in vars(ev).items() if hasattr(obj, "cache_info")] == []
 
 
 def test_tet_symmetry_under_vertex_relabelings():
@@ -173,7 +214,7 @@ def test_term_ratio_tet_equals_the_racah_sum():
         if not cs:
             continue
         labels = (a, b, rng.choice(cs), d, e, f)
-        assert ev._tet(*labels) == _racah_tet(*labels), labels
+        assert tet_value(*labels) == _racah_tet(*labels), labels
         checked += 1
 
 
@@ -411,11 +452,11 @@ def test_each_cached_triangle_factor_is_its_tet_over_its_theta(fresh_cache):
     grid = [(a, b, c, d, e, f) for a, b, c, d, e, f in itertools.product(range(4), repeat=6)
             if _recoupling_admissible(a, b, c, d, f, e)]  # the tet's four vertex triples
     for labels in grid:
-        assert evaluate_closed(tet_net(*labels)) == ev._tet(*labels)
+        assert evaluate_closed(tet_net(*labels)) == tet_value(*labels)
     factors = {key[1:]: value for key, value in fresh_cache._data.items() if key[0] == "triangle"}
     assert len(factors) > 50
     for (alpha, beta, gamma, p, q, r), pair in factors.items():
-        tet, theta = ev._tet(alpha, beta, q, r, p, gamma), ev._theta(alpha, beta, gamma)
+        tet, theta = tet_value(alpha, beta, q, r, p, gamma), ev._theta(alpha, beta, gamma)
         assert pair == (tet.numerator * theta.denominator, tet.denominator * theta.numerator)
 
 

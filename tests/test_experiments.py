@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netgen import aligned_triple, mirror_closures_planar, mixed_sign_join
+from netgen import aligned_triple, grown_network, mirror_closures_planar, mixed_sign_join
+from spinnet import experiments
 from spinnet.errors import (
     ExhaustedEnd,
     InadmissibleSplit,
@@ -399,6 +400,61 @@ def test_the_row_sums_hold_on_the_evaluator_path_on_a_nonplanar_closure(open_net
     assert _row_sums(net, join_free_ends) == _free_end_casimirs(net)
 
 
+# -- both identities on hypothesis-drawn networks ----------------------------
+
+_grown_networks = st.integers(min_value=0, max_value=2**32 - 1).map(
+    lambda seed: grown_network(random.Random(seed))
+)
+
+
+def _or_null(join, net, end_a, end_b):
+    """join(net, end_a, end_b), or None where the state vanishes."""
+    try:
+        return join(net, end_a, end_b)
+    except NullState:
+        return None
+
+
+@settings(deadline=None, max_examples=40)
+@given(_grown_networks)
+def test_the_exchange_identity_holds_on_grown_networks(net):
+    # on the Born path for every ordered pair, on the evaluator where every
+    # closure the exchange and the pair's join evaluate is planar
+    for end_a, end_b in itertools.permutations(net.free_ends, 2):
+        a, b = net.label(end_a), net.label(end_b)
+        if a < 1:
+            continue
+        uid = net.fresh_id("u")
+        split = split_unit(net, end_a, 1, unit_id=uid)
+        pair = _or_null(born_join_distribution, net, end_a, end_b)
+        exchanged = _or_null(born_join_distribution, split, End(uid, 1), end_b)
+        assert (pair is None) == (exchanged is None)
+        planar = mirror_closures_planar(net, end_a, end_b) and mirror_closures_planar(split, End(uid, 1), end_b)
+        if pair is None:
+            if planar:
+                with pytest.raises(NullState):
+                    exchange_experiment(net, end_a, end_b)
+            continue
+        p_up = _p_up_at_one_vertex(pair, a, b)
+        assert p_up == exchanged.probability(b + 1)
+        if planar:
+            assert exchange_experiment(net, end_a, end_b).p_up == p_up
+            assert _p_up_at_one_vertex(join_free_ends(net, end_a, end_b), a, b) == p_up
+
+
+@settings(deadline=None, max_examples=40)
+@given(_grown_networks)
+def test_the_row_sums_hold_on_grown_networks(net):
+    # on the Born path whenever every pair answers, on the evaluator when
+    # also every pair's closures are planar
+    pairs = list(itertools.combinations(net.free_ends, 2))
+    if any(_or_null(born_join_distribution, net, *pair) is None for pair in pairs):
+        return
+    assert _row_sums(net, born_join_distribution) == _free_end_casimirs(net)
+    if all(mirror_closures_planar(net, *pair) for pair in pairs):
+        assert _row_sums(net, join_free_ends) == _free_end_casimirs(net)
+
+
 @given(st.integers(min_value=0, max_value=1000))
 def test_angle_round_trip(i):
     p = F(i, 1000)
@@ -536,6 +592,21 @@ def test_geometry_orthogonal_directions_embed():
     assert report.embeddable
     gram = report.embedding @ report.embedding.T
     assert np.max(np.abs(gram - np.eye(3))) < 1e-9
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_geometry_refuses_a_tolerance_outside_zero_to_infinity(tol):
+    am = angle_matrix(aligned_triple(4), [End("eA", 1), End("eB", 1), End("eC", 1)])
+    with pytest.raises(OutOfRange):
+        geometry_consistency(am, tol=tol)
+
+
+def test_geometry_takes_a_zero_tolerance():
+    ends = (End("x", 0), End("y", 0), End("z", 0))
+    half = math.pi / 2
+    square = np.full((3, 3), half) - np.diag([half] * 3)
+    report = geometry_consistency(AngleMatrix(ends, square), tol=0.0)
+    assert report.embeddable and report.gram_residual == 0.0
 
 
 # -- ends that name no side of an edge ---------------------------------------
@@ -693,6 +764,18 @@ def test_stability_needs_label_headroom():
         stability_measure(net, End("a", 0), End("b", 0), 3, rng_seed=1)
     with pytest.raises(OutOfRange):
         stability_measure(net, End("a", 0), End("b", 0), -1, rng_seed=1)
+
+
+@pytest.mark.parametrize("repetitions", [True, False, 2.0, 1.5, "2", None])
+def test_stability_refuses_a_repetition_count_that_is_not_an_int(monkeypatch, repetitions):
+    # refused before any join is made
+    def no_join(*_args):
+        raise AssertionError("a refused run must not join")
+
+    monkeypatch.setattr(experiments, "_join", no_join)
+    net = SpinNetwork.from_spec({"a": 4, "b": 4})
+    with pytest.raises(OutOfRange):
+        stability_measure(net, End("a", 0), End("b", 0), repetitions, rng_seed=1)
 
 
 def test_stability_is_deterministic_given_seed():
