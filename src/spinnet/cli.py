@@ -167,7 +167,7 @@ def _cmd_angles(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
-    report = geometry_consistency(_angles_for(args), tol=args.tol)
+    report = geometry_consistency(_angles_for(args))
     rows = report.embedding
     record = {
         "embeddable": report.embeddable,
@@ -238,13 +238,6 @@ def _cmd_dynamics(args) -> int:
 # -- argument plumbing ------------------------------------------------------
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("tolerance must be > 0")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinnet",
@@ -280,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geometry", parents=[common], help="rank-3 embeddability of the angle matrix")
     p.add_argument("file")
     p.add_argument("ends", nargs="*")
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(handler=_cmd_geometry)
 
     p = sub.add_parser("stability", parents=[pair], help="repeat committed exchanges and track the angle")

@@ -58,14 +58,25 @@ TRIPLET = PairChannel.TRIPLET
 class PairProjector:
     """Total-spin projector on one qubit pair, identity elsewhere.
 
-    pair indexes two qubits of an n_qubits register (0 = most significant
-    tensor factor).  matrix (float64, read-only) and rep (exact) are the
-    projector on the whole register, derived on first use.
+    pair indexes two qubits i < j of an n_qubits register (0 = most
+    significant tensor factor), each a plain ``int``.  matrix (float64,
+    read-only) and rep (exact) are the projector on the whole register,
+    derived on first use.
     """
 
     pair: tuple[int, int]
     channel: PairChannel
     n_qubits: int
+
+    def __post_init__(self):
+        # a channel other than SINGLET would build the triplet projector, and
+        # a float index would fail only at the first .matrix
+        if not isinstance(self.channel, PairChannel):
+            raise MalformedArguments(f"channel must be a PairChannel, got {self.channel!r}")
+        pair, n = self.pair, self.n_qubits
+        if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is type(n) is int
+                and 0 <= pair[0] < pair[1] < n):
+            raise BadIndices(f"need a pair (i, j) of ints with 0 <= i < j < n_qubits, got {pair!r}, n={n!r}")
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -88,6 +99,8 @@ class MeasurementSequence:
     ancilla_count: int = 0
 
     def __post_init__(self):
+        if type(self.ancilla_count) is not int or self.ancilla_count < 0:
+            raise OutOfRange(f"ancilla_count must be an int >= 0, got {self.ancilla_count!r}")
         sizes = {p.n_qubits for p in self.steps}
         if len(sizes) > 1:
             raise BadIndices(f"projectors act on registers of different sizes: {sizes}")
@@ -112,8 +125,6 @@ def _pair_matrix(n_qubits: int, i: int, j: int, channel: PairChannel) -> np.ndar
 
 def pair_projector(n_qubits: int, i: int, j: int, channel: PairChannel) -> PairProjector:
     """Projector onto the singlet (rank 1) or triplet (rank 3) of qubits i, j."""
-    if not 0 <= i < j < n_qubits:
-        raise BadIndices(f"need 0 <= i < j < n_qubits, got i={i}, j={j}, n={n_qubits}")
     return PairProjector((i, j), channel, n_qubits)
 
 

@@ -35,17 +35,18 @@ class EvalCache:
     writes, and the package keeps no other memo across calls, so a cleared
     cache is a cold one.  It holds the evaluator's theta and recoupling
     values (``Fraction``) and its triangle factors (an unreduced
-    ``(numerator, denominator)`` pair of ints), the ``hilbert``
-    coefficients ``cg`` and ``6j`` (``Radical``) and the ``hilbert``
-    tensors with their scales (``cg-band``, ``vertex-3j``, ``pairing``,
+    ``(numerator, denominator)`` pair of ints) and the ``hilbert`` tensors
+    with their scales (``cg-band``, ``vertex-3j``, ``pairing``,
     ``bargmann-metric``), whose arrays are read-only because every caller
     shares them.  Tets are not cached: each is computed when a move factor
-    built from it misses.
+    built from it misses, and neither are the public ``hilbert``
+    coefficients.  max_entries is a plain ``int`` of at least 1, or None
+    for no bound.
     """
 
     def __init__(self, max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise OutOfRange("cache bound must be positive or None")
+        if max_entries is not None and (type(max_entries) is not int or max_entries < 1):
+            raise OutOfRange(f"cache bound must be an int >= 1 or None, got {max_entries!r}")
         self.max_entries = max_entries
         self._data: OrderedDict = OrderedDict()
         self.hits = 0

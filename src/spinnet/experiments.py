@@ -238,15 +238,15 @@ def split_unit(
     end_a: End,
     k: int,
     *,
-    vertex_id: str | None = None,
     unit_id: str | None = None,
     rest_id: str | None = None,
 ) -> SpinNetwork:
     """Split a free end of label a into free ends of labels k and a - k.
 
     A fresh vertex (a, k, a-k) absorbs the old end; the side-1 ends of the
-    two fresh edges are the new free ends.  Ids default to fresh ``u<n>``
-    (the split-off unit), ``r<n>`` (the remainder) and ``x<n>`` (vertex).
+    two fresh edges are the new free ends.  The vertex takes a fresh
+    ``x<n>`` id; edge ids default to fresh ``u<n>`` (the split-off unit)
+    and ``r<n>`` (the remainder).
     A k that is not a label ``validate_network`` accepts (a non-negative
     ``int``), or exceeds a, raises InadmissibleSplit.  The vertex is
     admissible and the ids are new, so the result is valid whenever net is.
@@ -258,7 +258,7 @@ def split_unit(
         raise InadmissibleSplit(f"cannot split a unit of {k} from an end of label {a}")
     uid = unit_id if unit_id is not None else net.fresh_id("u")
     rid = rest_id if rest_id is not None else net.fresh_id("r")
-    vid = vertex_id if vertex_id is not None else net.fresh_id("x")
+    vid = net.fresh_id("x")
     if {uid, rid, vid} & net._used_ids or len({uid, rid, vid}) < 3:
         raise InvalidNetwork(message=f"ids {uid!r}/{rid!r}/{vid!r} collide")
     new_edges = net.edges + (Edge(uid, k), Edge(rid, a - k))
@@ -339,28 +339,30 @@ def angle_matrix(net: SpinNetwork, ends: Sequence[End] | None = None) -> AngleMa
     return AngleMatrix(chosen, matrix)
 
 
-def geometry_consistency(am: AngleMatrix, tol: float = 1e-9) -> GeometryReport:
+# eigenvalues of a Gram matrix within this of zero count as zero
+_GEOMETRY_TOL = 1e-9
+
+
+def geometry_consistency(am: AngleMatrix) -> GeometryReport:
     """Check whether the angles are realizable by unit vectors in 3-space.
 
     The Gram matrix G_ij = cos(theta_ij) of any such vectors is positive
     semidefinite with rank at most 3; gram_residual adds the magnitude of
     the most negative eigenvalue to the magnitudes of eigenvalues beyond
     the third-largest, so it vanishes exactly on realizable collections.
-    Eigenvalues within tol of zero count as zero, so solver noise on a
-    true-zero spectrum reports residual 0 rather than ~1e-16.  tol must
-    satisfy 0 <= tol < inf.
+    Eigenvalues within a fixed 1e-9 of zero count as zero, so solver noise
+    on a true-zero spectrum reports residual 0 rather than ~1e-16, and the
+    verdict takes the same margin.
     """
-    if not 0 <= tol < math.inf:
-        raise OutOfRange(f"tol must satisfy 0 <= tol < inf, got {tol}")
     gram = np.cos(am.angles)
     np.fill_diagonal(gram, 1.0)
     eigenvalues, eigenvectors = np.linalg.eigh(gram)  # ascending
-    eigenvalues = np.where(np.abs(eigenvalues) <= tol, 0.0, eigenvalues)
+    eigenvalues = np.where(np.abs(eigenvalues) <= _GEOMETRY_TOL, 0.0, eigenvalues)
     descending = eigenvalues[::-1]
     negative = max(0.0, -float(eigenvalues[0]))
     beyond_rank_3 = float(np.sum(np.abs(descending[3:])))
     residual = negative + beyond_rank_3
-    embeddable = negative <= tol and beyond_rank_3 <= tol
+    embeddable = negative <= _GEOMETRY_TOL and beyond_rank_3 <= _GEOMETRY_TOL
     embedding = None
     if embeddable:
         top = eigenvectors[:, ::-1][:, :3] * np.sqrt(np.clip(descending[:3], 0.0, None))
@@ -402,8 +404,9 @@ def stability_measure(
     net is validated once, after the arguments are checked, also when no
     repetition runs; a run of no repetition makes no join.
     """
-    if type(repetitions) is not int or repetitions < 0:
-        raise OutOfRange(f"repetitions must be an int >= 0, got {repetitions!r}")
+    # a plain-int seed: random.Random also takes None, seeded from the OS
+    if not (type(repetitions) is type(rng_seed) is int and repetitions >= 0):
+        raise OutOfRange(f"need ints repetitions >= 0 and rng_seed, got {repetitions!r} and {rng_seed!r}")
     if end_a == end_b:
         raise NotAFreeEnd("cannot exchange an end with itself")
     _require_free(net, end_a, end_b)

@@ -80,8 +80,7 @@ def clebsch_gordan(j1, m1, j2, m2, j, m) -> Radical:
     j1, m1, j2, m2, j, m = (_half_integer(x) for x in (j1, m1, j2, m2, j, m))
     if j1 < 0 or j2 < 0 or j < 0:
         raise MalformedArguments("total spin cannot be negative")
-    key = ("cg", j1, m1, j2, m2, j, m)
-    return default_cache().get_or(key, lambda: _cg(j1, m1, j2, m2, j, m))
+    return _cg(j1, m1, j2, m2, j, m)
 
 
 def _cg(j1, m1, j2, m2, j, m) -> Radical:
@@ -140,8 +139,7 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> Radical:
     js = tuple(_half_integer(x) for x in (j1, j2, j3, j4, j5, j6))
     if any(j < 0 for j in js):
         raise MalformedArguments("total spin cannot be negative")
-    key = ("6j",) + js
-    return default_cache().get_or(key, lambda: _six_j(*js))
+    return _six_j(*js)
 
 
 def _six_j(j1, j2, j3, j4, j5, j6) -> Radical:

@@ -244,19 +244,18 @@ def merge_free_ends(
     end_b: End,
     new_label: SpinLabel,
     *,
-    vertex_id: str | None = None,
     edge_id: str | None = None,
 ) -> SpinNetwork:
     """Join two free ends through a fresh vertex carrying a fresh labelled edge.
 
     The two old ends attach to the new vertex together with side 0 of the new
-    edge; side 1 of the new edge is the merged network's new free end.  Ids
-    default to fresh ``j<n>`` / ``w<n>`` names and may be pinned by callers
-    that need to refer to the result; an id that net already uses for an
-    edge or a vertex raises InvalidNetwork, and a new_label that is not a
-    label ``validate_network`` accepts (a non-negative ``int``), or that
-    cannot couple the two ends, raises InadmissibleJoin.  So the result is
-    valid whenever net is.
+    edge; side 1 of the new edge is the merged network's new free end.  The
+    vertex takes a fresh ``w<n>`` id.  The edge id defaults to a fresh
+    ``j<n>`` and may be pinned by callers that need to refer to the result;
+    one that net already uses for an edge or a vertex raises InvalidNetwork,
+    and a new_label that is not a label ``validate_network`` accepts (a
+    non-negative ``int``), or that cannot couple the two ends, raises
+    InadmissibleJoin.  So the result is valid whenever net is.
     """
     if end_a == end_b:
         raise NotAFreeEnd("cannot merge an end with itself")
@@ -272,7 +271,7 @@ def merge_free_ends(
     if not _is_label(new_label) or not vertex_admissible(a, b, new_label):
         raise InadmissibleJoin(f"cannot couple labels {a} and {b} to {new_label}")
     eid = edge_id if edge_id is not None else net.fresh_id("j")
-    vid = vertex_id if vertex_id is not None else net.fresh_id("w")
+    vid = net.fresh_id("w")
     if {eid, vid} & net._used_ids or eid == vid:
         raise InvalidNetwork(message=f"id {eid!r}/{vid!r} already in use")
     new_edge = Edge(eid, new_label)

@@ -17,6 +17,7 @@ from spinnet.dynamics import (
     SINGLET,
     TRIPLET,
     MeasurementSequence,
+    PairProjector,
     SearchReport,
     _map_fidelities,
     _pair_matrix,
@@ -111,6 +112,31 @@ def test_pair_projector_rejects_bad_indices():
         pair_projector(2, 0, 2, SINGLET)
     with pytest.raises(BadIndices):
         pair_projector(2, -1, 0, SINGLET)
+    # a projector built directly is checked as well
+    for pair in ((1, 1), (2, 1), (0, 3), (0,), [0, 1]):
+        with pytest.raises(BadIndices):
+            PairProjector(pair, SINGLET, 3)
+    assert PairProjector((0, 2), SINGLET, 3) == pair_projector(3, 0, 2, SINGLET)
+
+
+@pytest.mark.parametrize("channel", ["singlet", "triplet", None, 0])
+def test_a_pair_projector_refuses_a_channel_that_is_not_a_pair_channel(channel):
+    # any such value would build the triplet projector, labelled as given
+    with pytest.raises(MalformedArguments):
+        pair_projector(2, 0, 1, channel)
+    with pytest.raises(MalformedArguments):
+        PairProjector((0, 1), channel, 2)
+
+
+@pytest.mark.parametrize("n_qubits, i, j", [
+    (3.0, 0, 1), (3, 0.0, 1), (3, 0, 1.0), (True, 0, 1), (2, False, True), (np.int64(3), 0, 1),
+])
+def test_a_pair_projector_refuses_an_index_that_is_not_an_int(n_qubits, i, j):
+    # refused when built, not at the first .matrix
+    with pytest.raises(BadIndices):
+        pair_projector(n_qubits, i, j, SINGLET)
+    with pytest.raises(BadIndices):
+        PairProjector((i, j), SINGLET, n_qubits)
 
 
 def test_a_pair_projector_is_a_value():
@@ -157,6 +183,14 @@ def test_measurement_sequence_rejects_mixed_registers():
     with pytest.raises(BadIndices):
         MeasurementSequence((two,), ancilla_count=2)
     assert MeasurementSequence((three,), ancilla_count=2).steps == (three,)
+
+
+@pytest.mark.parametrize("ancilla_count", [-1, 1.5, True, None, "1"])
+def test_measurement_sequence_refuses_an_ancilla_count_that_is_not_an_int_at_least_0(ancilla_count):
+    with pytest.raises(OutOfRange):
+        MeasurementSequence((pair_projector(3, 0, 1, SINGLET),), ancilla_count=ancilla_count)
+    with pytest.raises(OutOfRange):
+        MeasurementSequence((), ancilla_count=ancilla_count)
 
 
 # -- postselection ------------------------------------------------------------

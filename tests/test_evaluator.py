@@ -366,6 +366,14 @@ def test_a_bounded_cache_evicts_the_least_recently_used():
     assert cache.stats == {"size": 2, "hits": 2, "misses": 4}
 
 
+@pytest.mark.parametrize("bound", [True, False, 1.5, 2.0, "2", 0, -1])
+def test_a_cache_bound_must_be_an_int_at_least_1(bound):
+    # as SPINNET_CACHE_SIZE is parsed: True would keep max_entries=True,
+    # and 1.5 would run as a one-entry cache
+    with pytest.raises(OutOfRange):
+        EvalCache(bound)
+
+
 def test_get_or_passes_its_arguments_and_keeps_nothing_from_a_failed_compute():
     cache = EvalCache()
     assert cache.get_or(("sum", 1, 2, 3), lambda *xs: sum(xs), 1, 2, 3) == 6

@@ -594,19 +594,86 @@ def test_geometry_orthogonal_directions_embed():
     assert np.max(np.abs(gram - np.eye(3))) < 1e-9
 
 
-@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
-def test_geometry_refuses_a_tolerance_outside_zero_to_infinity(tol):
-    am = angle_matrix(aligned_triple(4), [End("eA", 1), End("eB", 1), End("eC", 1)])
-    with pytest.raises(OutOfRange):
-        geometry_consistency(am, tol=tol)
-
-
-def test_geometry_takes_a_zero_tolerance():
+def test_geometry_takes_a_zero_tolerance(monkeypatch):
+    # the verdict needs no margin where no eigenvalue is near zero
+    monkeypatch.setattr(experiments, "_GEOMETRY_TOL", 0.0)
     ends = (End("x", 0), End("y", 0), End("z", 0))
     half = math.pi / 2
     square = np.full((3, 3), half) - np.diag([half] * 3)
-    report = geometry_consistency(AngleMatrix(ends, square), tol=0.0)
+    report = geometry_consistency(AngleMatrix(ends, square))
     assert report.embeddable and report.gram_residual == 0.0
+
+
+# -- the spin-geometry law, in exact rationals --------------------------------
+
+
+def _inertia(m):
+    """(positive, zero, negative) eigenvalue counts of a symmetric matrix of
+    Fractions, by congruence, which keeps them (Sylvester's law of inertia):
+    one diagonal pivot eliminated at a time, and where every diagonal entry
+    left is zero but an entry a_ij is not, row and column j added to row and
+    column i, which makes the pivot a_ii = 2·a_ij."""
+    a = [list(row) for row in m]
+    counts = [0, 0, 0]
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is None:
+            nonzero = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), None)
+            if nonzero is None:
+                counts[1] += len(a)
+                break
+            i, j = nonzero
+            for row in a:
+                row[i] += row[j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            k = i
+        pivot = a[k][k]
+        counts[0 if pivot > 0 else 2] += 1
+        a = [
+            [a[r][c] - a[r][k] * a[k][c] / pivot for c in range(len(a)) if c != k]
+            for r in range(len(a)) if r != k
+        ]
+    return tuple(counts)
+
+
+def test_inertia_counts_match_the_eigenvalues():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        k = rng.randrange(1, 6)
+        m = [[F(rng.randrange(-2, 3)) for _ in range(k)] for _ in range(k)]
+        # symmetric, with a zero diagonal at even sizes to force the pair step
+        m = [[m[i][j] + m[j][i] if i != j else m[i][i] * (k % 2) for j in range(k)] for i in range(k)]
+        rows = [[F(rng.randrange(-2, 3)) for _ in range(k)] for _ in range(rng.randrange(1, k + 1))]
+        gram = [[sum(r[i] * r[j] for r in rows) for j in range(k)] for i in range(k)]
+        for matrix in (m, gram):
+            eig = np.linalg.eigvalsh(np.array(matrix, dtype=float))
+            want = (int(np.sum(eig > 1e-9)), int(np.sum(np.abs(eig) <= 1e-9)), int(np.sum(eig < -1e-9)))
+            assert _inertia(matrix) == want
+
+
+def _exact_gram(net, ends):
+    """G_ij = cos(theta_ij) = 2·p_up - 1 from each pair's exchange, diagonal 1."""
+    gram = [[F(1)] * len(ends) for _ in ends]
+    for i, j in itertools.combinations(range(len(ends)), 2):
+        gram[i][j] = gram[j][i] = 2 * exchange_experiment(net, ends[i], ends[j]).p_up - 1
+    return gram
+
+
+def test_chain_gram_is_positive_definite_with_least_eigenvalue_two_over_n_plus_one():
+    # ROADMAP item 11: the chain's four free ends never fit 3-space, and
+    # their distance from it is exactly 2/(n+1)
+    for n in range(2, 129, 2):
+        chain = SpinNetwork.from_spec(dict.fromkeys("abcde", n), [("u", "abc"), ("w", "cde")])
+        gram = _exact_gram(chain, [End(e, 1) for e in "abde"])
+        shifted = [[x - F(2, n + 1) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(gram)]
+        assert _inertia(gram) == (4, 0, 0), n
+        assert _inertia(shifted) == ((2, 2, 0) if n == 2 else (3, 1, 0)), n
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_aligned_triple_gram_has_rank_one(n):
+    gram = _exact_gram(aligned_triple(n), [End("eA", 1), End("eB", 1), End("eC", 1)])
+    assert _inertia(gram) == (1, 2, 0)
 
 
 # -- ends that name no side of an edge ---------------------------------------
@@ -776,6 +843,19 @@ def test_stability_refuses_a_repetition_count_that_is_not_an_int(monkeypatch, re
     net = SpinNetwork.from_spec({"a": 4, "b": 4})
     with pytest.raises(OutOfRange):
         stability_measure(net, End("a", 0), End("b", 0), repetitions, rng_seed=1)
+
+
+@pytest.mark.parametrize("rng_seed", [None, 1.5, "x", [1], True, False])
+def test_stability_refuses_a_seed_that_is_not_an_int(monkeypatch, rng_seed):
+    # None would seed from the OS, so one seed would not give one report;
+    # refused before any join is made
+    def no_join(*_args):
+        raise AssertionError("a refused run must not join")
+
+    monkeypatch.setattr(experiments, "_join", no_join)
+    net = SpinNetwork.from_spec({"a": 4, "b": 4})
+    with pytest.raises(OutOfRange):
+        stability_measure(net, End("a", 0), End("b", 0), 2, rng_seed=rng_seed)
 
 
 def test_stability_is_deterministic_given_seed():
