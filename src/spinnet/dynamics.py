@@ -35,6 +35,7 @@ from .errors import (
     BudgetExceeded,
     MalformedArguments,
     OutOfRange,
+    TooLarge,
     ZeroProbability,
 )
 from .hilbert import LinearMapRep, StateVector
@@ -59,9 +60,10 @@ class PairProjector:
     """Total-spin projector on one qubit pair, identity elsewhere.
 
     pair indexes two qubits i < j of an n_qubits register (0 = most
-    significant tensor factor), each a plain ``int``.  matrix (float64,
-    read-only) and rep (exact) are the projector on the whole register,
-    derived on first use.
+    significant tensor factor), each a plain ``int``; a register of more
+    than ``MAX_QUBITS`` raises TooLarge.  matrix (float64, read-only) and
+    rep (exact) are the projector on the whole register, derived on first
+    use.
     """
 
     pair: tuple[int, int]
@@ -77,6 +79,9 @@ class PairProjector:
         if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is type(n) is int
                 and 0 <= pair[0] < pair[1] < n):
             raise BadIndices(f"need a pair (i, j) of ints with 0 <= i < j < n_qubits, got {pair!r}, n={n!r}")
+        # matrix is dense, 2^n x 2^n: checked here, before any is built
+        if n > MAX_QUBITS:
+            raise TooLarge(f"{n} qubits exceeds the desk-scale bound of {MAX_QUBITS}")
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -34,14 +34,16 @@ class EvalCache:
     ``default_cache()`` builds the one instance the package reads and
     writes, and the package keeps no other memo across calls, so a cleared
     cache is a cold one.  It holds the evaluator's theta and recoupling
-    values (``Fraction``) and its triangle factors (an unreduced
-    ``(numerator, denominator)`` pair of ints) and the ``hilbert`` tensors
-    with their scales (``cg-band``, ``vertex-3j``, ``pairing``,
-    ``bargmann-metric``), whose arrays are read-only because every caller
-    shares them.  Tets are not cached: each is computed when a move factor
-    built from it misses, and neither are the public ``hilbert``
-    coefficients.  max_entries is a plain ``int`` of at least 1, or None
-    for no bound.
+    values (``Fraction``), its triangle factors (an unreduced
+    ``(numerator, denominator)`` pair of ints) and its compiled programs
+    (``program``: one per network shape and set of zero-labelled
+    positions, which hold no label), and the ``hilbert`` tensors with their
+    scales (``cg-band``, ``vertex-3j``, ``pairing``, ``bargmann-metric``),
+    whose arrays are read-only because every caller shares them.  Tets are
+    not cached: each is computed when a move factor built from it misses,
+    and neither are the public ``hilbert`` coefficients, nor the
+    recoupling totals, which last one evaluation.  max_entries is a plain
+    ``int`` of at least 1, or None for no bound.
     """
 
     def __init__(self, max_entries: int | None = None):
@@ -61,16 +63,31 @@ class EvalCache:
             value = self._data[key]
         except KeyError:
             value = compute(*args)
-            self.misses += 1
-            self._data[key] = value
-            if self.max_entries is not None:
-                while len(self._data) > self.max_entries:
-                    self._data.popitem(last=False)
+            self.put(key, value)
             return value
         self.hits += 1
         if self.max_entries is not None:
             self._data.move_to_end(key)
         return value
+
+    def get(self, key):
+        """The cached value for key, counted as a hit, else None, counted as
+        nothing: for a caller that stores its value later, by ``put``."""
+        value = self._data.get(key)
+        if value is not None:
+            self.hits += 1
+            if self.max_entries is not None:
+                self._data.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        """Store value under key, counted as a miss, evicting the least
+        recently used entries past the bound."""
+        self.misses += 1
+        self._data[key] = value
+        if self.max_entries is not None:
+            while len(self._data) > self.max_entries:
+                self._data.popitem(last=False)
 
     def clear(self) -> None:
         self._data.clear()
@@ -89,9 +106,12 @@ _default_cache: EvalCache | None = None
 
 
 def default_cache() -> EvalCache:
-    """The process cache, built on first use, that every closed form and
-    Born-path tensor is looked up in.  SPINNET_CACHE_SIZE, read then,
-    bounds its entries; unset, it is unbounded."""
+    """The process cache, built on first use, that every closed form,
+    compiled program and Born-path tensor is looked up in.  A program is
+    stored once the evaluation that compiled it returns; the recoupling
+    totals its steps reach are not stored, and last one evaluation.
+    SPINNET_CACHE_SIZE, read then, bounds its entries; unset, it is
+    unbounded."""
     global _default_cache
     if _default_cache is None:
         bound = os.environ.get(_ENV_CACHE_SIZE)
@@ -255,15 +275,17 @@ def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -
 # (_run, _recouple) reads those ops on one label tuple, with one
 # closed-form lookup per op and per recoupling branch, in integers: a value
 # is a (numerator, denominator) pair, multiplied unreduced, and reduced
-# once per recoupling total, by one gcd, before the step memoises it.  A
-# move's scalar is cached whole: a triangle's tet/theta as the pair it
+# once per recoupling total, by one gcd, before the evaluation memoises it.
+# A move's scalar is cached whole: a triangle's tet/theta as the pair it
 # multiplies in, keyed by its six labels, and a branch's recoupling
 # coefficient as a Fraction.  Only a miss computes the move's tet (tets are
 # not cached) and looks up its thetas.  Once the cache is warm nearly every
 # lookup is a hit, so a hit only builds its key and reads the cache: no
 # sort, no closure, and no reordering unless the cache is bounded.  A
 # program is compiled once per schedule node and read by every branch that
-# reaches that node.
+# reaches that node.  Since a program holds no label, the process cache
+# keeps each network shape's programs (see _evaluate), and a request whose
+# shape the process has compiled before runs the label step alone.
 
 
 class _MGraph:
@@ -288,47 +310,45 @@ class _MGraph:
         self.circles: list[int] = []
 
     @staticmethod
-    def from_network(net: SpinNetwork) -> "_MGraph":
-        """net's graph; the k-th declared edge has id and position k."""
+    def from_shape(shape: tuple) -> "_MGraph":
+        """The graph a shape (see ``_shape``) describes: with no joined
+        ends, the network's own, in which the k-th declared edge has id and
+        position k; with two, the closure their join evaluates."""
+        edge_count, slots, join = shape
+        if join:
+            return _MGraph._mirror_closure(edge_count, slots, join)
         g = _MGraph()
-        eid_of = {e.id: k for k, e in enumerate(net.edges)}
-        for k in range(len(net.edges)):
+        for k in range(edge_count):
             g.epos[k] = k
             g.eports[k] = [None, None]
-        for vk, v in enumerate(net.vertices):
-            ports = []
-            for slot, end in enumerate(v.ends):
-                ek = eid_of[end.edge]
-                g.eports[ek][end.side] = (vk, slot)
-                ports.append((ek, end.side))
-            g.vports[vk] = ports
+        for vk in range(len(slots) // 3):
+            ports = g.vports[vk] = [divmod(end, 2) for end in slots[3 * vk : 3 * vk + 3]]
+            for slot, (k, side) in enumerate(ports):
+                g.eports[k][side] = (vk, slot)
         return g
 
     @staticmethod
-    def mirror_closure(net: SpinNetwork, end_a: End, end_b: End) -> "_MGraph":
-        """The closed graph a join of two free ends of net evaluates: net
-        with end_a and end_b joined at a vertex (end_a, end_b, unit:0),
-        glued to its mirror copy along every free end left.  It is read with
-        net's labels followed by the unit's: each edge holds the position of
-        the edge it copies, the unit's being len(net.edges).  No merged
-        network is built, and an end's freedom is counted from the
-        vertices' slots by edge index.
+    def _mirror_closure(edge_count: int, slots: tuple, join: tuple) -> "_MGraph":
+        """The closed graph a join of two free ends of a network evaluates:
+        the network with the joined ends attached to a vertex (end_a,
+        end_b, unit:0), glued to its mirror copy along every free end left.
+        It is read with the network's labels followed by the unit's: each
+        edge holds the position of the edge it copies, the unit's being
+        edge_count.  No merged network is built, and an end's freedom is
+        counted from the vertices' slots by edge index.
 
         The numbering is the one a closure of ``merge_free_ends(net, end_a,
         end_b, c)`` has: the join vertex is vertex len(net.vertices) and the
-        unit edge len(net.edges); vertex k's copies are 2k and 2k + 1, and
-        edge ids follow declaration order.  An edge with one free end fuses
-        with its mirror image (side 0 at the first copy); any other edge has
-        one id per copy.  An edge with both ends free would close into a
-        bare loop, a factor every labelling shares, and is left out."""
-        unit = len(net.edges)
-        eid_of = {e.id: k for k, e in enumerate(net.edges)}
-        slots = [[(eid_of[end.edge], end.side) for end in v.ends] for v in net.vertices]
-        slots.append([(eid_of[end_a.edge], end_a.side), (eid_of[end_b.edge], end_b.side), (unit, 0)])
+        unit edge edge_count; vertex k's copies are 2k and 2k + 1, and edge
+        ids follow declaration order.  An edge with one free end fuses with
+        its mirror image (side 0 at the first copy); any other edge has one
+        id per copy.  An edge with both ends free would close into a bare
+        loop, a factor every labelling shares, and is left out."""
+        unit = edge_count
+        slots += (*join, 2 * unit)  # the join vertex's
         attached = [0] * (unit + 1)
-        for ends in slots:
-            for k, _side in ends:
-                attached[k] += 1
+        for end in slots:
+            attached[end // 2] += 1
         # an edge has one copy per attached end: two, one if it fuses with
         # its mirror image, none if it would close into a bare loop
         first: list[int] = []  # edge index -> the id of its first copy
@@ -338,10 +358,11 @@ class _MGraph:
             for ek in range(first[k], first[k] + n):
                 g.epos[ek] = k
                 g.eports[ek] = [None, None]
-        for vk, ends in enumerate(slots):
+        for vk in range(len(slots) // 3):
             for copy in (0, 1):
                 ports = []
-                for slot, (k, side) in enumerate(ends):
+                for slot, end in enumerate(slots[3 * vk : 3 * vk + 3]):
+                    k, side = divmod(end, 2)
                     port = (first[k], copy) if attached[k] == 1 else (first[k] + copy, side)
                     g.eports[port[0]][port[1]] = (2 * vk + copy, slot)
                     ports.append(port)
@@ -557,16 +578,16 @@ class _Recoupling:
     """A program's recoupling step, planned when the program is compiled.
 
     gather holds the positions of the labels of the graph's edges in id
-    order: a branch's state at the step is those labels, and memo maps each
-    state met to the total over its branches, a reduced (numerator,
-    denominator) pair with a positive denominator.  cycle is the cycle
-    recoupled on; j and abcd the ranks in gather of the edge traded and of
-    its legs a, b, c, d; graph the shape every branch starts from, with the
-    channel edge last; children[z] the program of the branches whose
+    order: a branch's state at the step is those labels, and an
+    evaluation memoises the total over its branches by step and state (see
+    ``_Call``).  cycle is the cycle recoupled on; j and abcd the ranks in
+    gather of the edge traded and of its legs a, b, c, d; graph the shape
+    every branch starts from, with the channel edge last, kept until both
+    children are compiled; children[z] the program of the branches whose
     channel label is 0 (z True) or not, compiled on first use.
     """
 
-    __slots__ = ("gather", "memo", "cycle", "j", "abcd", "graph", "children")
+    __slots__ = ("gather", "cycle", "j", "abcd", "graph", "children")
 
     def __init__(self, g: _MGraph):
         """Find g's shortest cycle and rewire g into the branches' shape:
@@ -576,7 +597,6 @@ class _Recoupling:
         terminate."""
         order = sorted(g.epos)
         self.gather = tuple(g.epos[e] for e in order)
-        self.memo: dict[tuple[int, ...], tuple[int, int]] = {}
         cycle = self.cycle = _shortest_cycle(g)
         assert cycle is not None, "a closed trivalent graph always has a cycle"
         verts, edges = cycle
@@ -608,10 +628,16 @@ class _Recoupling:
 
     def child(self, zero: bool) -> tuple:
         """The program of the branches whose channel label is 0 or not,
-        compiled on first use from a copy of the branch shape."""
+        compiled on first use from the branch shape: from a copy while the
+        other child may still need it, else from the shape itself, which
+        the step then lets go."""
         ops = self.children[zero]
         if ops is None:
-            g = self.graph.copy()
+            g = self.graph
+            if self.children[not zero] is None:
+                g = g.copy()
+            else:
+                self.graph = None
             if zero:
                 g.zeros.add(max(g.epos))  # the channel edge has the highest id
             ops = self.children[zero] = _compile(g)
@@ -711,7 +737,9 @@ def _require_closed_valid(net: SpinNetwork) -> None:
     violations = validate_network(net)
     if violations:
         raise InvalidNetwork(violations)
-    if net.free_ends:
+    # a valid network attaches 3 ends per vertex, each to a distinct end of
+    # its 2 per edge, so it is closed exactly when the counts meet
+    if 3 * len(net.vertices) != 2 * len(net.edges):
         ends = ", ".join(f"{e.edge}:{e.side}" for e in net.free_ends)
         raise HasFreeEnds(f"network has free ends: {ends}")
 
@@ -723,58 +751,88 @@ def evaluate_closed(net: SpinNetwork) -> Fraction:
     result does not depend on that schedule; on nonplanar ones it does, and
     the value returned there is not to be trusted.
 
-    Closed forms are looked up in the process cache (``default_cache``).
-    Within one call, two records spare repeated work; both are dropped when
-    the call returns.
-    - Each schedule node's program, the ops its graphs reduce by, is
-      compiled once from the node's shape, the components' before the first
-      is run and a recoupling branch's when a branch first needs it, and
-      read on the label tuple of every branch that reaches the node (see
-      ``_run``).
-    - Each recoupling step memoises the total over its branches by its
-      labels.  Once a new channel edge has been absorbed, the labels left
-      are often the same for every channel.
+    Closed forms and compiled programs are looked up in the process cache
+    (``default_cache``); see ``_evaluate``.  Within one call, each
+    recoupling step memoises the total over its branches by its labels:
+    once a new channel edge has been absorbed, the labels left are often
+    the same for every channel.  The memo is dropped when the call returns.
 
     A call that takes more than ``_MAX_BRANCHES`` recoupling branches, or
     a closed form on a label above ``MAX_CLOSED_FORM_LABEL``, raises
     ``TooLarge``.
     """
     _require_closed_valid(net)
-    return Fraction(*_evaluate(lambda: _MGraph.from_network(net), [tuple(e.label for e in net.edges)])[0])
+    return Fraction(*_evaluate(_shape(net), [tuple(e.label for e in net.edges)])[0])
 
 
 def _evaluate_mirror_closure(
     net: SpinNetwork, end_a: End, end_b: End, labellings: list[tuple[int, ...]]
 ) -> list[tuple[int, int]]:
-    """The value of ``_MGraph.mirror_closure(net, end_a, end_b)`` under each
-    labelling, net's labels followed by the joined unit's, as an unreduced
-    (numerator, denominator) pair (see ``_evaluate``).  Nothing is
-    checked: net must be valid, end_a and end_b distinct free ends of it,
-    and each labelling admissible at net's vertices and the join vertex.
-    No merged network is built.  The labellings share one record of
-    programs and step memos; each has its own ``_MAX_BRANCHES`` budget."""
-    return _evaluate(lambda: _MGraph.mirror_closure(net, end_a, end_b), labellings)
+    """The value of the closure a join of end_a and end_b evaluates (see
+    ``_MGraph.from_shape``) under each labelling, net's labels followed by
+    the joined unit's, as an unreduced (numerator, denominator) pair (see
+    ``_evaluate``).  Nothing is checked: net must be valid, end_a and end_b
+    distinct free ends of it, and each labelling admissible at net's
+    vertices and the join vertex.  No merged network is built."""
+    return _evaluate(_shape(net, end_a, end_b), labellings)
 
 
-def _evaluate(build: Callable[[], _MGraph], labellings: list[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """The value of the graph build() returns under each labelling, each
+def _shape(net: SpinNetwork, *joined: End) -> tuple:
+    """All the shape step reads of net, or of the closure a join of two of
+    its free ends evaluates: net's edge count, the ends in each vertex's
+    slots in declaration order, as one flat tuple, and the joined ends
+    (none for net itself).  Side s of the k-th declared edge is end
+    2k + s.  Ids are left out: a program reads positions, and the graph
+    numbers edges and vertices by index."""
+    index = {e.id: 2 * k for k, e in enumerate(net.edges)}
+    slots = tuple([index[end.edge] + end.side for v in net.vertices for end in v.ends])
+    return len(net.edges), slots, tuple([index[end.edge] + end.side for end in joined])
+
+
+def _programs(key: tuple) -> tuple:
+    """The programs a ``program`` key names, one per connected component:
+    compiled from the graph its shape describes, with its edges at the
+    key's zero positions zero.  The graph is built from the key alone, so
+    the key holds every input of the shape step."""
+    _, shape, zeros = key
+    g = _MGraph.from_shape(shape)
+    g.zeros = {e for e, p in g.epos.items() if p in zeros}
+    return tuple([_compile(comp) for comp in _components(g)])
+
+
+def _evaluate(shape: tuple, labellings: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The value of the graph shape describes under each labelling, each
     admissible on it, where an edge's label is the labelling's entry at the
     edge's position.  Each value is the unreduced (numerator, denominator)
     pair the components' ``_run`` pairs multiply to; the denominator is
     nonzero but may be negative, and a zero value has numerator 0.  The
-    caller reduces it once, into whatever it builds from it.  The programs
-    are compiled once per set of zero-labelled positions, from a graph built
-    for it, since zero edges are the only labels the shape step reads."""
-    programs: dict[frozenset[int], list[tuple]] = {}
+    caller reduces it once, into whatever it builds from it.
+
+    The programs depend on the shape and on the zero-labelled positions
+    alone, since zero edges are the only labels the shape step reads.  They
+    are looked up in the process cache under ``("program", shape, zeros)``,
+    and kept in this call for each zero set met, so each is compiled at
+    most once here even when the cache keeps one entry.  The programs this
+    call compiles are stored only once every labelling has its value, so a
+    refused call stores none.  The labellings share one record of
+    recoupling totals (``_Call``); each has its own ``_MAX_BRANCHES``
+    budget."""
+    cache = default_cache()
+    programs: dict[tuple[int, ...], tuple] = {}
+    compiled = []
+    call = _Call()
     values = []
     for labels in labellings:
-        zeros = frozenset(k for k, x in enumerate(labels) if x == 0)
+        zeros = tuple([k for k, x in enumerate(labels) if x == 0])
         comps = programs.get(zeros)
         if comps is None:
-            g = build()
-            g.zeros = {e for e, p in g.epos.items() if p in zeros}
-            comps = programs[zeros] = [_compile(comp) for comp in _components(g)]
-        call = _Call()
+            key = ("program", shape, zeros)
+            comps = cache.get(key)
+            if comps is None:
+                comps = _programs(key)
+                compiled.append((key, comps))
+            programs[zeros] = comps
+        call.branches = 0
         num = den = 1
         for ops in comps:
             n, d = _run(ops, labels, call)
@@ -784,6 +842,8 @@ def _evaluate(build: Callable[[], _MGraph], labellings: list[tuple[int, ...]]) -
             num *= n
             den *= d
         values.append((num, den))
+    for key, comps in compiled:
+        cache.put(key, comps)
     return values
 
 
@@ -793,12 +853,16 @@ _MAX_BRANCHES = 1_000_000
 
 
 class _Call:
-    """The number of recoupling branches one closed evaluation (one
-    labelling) has taken, across its components."""
+    """One evaluation's record.  memo maps (step, state) to the total over
+    the step's branches in that state, a reduced (numerator, denominator)
+    pair with a positive denominator, for every step and state its
+    labellings meet; branches counts the recoupling branches the current
+    labelling has taken, across its components."""
 
-    __slots__ = ("branches",)
+    __slots__ = ("memo", "branches")
 
     def __init__(self):
+        self.memo: dict[tuple, tuple[int, int]] = {}
         self.branches = 0
 
 
@@ -839,10 +903,10 @@ def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> tuple[int, int]:
             den *= td
         elif code == _RECOUPLE:
             step = op[1]
-            state = tuple([labels[p] for p in step.gather])
-            total = step.memo.get(state)
+            key = (step, tuple([labels[p] for p in step.gather]))
+            total = call.memo.get(key)
             if total is None:
-                total = step.memo[state] = _recouple(step, state, call)
+                total = call.memo[key] = _recouple(step, key[1], call)
             return num * total[0], den * total[1]
         elif code == _BUBBLE:
             _, px, py, pcu, pcv = op

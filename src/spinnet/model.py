@@ -238,22 +238,13 @@ def _find_violations(net: SpinNetwork) -> list[Violation]:
     return out
 
 
-def merge_free_ends(
-    net: SpinNetwork,
-    end_a: End,
-    end_b: End,
-    new_label: SpinLabel,
-    *,
-    edge_id: str | None = None,
-) -> SpinNetwork:
+def merge_free_ends(net: SpinNetwork, end_a: End, end_b: End, new_label: SpinLabel) -> SpinNetwork:
     """Join two free ends through a fresh vertex carrying a fresh labelled edge.
 
     The two old ends attach to the new vertex together with side 0 of the new
     edge; side 1 of the new edge is the merged network's new free end.  The
-    vertex takes a fresh ``w<n>`` id.  The edge id defaults to a fresh
-    ``j<n>`` and may be pinned by callers that need to refer to the result;
-    one that net already uses for an edge or a vertex raises InvalidNetwork,
-    and a new_label that is not a label ``validate_network`` accepts (a
+    vertex takes a fresh ``w<n>`` id and the edge a fresh ``j<n>`` one.  A
+    new_label that is not a label ``validate_network`` accepts (a
     non-negative ``int``), or that cannot couple the two ends, raises
     InadmissibleJoin.  So the result is valid whenever net is.
     """
@@ -270,12 +261,9 @@ def merge_free_ends(
     b = net.label(end_b)
     if not _is_label(new_label) or not vertex_admissible(a, b, new_label):
         raise InadmissibleJoin(f"cannot couple labels {a} and {b} to {new_label}")
-    eid = edge_id if edge_id is not None else net.fresh_id("j")
-    vid = net.fresh_id("w")
-    if {eid, vid} & net._used_ids or eid == vid:
-        raise InvalidNetwork(message=f"id {eid!r}/{vid!r} already in use")
+    eid = net.fresh_id("j")
     new_edge = Edge(eid, new_label)
-    new_vertex = Vertex(vid, (end_a, end_b, End(eid, 0)))
+    new_vertex = Vertex(net.fresh_id("w"), (end_a, end_b, End(eid, 0)))
     return SpinNetwork(net.edges + (new_edge,), net.vertices + (new_vertex,))
 
 

@@ -13,7 +13,7 @@ import random
 
 import networkx as nx
 
-from spinnet.evaluator import _MGraph
+from spinnet.evaluator import _MGraph, _shape
 from spinnet.experiments import split_unit
 from spinnet.model import (
     Edge,
@@ -257,7 +257,7 @@ def reference_mirror_closure(net: SpinNetwork) -> tuple[SpinNetwork, list[int]]:
     edge between the copies; an edge with both ends free fuses into a bare
     loop, returned separately as a label (the model cannot hold a
     vertex-free loop).  The evaluator builds the same closure straight into
-    its own graph (``_MGraph.mirror_closure``); this is the reference.
+    its own graph (``_MGraph.from_shape``); this is the reference.
     """
     free_sides: dict[str, set[int]] = {}
     for end in net.free_ends:
@@ -290,12 +290,12 @@ def reference_mirror_closure(net: SpinNetwork) -> tuple[SpinNetwork, list[int]]:
 def mirror_closures_planar(net: SpinNetwork, end_a: End, end_b: End) -> bool:
     """Whether every closed graph the join of two free ends evaluates is planar.
 
-    The graph is the evaluator's own (``_MGraph.mirror_closure``), one for
+    The graph is the evaluator's own (``_MGraph.from_shape``), one for
     every channel, read under each channel's labels.  Label-0 edges are
     left out, as the evaluator removes them (welding the two edges each one
     held apart) before any other move.
     """
-    closure = _MGraph.mirror_closure(net, end_a, end_b)
+    closure = _MGraph.from_shape(_shape(net, end_a, end_b))
     labels = [e.label for e in net.edges]
     for c in admissible_couplings(net.label(end_a), net.label(end_b)):
         channel_labels = labels + [c]

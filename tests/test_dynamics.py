@@ -34,6 +34,7 @@ from spinnet.errors import (
     BudgetExceeded,
     MalformedArguments,
     OutOfRange,
+    TooLarge,
     ZeroProbability,
 )
 from spinnet.hilbert import StateVector
@@ -137,6 +138,22 @@ def test_a_pair_projector_refuses_an_index_that_is_not_an_int(n_qubits, i, j):
         pair_projector(n_qubits, i, j, SINGLET)
     with pytest.raises(BadIndices):
         PairProjector((i, j), SINGLET, n_qubits)
+
+
+def test_a_pair_projector_past_the_qubit_bound_is_too_large(monkeypatch):
+    # refused when built, before any dense 2^n x 2^n matrix exists: at
+    # n = 16 the matrices would take about 96 GB
+    n = dynamics.MAX_QUBITS
+    assert pair_projector(n, 0, n - 1, SINGLET).matrix.shape == (1 << n, 1 << n)
+
+    def forbidden(*_args):
+        raise AssertionError("no matrix may be built past the bound")
+
+    monkeypatch.setattr(dynamics, "_pair_matrix", forbidden)
+    with pytest.raises(TooLarge, match="qubits"):
+        pair_projector(16, 0, 1, SINGLET)
+    with pytest.raises(TooLarge, match="qubits"):
+        PairProjector((0, 1), TRIPLET, n + 1)
 
 
 def test_a_pair_projector_is_a_value():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import itertools
 import math
 import os
@@ -12,6 +13,8 @@ import networkx as nx
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from spinnet.dsl import parse_network
+
 from netgen import (
     cube_net,
     cycle_labelled_net,
@@ -24,7 +27,16 @@ from netgen import (
     theta_net,
 )
 from spinnet import evaluator as ev
-from spinnet.errors import HasFreeEnds, InadmissibleTriple, InvalidNetwork, OutOfRange, SpinNetError, TooLarge
+from spinnet.errors import (
+    HasFreeEnds,
+    InadmissibleTriple,
+    InvalidNetwork,
+    NullState,
+    OutOfRange,
+    SpinNetError,
+    TooLarge,
+    UnsupportedNetwork,
+)
 from spinnet.evaluator import (
     EvalCache,
     evaluate_closed,
@@ -233,8 +245,12 @@ def test_evaluate_is_multiplicative_over_components():
 
 
 def test_evaluate_rejects_open_or_invalid():
-    with pytest.raises(HasFreeEnds):
+    # the message names every free end, in edge order, side 0 first
+    with pytest.raises(HasFreeEnds, match="^network has free ends: a:0, a:1$"):
         evaluate_closed(SpinNetwork.from_spec({"a": 1}))
+    open_net = SpinNetwork.from_spec({"a": 1, "b": 1, "c": 2, "d": 0}, [("v", "abc")])
+    with pytest.raises(HasFreeEnds, match="^network has free ends: a:1, b:1, c:1, d:0, d:1$"):
+        evaluate_closed(open_net)
     bad = SpinNetwork(
         (Edge("x", 1), Edge("y", 1), Edge("z", 1)),
         (
@@ -478,9 +494,15 @@ def test_each_cached_triangle_factor_is_its_tet_over_its_theta(fresh_cache):
 # must follow its schedule exactly, and so give every value it gives.
 
 
+def _graph(net, *joined):
+    """The evaluator's graph of net, or of the closure a join of two of
+    its free ends evaluates, each edge holding its position."""
+    return ev._MGraph.from_shape(ev._shape(net, *joined))
+
+
 def _labelled(net):
     """net's graph with each edge holding its label."""
-    g = ev._MGraph.from_network(net)
+    g = _graph(net)
     g.epos = {e: net.edges[p].label for e, p in g.epos.items()}
     g.zeros = {e for e, label in g.epos.items() if label == 0}
     return g
@@ -772,7 +794,8 @@ def _reference_trace(monkeypatch, net):
 def _evaluator_trace(monkeypatch, net):
     """evaluate_closed's value, the (state, cycle) of each recoupling step
     whose total it computes, in order, and the number of recoupling
-    coefficients computed."""
+    coefficients computed.  It runs on an empty process cache of its own,
+    so that every step is planned by the spy class, not found compiled."""
     seen = []
     recouple = ev._recouple
 
@@ -788,6 +811,7 @@ def _evaluator_trace(monkeypatch, net):
         return recouple(step, state, call)
 
     with monkeypatch.context() as patch:
+        patch.setattr(ev, "_default_cache", EvalCache())
         count = _counting_coefficients(patch)
         patch.setattr(ev, "_Recoupling", Step)
         patch.setattr(ev, "_recouple", spy)
@@ -878,7 +902,7 @@ def test_a_warm_evaluation_looks_up_move_factors_and_no_tet(monkeypatch, fresh_c
     assert warm["recoupling_coefficient"] == cold["recoupling_coefficient"] > 0
 
 
-def test_schedule_tree_searches_a_repeated_shape_once(monkeypatch):
+def test_schedule_tree_searches_a_repeated_shape_once(monkeypatch, fresh_cache):
     # this ladder's recoupling steps repeat graph shapes under new labels,
     # so their programs and cycles are reused rather than searched for again
     net = _ladder(8, 33)
@@ -887,7 +911,7 @@ def test_schedule_tree_searches_a_repeated_shape_once(monkeypatch):
     assert calls["_shortest_cycle"] < calls["_recouple"]
 
 
-def test_branches_share_programs_and_copy_no_graph(monkeypatch):
+def test_branches_share_programs_and_copy_no_graph(monkeypatch, fresh_cache):
     # a branch reads its node's program on its own label tuple; a shape
     # graph is copied at most once per program made, not once per branch
     net = _ladder(8, 33)
@@ -917,7 +941,7 @@ def _plans(ops):
 def test_a_program_is_a_function_of_the_shape():
     # two copies of one shape compile to equal ops, and their recoupling
     # steps plan the same gather, j, abcd and cycle, down to the children
-    root = ev._MGraph.from_network(_ladder(8, 33))
+    root = _graph(_ladder(8, 33))
     first, second = ev._compile(root.copy()), ev._compile(root.copy())
     assert first[-1][0] == ev._RECOUPLE
     assert _plans(first) == _plans(second)
@@ -925,8 +949,93 @@ def test_a_program_is_a_function_of_the_shape():
         assert _plans(first[-1][1].child(zero)) == _plans(second[-1][1].child(zero))
 
 
+def _same_program(cached, fresh):
+    """Checks that cached, a program the process cache holds, is fresh,
+    one just compiled: equal ops and equal plans at its recoupling step,
+    down to every child the cached step has compiled.  Returns the number
+    of recoupling steps compared."""
+    assert _plans(cached) == _plans(fresh)
+    if cached[-1][0] != ev._RECOUPLE:
+        return 0
+    step, fresh_step = cached[-1][1], fresh[-1][1]
+    return 1 + sum(
+        _same_program(step.children[zero], fresh_step.child(zero))
+        for zero in (False, True)
+        if step.children[zero] is not None
+    )
+
+
+def _closed_cold_pool(monkeypatch):
+    """The benchmark's closed-cold networks, from perfbench/workloads.py,
+    loaded by path without writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    for name in ("gen", "workloads"):  # workloads imports gen
+        spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    return [parse_network(req.text) for req in module.closed_pool()]
+
+
+def test_a_cached_program_is_a_fresh_compile(monkeypatch, fresh_cache, closed_nets, open_nets):
+    # after the closed corpus, the closed-cold pool and every open-corpus
+    # join, each program in the process cache, run on every request whose
+    # shape it serves, equals the one its key compiles to afresh
+    cold = _closed_cold_pool(monkeypatch)
+    assert len(cold) == 75
+    for net in closed_nets + cold:
+        evaluate_closed(net)
+    for net, end_a, end_b in free_end_pairs(open_nets):
+        try:
+            join_free_ends(net, end_a, end_b)
+        except (NullState, UnsupportedNetwork):
+            pass
+    programs = {key: comps for key, comps in fresh_cache._data.items() if key[0] == "program"}
+    steps = 0
+    for key, comps in programs.items():
+        fresh = ev._programs(key)
+        assert len(comps) == len(fresh)
+        steps += sum(_same_program(cached, new) for cached, new in zip(comps, fresh))
+    assert len(programs) > 1000 and steps > 200
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=2**30),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["multigraph", "cubic", "girth 4"]),
+            st.sampled_from([2, 4, 6, 8]),
+            st.integers(min_value=0, max_value=6),
+        ),
+        min_size=1, max_size=2,
+    ),
+    st.sampled_from([2, 3]),
+)
+def test_one_slot_table_shares_one_program(seed, components, scale):
+    # two networks with one slot table, one zero set, other labels and
+    # other ids: the second finds the first's program, and each value is
+    # the one it has under a cleared cache
+    net = _random_closed_net(random.Random(seed), components)
+    other = SpinNetwork(
+        tuple(Edge("x" + e.id, scale * e.label) for e in net.edges),
+        tuple(Vertex("y" + v.id, tuple(End("x" + end.edge, end.side) for end in v.ends))
+              for v in net.vertices),
+    )
+    zeros = tuple(k for k, e in enumerate(net.edges) if e.label == 0)
+    with pytest.MonkeyPatch.context() as patch:
+        cache = EvalCache()
+        patch.setattr(ev, "_default_cache", cache)
+        values = [evaluate_closed(net), evaluate_closed(other)]
+        assert [key for key in cache._data if key[0] == "program"] == [("program", ev._shape(net), zeros)]
+        for one, value in zip((net, other), values):
+            cache.clear()
+            assert evaluate_closed(one) == value
+
+
 @pytest.mark.parametrize("net", [cube_net(1, 2), _ladder(6, 37)], ids=["cube", "ladder"])
-def test_zero_channel_children_keep_the_value(monkeypatch, net):
+def test_zero_channel_children_keep_the_value(monkeypatch, fresh_cache, net):
     # no input label is 0, so every zero edge removed is a channel edge i = 0
     assert all(e.label for e in net.edges)
     value, calls = _counted(monkeypatch, net, "_drop_zero_edge")
@@ -945,6 +1054,51 @@ def test_a_call_past_the_branch_bound_is_too_large(monkeypatch):
     monkeypatch.setattr(ev, "_MAX_BRANCHES", branches - 1)
     with pytest.raises(TooLarge, match="recoupling branches"):
         evaluate_closed(net)
+
+
+def test_the_branch_bound_holds_on_cached_programs(monkeypatch, fresh_cache):
+    # a program found in the process cache runs its whole label step, so
+    # the bound still counts every branch of every call
+    net = _ladder(8, 33)
+    want, _, branches = _evaluator_trace(monkeypatch, net)
+    assert evaluate_closed(net) == want
+    key = ("program", ev._shape(net), ())
+    assert key in fresh_cache._data
+    monkeypatch.setattr(ev, "_MAX_BRANCHES", branches - 1)
+    with pytest.raises(TooLarge, match="recoupling branches"):
+        evaluate_closed(net)
+    # a refused call stores no program, though it compiled one
+    del fresh_cache._data[key]
+    size = len(fresh_cache)
+    with pytest.raises(TooLarge, match="recoupling branches"):
+        evaluate_closed(net)
+    assert len(fresh_cache) == size and key not in fresh_cache._data
+
+
+def test_each_labelling_of_a_join_keeps_its_own_budget(monkeypatch, fresh_cache):
+    # the join's three channels take two recoupling branches each: under a
+    # bound of two it answers, from a cached program too, though the call
+    # takes six
+    net = SpinNetwork(
+        tuple(Edge(eid, label) for eid, label in
+              (("e0", 1), ("e1", 5), ("e2", 5), ("j1", 4), ("j2", 4), ("u1", 2), ("r1", 2))),
+        (
+            Vertex("w1", (End("e0", 0), End("e2", 0), End("j1", 0))),
+            Vertex("w2", (End("e0", 1), End("e1", 1), End("j2", 0))),
+            Vertex("x1", (End("j1", 1), End("u1", 0), End("r1", 0))),
+        ),
+    )
+    ends = End("e1", 0), End("u1", 1)
+    want = join_free_ends(net, *ends)
+    assert len(want.entries) == 3
+    with monkeypatch.context() as patch:
+        count = _counting_coefficients(patch)
+        patch.setattr(ev, "_MAX_BRANCHES", 2)
+        assert join_free_ends(net, *ends) == want
+    assert count[0] == 6
+    monkeypatch.setattr(ev, "_MAX_BRANCHES", 1)
+    with pytest.raises(TooLarge, match="recoupling branches"):
+        join_free_ends(net, *ends)
 
 
 def _random_closed_net(rng, components):
@@ -1046,43 +1200,43 @@ def test_capped_shortest_cycle_matches_full_search(seed, n):
     # the reducer only searches graphs of girth >= 4
     rng = random.Random(seed)
     graph = random_cubic_graph(rng, n, min_girth=4)
-    g = _relabelled(ev._MGraph.from_network(cycle_labelled_net(rng, graph)), rng)
+    g = _relabelled(_graph(cycle_labelled_net(rng, graph)), rng)
     assert ev._shortest_cycle(g) == _uncapped_shortest_cycle(g)
 
 
 def test_step_memo_keys_on_labels(monkeypatch):
     # a recoupling step belongs to one program, and so to one shape, ids
-    # included: its memo tells states apart by their labels alone, and an
-    # equal state is a hit
+    # included: an evaluation's memo tells a step's states apart by their
+    # labels alone, and an equal state is a hit
     net = cube_net(1, 2)
     labels = tuple(e.label for e in net.edges)  # edge k has position k
     states = [labels] + [labels[:e] + (labels[e] + 2,) + labels[e + 1:] for e in range(len(labels))]
     totals = itertools.count(1)
     monkeypatch.setattr(ev, "_recouple", lambda step, state, call: (next(totals), 1))
-    ops = ev._compile(ev._MGraph.from_network(net))
+    ops = ev._compile(_graph(net))
     (code, step), = ops  # the cube has girth 4: its program is one recoupling step
     assert code == ev._RECOUPLE
     call = ev._Call()
     assert [ev._run(ops, lbls, call) for lbls in states] == [(k, 1) for k in range(1, len(states) + 1)]
-    assert list(step.memo) == [tuple(lbls[p] for p in step.gather) for lbls in states]
+    assert list(call.memo) == [(step, tuple(lbls[p] for p in step.gather)) for lbls in states]
     assert ev._run(ops, states[0], call) == (1, 1)
-    assert len(step.memo) == len(states)
+    assert len(call.memo) == len(states)
 
 
 def test_step_memos_hold_reduced_pairs(monkeypatch):
     # a recoupling total is stored as one reduced pair with a positive
     # denominator, so a zero total as (0, 1); _ladder(6, 6) has one
-    steps = []
+    calls = []
 
-    class Step(ev._Recoupling):
-        def __init__(self, g):
-            super().__init__(g)
-            steps.append(self)
+    class Call(ev._Call):
+        def __init__(self):
+            super().__init__()
+            calls.append(self)
 
-    monkeypatch.setattr(ev, "_Recoupling", Step)
+    monkeypatch.setattr(ev, "_Call", Call)
     for net in (_ladder(8, 33), _ladder(6, 6)):
         assert evaluate_closed(net) == _reference_value(net)
-    totals = [total for step in steps for total in step.memo.values()]
+    totals = [total for call in calls for total in call.memo.values()]
     for n, d in totals:
         assert type(n) is int and type(d) is int
         assert d > 0 and math.gcd(n, d) == 1
@@ -1155,17 +1309,17 @@ def test_one_scan_picks_what_the_reference_finders_pick(seed, n, kind):
 
 def test_a_mirror_closure_graph_is_the_reference_closures_graph(open_nets):
     # the evaluator builds a join's closure straight from the open network
-    # and its two ends, with the ids, ports and slots from_network gives the
-    # reference closure of the merged network, each edge at the position of
-    # the merged network's edge it copies
+    # and its two ends, with the ids, ports and slots the reference closure
+    # of the merged network has as a closed network, each edge at the
+    # position of the merged network's edge it copies
     pairs = free_end_pairs(open_nets)
     assert len(pairs) == 1307
     for net, end_a, end_b in pairs:
         c = admissible_couplings(net.label(end_a), net.label(end_b))[0]
         merged = merge_free_ends(net, end_a, end_b, c)
         closed, _circles = reference_mirror_closure(merged)
-        want = ev._MGraph.from_network(closed)
-        got = ev._MGraph.mirror_closure(net, end_a, end_b)
+        want = _graph(closed)
+        got = _graph(net, end_a, end_b)
         assert (got.eports, got.vports) == (want.eports, want.vports)
         assert [merged.edges[p].label for p in got.epos.values()] == [e.label for e in closed.edges]
 

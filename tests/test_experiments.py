@@ -154,22 +154,24 @@ def test_chain_join_at_label_512_within_budget(fresh_cache):
     assert dist.support == tuple(range(0, 1025, 2))
 
 
-def test_join_builds_one_closure_for_every_channel(monkeypatch):
+def test_join_builds_one_closure_for_every_channel(monkeypatch, fresh_cache):
     # the channels differ only in the joined unit's label, so one mirror
-    # closure and one compiled program serve them all
+    # closure and one compiled program serve them all; a repeated join
+    # finds that program in the process cache and builds no closure
     import spinnet.evaluator as ev
 
     net = SpinNetwork.from_spec({"a": 6, "b": 4})
-    want = join_free_ends(net, End("a", 1), End("b", 1))
-    counts = {"mirror_closure": 0, "_compile": 0}
-    for owner, name in ((ev._MGraph, "mirror_closure"), (ev, "_compile")):
+    counts = {"from_shape": 0, "_compile": 0}
+    for owner, name in ((ev._MGraph, "from_shape"), (ev, "_compile")):
         def counted(*args, _name=name, _fn=getattr(owner, name)):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
-    assert join_free_ends(net, End("a", 1), End("b", 1)) == want
+    want = join_free_ends(net, End("a", 1), End("b", 1))
     assert want.entries == {c: F(c + 1, 35) for c in (2, 4, 6, 8, 10)}
-    assert counts == {"mirror_closure": 1, "_compile": 1}
+    assert counts == {"from_shape": 1, "_compile": 1}
+    assert join_free_ends(net, End("a", 1), End("b", 1)) == want
+    assert counts == {"from_shape": 1, "_compile": 1}
 
 
 def test_join_validates_its_network_once(monkeypatch, open_nets):
@@ -896,8 +898,8 @@ def _committing_stability(net, end_a, end_b, repetitions, rng_seed):
         angles.append(angle_from_probability(p_up))
         c = b + 1 if rng.random() < float(p_up) else b - 1
         outcomes.append(c)
-        jid = split.fresh_id("j")
-        current = merge_free_ends(split, End(uid, 1), cur_b, c, edge_id=jid)
+        jid = split.fresh_id("j")  # the id merge_free_ends gives the joined unit
+        current = merge_free_ends(split, End(uid, 1), cur_b, c)
         cur_a, cur_b = End(rid, 1), End(jid, 1)
 
     drift = max((abs(t - angles[0]) for t in angles), default=0.0)

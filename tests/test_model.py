@@ -118,14 +118,6 @@ def test_merge_adds_vertex_and_free_end():
     assert validate_network(merged) == []
 
 
-def test_merge_refuses_an_id_of_the_other_kind():
-    # an edge named as a vertex would make a network that validate_network
-    # flags; split_unit refuses the same
-    net = SpinNetwork.from_spec({"a": 2, "b": 2, "c": 2}, [("v", ("a", "b", "c"))])
-    with pytest.raises(InvalidNetwork, match="already in use"):
-        merge_free_ends(net, End("a", 1), End("b", 1), 0, edge_id="v")
-
-
 def test_merge_rejects_bad_coupling():
     net = SpinNetwork.from_spec({"a": 1, "b": 1})
     with pytest.raises(InadmissibleJoin):
