@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from collections import OrderedDict
 from fractions import Fraction
@@ -33,17 +34,20 @@ class EvalCache:
 
     ``default_cache()`` builds the one instance the package reads and
     writes, and the package keeps no other memo across calls, so a cleared
-    cache is a cold one.  It holds the evaluator's theta and recoupling
-    values (``Fraction``), its triangle factors (an unreduced
-    ``(numerator, denominator)`` pair of ints) and its compiled programs
-    (``program``: one per network shape and set of zero-labelled
+    cache is a cold one.  It holds the evaluator's theta values
+    (``Fraction``), its triangle factors (a reduced ``(numerator,
+    denominator)`` pair of ints), its recoupling families (for one
+    (a, b, c, d, j), an ``(i, numerator, denominator)`` triple of ints per
+    channel i, in increasing i, each pair reduced) and its compiled
+    programs (``program``: one per network shape and set of zero-labelled
     positions, which hold no label), and the ``hilbert`` tensors with their
     scales (``cg-band``, ``vertex-3j``, ``pairing``, ``bargmann-metric``),
-    whose arrays are read-only because every caller shares them.  Tets are
-    not cached: each is computed when a move factor built from it misses,
-    and neither are the public ``hilbert`` coefficients, nor the
-    recoupling totals, which last one evaluation.  max_entries is a plain
-    ``int`` of at least 1, or None for no bound.
+    whose arrays are read-only because every caller shares them.  Every
+    pair has a positive denominator.  Tets are not cached: each is
+    computed when a move factor built from it misses; and neither are
+    ``tet_value``, ``recoupling_coefficient`` and the public ``hilbert``
+    coefficients, nor the recoupling totals, which last one evaluation.
+    max_entries is a plain ``int`` of at least 1, or None for no bound.
     """
 
     def __init__(self, max_entries: int | None = None):
@@ -188,11 +192,18 @@ def _theta(a: int, b: int, c: int) -> Fraction:
 
 def tet_value(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
     """Value of the tetrahedral network with vertex triples
-    (a,d,e), (b,c,e), (a,b,f), (c,d,f).  Not cached: the label step looks
-    up the move factors built from it, and computes a tet only when one of
-    those misses."""
+    (a,d,e), (b,c,e), (a,b,f), (c,d,f).  Not cached: it is computed on
+    every call, by the Racah sum the move factors are built from too (see
+    ``_tet``); the label step looks up those factors, and computes a tet
+    only when one of them misses."""
     _require_tet_admissible(a, b, c, d, e, f)
     _check_label_bound((a, b, c, d, e, f))
+    return Fraction(*_tet(a, b, c, d, e, f))
+
+
+def _tet(a: int, b: int, c: int, d: int, e: int, f: int) -> tuple[int, int]:
+    # tet_value as an unreduced (numerator, denominator) pair with a
+    # positive denominator; its labels are not checked
     half_sums = ((a + d + e) // 2, (b + c + e) // 2, (a + b + f) // 2, (c + d + f) // 2)
     pair_sums = ((b + d + e + f) // 2, (a + c + e + f) // 2, (a + b + c + d) // 2)
     lo, hi = max(half_sums), min(pair_sums)  # admissibility makes lo <= hi
@@ -221,7 +232,15 @@ def tet_value(a: int, b: int, c: int, d: int, e: int, f: int) -> Fraction:
             numer *= math.factorial(bj - ai)
     for lbl in (a, b, c, d, e, f):
         denom *= math.factorial(lbl)
-    return Fraction(-numer if lo % 2 else numer, denom)
+    return -numer if lo % 2 else numer, denom
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    # num/den in lowest terms with a positive denominator, by one gcd
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 def _require_tet_admissible(a: int, b: int, c: int, d: int, e: int, f: int) -> None:
@@ -234,21 +253,40 @@ def _require_tet_admissible(a: int, b: int, c: int, d: int, e: int, f: int) -> N
 def recoupling_coefficient(a: int, b: int, c: int, d: int, j: int, i: int) -> Fraction:
     """Weight of the i-channel when an edge j with end vertices (a,b|j) and
     (c,d|j) is traded for an edge i with end vertices (a,d|i) and (b,c|i):
-    loop(i) tet / (theta(a,d,i) theta(b,c,i))."""
-    if not (type(a) is type(b) is type(c) is type(d) is type(j) is type(i) is int):
-        _require_tet_admissible(a, b, c, d, i, j)  # raises: a non-int fails its triples
-    return default_cache().get_or(("recoupling", a, b, c, d, j, i), _recoupling, a, b, c, d, j, i)
+    loop(i) tet / (theta(a,d,i) theta(b,c,i)).  Not cached, like
+    ``tet_value``: the label step looks up every channel of (a, b, c, d, j)
+    at once, as one ``recoupling`` entry, whose channels are computed by
+    the same integer steps as this one."""
+    _require_tet_admissible(a, b, c, d, i, j)
+    _check_label_bound((a, b, c, d, j, i))
+    return Fraction(*_coefficient(a, b, c, d, j, i))
 
 
-def _recoupling(a: int, b: int, c: int, d: int, j: int, i: int) -> Fraction:
-    # its tet holds all six labels, so the tet checks them on a miss
-    loop = _loop(i)
-    tet = tet_value(a, b, c, d, i, j)
+def _coefficient(a: int, b: int, c: int, d: int, j: int, i: int) -> tuple[int, int]:
+    # recoupling_coefficient as a reduced pair with a positive denominator;
+    # its labels are not checked.  The tet is reduced before the thetas
+    # multiply in, so the final gcd works on smaller integers.
+    tn, td = _tet(a, b, c, d, i, j)
+    g = math.gcd(tn, td)
     ad, bc = theta_value(a, d, i), theta_value(b, c, i)
-    return Fraction(
-        loop * tet.numerator * ad.denominator * bc.denominator,
-        tet.denominator * ad.numerator * bc.numerator,
+    return _reduced(
+        _loop(i) * (tn // g) * ad.denominator * bc.denominator,
+        (td // g) * ad.numerator * bc.numerator,
     )
+
+
+def _recoupling_family(a: int, b: int, c: int, d: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """The coefficients of every channel of a recoupling of j, as
+    (i, numerator, denominator) in increasing i, each reduced with a
+    positive denominator: the channels are the i with (a,d,i) and (b,c,i)
+    admissible.  (a,b,j) and (c,d,j) must be admissible, as they are at
+    every recoupling step; a + d and b + c both have j's parity, so the two
+    ranges of i share their step, and they always meet.  The top channel
+    holds the family's largest label, so a family past
+    ``MAX_CLOSED_FORM_LABEL`` is refused before any channel is computed."""
+    lo, top = max(abs(a - d), abs(b - c)), min(a + d, b + c)
+    _check_label_bound((a, b, c, d, j, top))
+    return tuple([(i, *_coefficient(a, b, c, d, j, i)) for i in range(lo, top + 1, 2)])
 
 
 def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -> float:
@@ -273,19 +311,23 @@ def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -
 # rewires an _MGraph whose edges hold positions into a label tuple, and
 # returns the ops the moves leave as a tuple, its program.  The label step
 # (_run, _recouple) reads those ops on one label tuple, with one
-# closed-form lookup per op and per recoupling branch, in integers: a value
-# is a (numerator, denominator) pair, multiplied unreduced, and reduced
-# once per recoupling total, by one gcd, before the evaluation memoises it.
-# A move's scalar is cached whole: a triangle's tet/theta as the pair it
-# multiplies in, keyed by its six labels, and a branch's recoupling
-# coefficient as a Fraction.  Only a miss computes the move's tet (tets are
-# not cached) and looks up its thetas.  Once the cache is warm nearly every
-# lookup is a hit, so a hit only builds its key and reads the cache: no
-# sort, no closure, and no reordering unless the cache is bounded.  A
-# program is compiled once per schedule node and read by every branch that
-# reaches that node.  Since a program holds no label, the process cache
-# keeps each network shape's programs (see _evaluate), and a request whose
-# shape the process has compiled before runs the label step alone.
+# closed-form lookup per op and one per recoupling step and state, in
+# integers: a value is a (numerator, denominator) pair, multiplied
+# unreduced, and reduced once per recoupling total, by one gcd, before the
+# evaluation memoises it.  A move's scalar is cached whole, as a reduced
+# pair of ints with a positive denominator: a triangle's tet/theta keyed by
+# its six labels, and a recoupling step's coefficients as one family keyed
+# by (a, b, c, d, j), a pair per channel.  Only a miss computes the move's
+# tets, by one integer Racah sum each (_tet, which tet_value and
+# recoupling_coefficient use too), looks up its thetas and checks the label
+# bound; it checks no triple, since the label step has already found each
+# admissible.  Once the cache is warm nearly every lookup is a hit, so a
+# hit only builds its key and reads the cache: no sort, no closure, and no
+# reordering unless the cache is bounded.  A program is compiled once per
+# schedule node and read by every branch that reaches that node.  Since a
+# program holds no label, the process cache keeps each network shape's
+# programs (see _evaluate), and a request whose shape the process has
+# compiled before runs the label step alone.
 
 
 class _MGraph:
@@ -581,13 +623,15 @@ class _Recoupling:
     order: a branch's state at the step is those labels, and an
     evaluation memoises the total over its branches by step and state (see
     ``_Call``).  cycle is the cycle recoupled on; j and abcd the ranks in
-    gather of the edge traded and of its legs a, b, c, d; graph the shape
-    every branch starts from, with the channel edge last, kept until both
-    children are compiled; children[z] the program of the branches whose
-    channel label is 0 (z True) or not, compiled on first use.
+    gather of the edge traded and of its legs a, b, c, d; take reads the
+    state off a label tuple, and legs reads a, b, c, d off a state, each
+    in one call; graph the shape every branch starts from, with the
+    channel edge last, kept until both children are compiled; children[z]
+    the program of the branches whose channel label is 0 (z True) or not,
+    compiled on first use.
     """
 
-    __slots__ = ("gather", "cycle", "j", "abcd", "graph", "children")
+    __slots__ = ("gather", "cycle", "j", "abcd", "take", "legs", "graph", "children")
 
     def __init__(self, g: _MGraph):
         """Find g's shortest cycle and rewire g into the branches' shape:
@@ -614,6 +658,10 @@ class _Recoupling:
         rank = {e: k for k, e in enumerate(order)}
         self.j = rank[j]
         self.abcd = tuple(rank[p[0]] for p in (a_port, b_port, c_port, d_port))
+        # the cycle alone has at least 4 edges, so take returns a tuple, as
+        # legs does
+        self.take = operator.itemgetter(*self.gather)
+        self.legs = operator.itemgetter(*self.abcd)
         # a branch's labels are the step's without j's, the channel's appended
         for e, k in rank.items():
             g.epos[e] = k if k < self.j else k - 1
@@ -816,35 +864,64 @@ def _evaluate(shape: tuple, labellings: list[tuple[int, ...]]) -> list[tuple[int
     call compiles are stored only once every labelling has its value, so a
     refused call stores none.  The labellings share one record of
     recoupling totals (``_Call``); each has its own ``_MAX_BRANCHES``
-    budget."""
+    budget.  The call adds its work to ``counters()`` once, as it returns
+    or raises."""
     cache = default_cache()
     programs: dict[tuple[int, ...], tuple] = {}
     compiled = []
     call = _Call()
     values = []
-    for labels in labellings:
-        zeros = tuple([k for k, x in enumerate(labels) if x == 0])
-        comps = programs.get(zeros)
-        if comps is None:
-            key = ("program", shape, zeros)
-            comps = cache.get(key)
+    try:
+        for labels in labellings:
+            zeros = tuple([k for k, x in enumerate(labels) if x == 0])
+            comps = programs.get(zeros)
             if comps is None:
-                comps = _programs(key)
-                compiled.append((key, comps))
-            programs[zeros] = comps
-        call.branches = 0
-        num = den = 1
-        for ops in comps:
-            n, d = _run(ops, labels, call)
-            if not n:
-                num = 0
-                break
-            num *= n
-            den *= d
-        values.append((num, den))
+                key = ("program", shape, zeros)
+                comps = cache.get(key)
+                if comps is None:
+                    comps = _programs(key)
+                    compiled.append((key, comps))
+                programs[zeros] = comps
+            call.limit = call.branches + _MAX_BRANCHES
+            num = den = 1
+            for ops in comps:
+                n, d = _run(ops, labels, call)
+                if not n:
+                    num = 0
+                    break
+                num *= n
+                den *= d
+            values.append((num, den))
+    finally:
+        _COUNTS["evaluations"] += 1
+        _COUNTS["labellings"] += len(values)
+        _COUNTS["recoupling_branches"] += call.branches
     for key, comps in compiled:
         cache.put(key, comps)
     return values
+
+
+# The evaluator's work in this process, added once per _evaluate call.
+_COUNTS = {"evaluations": 0, "labellings": 0, "recoupling_branches": 0}
+
+
+def counters(reset: bool = False) -> dict[str, int]:
+    """The evaluator's cumulative counts in this process, as a new dict:
+    - evaluations: closed evaluations, one per ``evaluate_closed`` call and
+      one per join, whatever number of channels the join evaluates;
+    - labellings: the labellings those evaluations computed a value for,
+      one per ``evaluate_closed`` call and one per channel of a join;
+    - recoupling_branches: the branches their recoupling steps took, one
+      per channel of each step and state an evaluation meets, a refused
+      evaluation's included.
+    Each evaluation adds its counts once, when it returns or raises, so a
+    branch costs nothing extra.  reset=True zeroes them after they are
+    read.  Clearing the process cache leaves them as they are."""
+    counts = dict(_COUNTS)
+    if reset:
+        for name in _COUNTS:
+            _COUNTS[name] = 0
+    return counts
 
 
 # Recoupling branches one closed evaluation (one labelling) may take.  The
@@ -856,14 +933,16 @@ class _Call:
     """One evaluation's record.  memo maps (step, state) to the total over
     the step's branches in that state, a reduced (numerator, denominator)
     pair with a positive denominator, for every step and state its
-    labellings meet; branches counts the recoupling branches the current
-    labelling has taken, across its components."""
+    labellings meet; branches counts the recoupling branches its labellings
+    have taken, across their components, and limit the count past which
+    the current labelling is refused: its branches past ``_MAX_BRANCHES``."""
 
-    __slots__ = ("memo", "branches")
+    __slots__ = ("memo", "branches", "limit")
 
     def __init__(self):
         self.memo: dict[tuple, tuple[int, int]] = {}
         self.branches = 0
+        self.limit = _MAX_BRANCHES
 
 
 def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> tuple[int, int]:
@@ -903,7 +982,7 @@ def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> tuple[int, int]:
             den *= td
         elif code == _RECOUPLE:
             step = op[1]
-            key = (step, tuple([labels[p] for p in step.gather]))
+            key = (step, step.take(labels))
             total = call.memo.get(key)
             if total is None:
                 total = call.memo[key] = _recouple(step, key[1], call)
@@ -930,40 +1009,43 @@ def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> tuple[int, int]:
 
 def _triangle(alpha: int, beta: int, gamma: int, p: int, q: int, r: int) -> tuple[int, int]:
     """The factor a triangle op multiplies in, tet over theta, as the
-    unreduced (numerator, denominator) pair the label step reads: the
-    3-cycle with edges p, q, r and outer legs alpha, beta, gamma (an
-    admissible triple) contracts to one vertex on those legs."""
-    tet = tet_value(alpha, beta, q, r, p, gamma)
+    reduced (numerator, denominator) pair, with a positive denominator, the
+    label step reads: the 3-cycle with edges p, q, r and outer legs alpha,
+    beta, gamma contracts to one vertex on those legs.  Every triple of the
+    tet is admissible there (the op checks the new vertex's, and the
+    others are vertices of the graph), so only the label bound is
+    checked."""
+    _check_label_bound((alpha, beta, gamma, p, q, r))
+    tn, td = _tet(alpha, beta, q, r, p, gamma)
+    g = math.gcd(tn, td)
     theta = theta_value(alpha, beta, gamma)
-    return tet.numerator * theta.denominator, tet.denominator * theta.numerator
+    return _reduced((tn // g) * theta.denominator, (td // g) * theta.numerator)
 
 
 def _recouple(step: _Recoupling, state: tuple[int, ...], call: _Call) -> tuple[int, int]:
     """The total over a recoupling step's branches, state the labels of its
     edges in id order, as a reduced (numerator, denominator) pair with a
     positive denominator.  A branch's labels are state without j's label,
-    then the channel's.  The channels are summed as unreduced pairs and the
+    then the channel's.  Every channel's coefficient comes from one
+    ``recoupling`` entry, and the family's channels count as branches
+    before any runs.  The channels are summed as unreduced pairs and the
     sum is reduced once."""
-    la, lb, lc, ld = (state[r] for r in step.abcd)
+    la, lb, lc, ld = step.legs(state)
     lj = state[step.j]
+    family = default_cache().get_or(
+        ("recoupling", la, lb, lc, ld, lj), _recoupling_family, la, lb, lc, ld, lj
+    )
+    call.branches += len(family)
+    if call.branches > call.limit:
+        raise TooLarge(f"more than {_MAX_BRANCHES} recoupling branches")
     kept = state[: step.j] + state[step.j + 1 :]
-    # the channels i with (a,d,i) and (b,c,i) admissible; a + d and b + c
-    # both have j's parity, so the two ranges share their step
     num, den = 0, 1
-    for li in range(max(abs(la - ld), abs(lb - lc)), min(la + ld, lb + lc) + 1, 2):
-        coeff = recoupling_coefficient(la, lb, lc, ld, lj, li)
-        call.branches += 1
-        if call.branches > _MAX_BRANCHES:
-            raise TooLarge(f"more than {_MAX_BRANCHES} recoupling branches")
+    for li, cn, cd in family:
         n, d = _run(step.child(li == 0), kept + (li,), call)
         if n:
-            n *= coeff.numerator
-            d *= coeff.denominator
-            num, den = num * d + n * den, den * d
-    g = math.gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
+            d *= cd
+            num, den = num * d + n * cn * den, den * d
+    return _reduced(num, den)
 
 
 # -- strand expansion oracle --------------------------------------------

@@ -33,6 +33,7 @@ from .errors import (
     NullState,
     OutOfRange,
     TooFewEnds,
+    TooLarge,
     UnsupportedNetwork,
 )
 # evaluate_closed is not called here; it stays importable from this
@@ -312,6 +313,11 @@ def angle_from_probability(p) -> float:
 # -- angle collections and geometry ---------------------------------------
 
 
+# Free ends one angle matrix may hold: k ends take k(k-1)/2 exchanges, so
+# 64 take 2,016.  Every test and benchmark request asks for at most 8.
+MAX_ANGLE_ENDS = 64
+
+
 def angle_matrix(net: SpinNetwork, ends: Sequence[End] | None = None) -> AngleMatrix:
     """Angles between every pair of the given free ends (default: all).
 
@@ -319,10 +325,13 @@ def angle_matrix(net: SpinNetwork, ends: Sequence[End] | None = None) -> AngleMa
     the order of pairs cannot matter.  net is validated once, after the
     ends are checked, and each chosen end but the last is split once: the
     exchanges of the pairs (i, j), j > i, all join the split of end i.
+    More than ``MAX_ANGLE_ENDS`` ends raise TooLarge before any of that.
     """
     chosen = tuple(ends) if ends is not None else net.free_ends
     if len(chosen) < 2:
         raise TooFewEnds("an angle needs at least two free ends")
+    if len(chosen) > MAX_ANGLE_ENDS:
+        raise TooLarge(f"{len(chosen)} ends exceed the angle-matrix bound of {MAX_ANGLE_ENDS}")
     if len(set(chosen)) != len(chosen):
         raise NotAFreeEnd("ends must be distinct")
     for end in chosen:

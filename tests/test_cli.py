@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from spinnet import cli, evaluator
+from spinnet import cli, evaluator, experiments
 from spinnet.dsl import serialize_network
 from spinnet.evaluator import theta_value
 from spinnet.model import SpinNetwork
@@ -316,6 +316,21 @@ def test_angles_one_record_per_pair(fx, capsys):
         ("eB:1", "eC:1"),
     ]
     assert all(r["theta"] == 0.0 for r in records)
+
+
+def test_angles_past_the_end_bound_exits_3(tmp_path, capsys, monkeypatch):
+    labels = {f"{name}{k}": label for k in range(100) for name, label in (("a", 1), ("b", 1), ("t", 2))}
+    vertices = [(f"v{k}", (f"a{k}", f"b{k}", f"t{k}")) for k in range(100)]
+    path = tmp_path / "loose.snet"
+    path.write_text(serialize_network(SpinNetwork.from_spec(labels, vertices)))
+
+    def forbidden(*_args):
+        raise AssertionError("a refused matrix runs no exchange")
+
+    monkeypatch.setattr(experiments, "_exchange", forbidden)
+    code, out, err = run(["angles", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "TooLarge: 300 ends exceed the angle-matrix bound of 64\n"
 
 
 def test_geometry_aligned_golden_line(fx, capsys):

@@ -458,21 +458,115 @@ def test_recoupling_coefficient_refuses_inadmissible_labels(labels):
         recoupling_coefficient(*labels)
 
 
+def _family(cache, a, b, c, d, j):
+    """The recoupling family of (a, b, c, d, j) as the label step reads it:
+    looked up in cache, built on a miss."""
+    return cache.get_or(("recoupling", a, b, c, d, j), ev._recoupling_family, a, b, c, d, j)
+
+
+def _family_steps(top):
+    """Every (a, b, c, d, j) with labels up to top at which a recoupling
+    step can stand: (a, b, j) and (c, d, j) admissible."""
+    return [(a, b, c, d, j) for a, b, c, d, j in itertools.product(range(top + 1), repeat=5)
+            if vertex_admissible(a, b, j) and vertex_admissible(c, d, j)]
+
+
 def test_a_warm_recoupling_coefficient_equals_a_cold_one(fresh_cache):
-    cases = [labels for labels in itertools.product(range(5), repeat=6) if _recoupling_admissible(*labels)]
+    # each family built on a cache the others have warmed equals the one
+    # built on a cleared cache, and each of its channels the uncached
+    # recoupling_coefficient
+    cases = _family_steps(4)
     for labels in cases:
-        recoupling_coefficient(*labels)
-    warm = {labels: recoupling_coefficient(*labels) for labels in cases}
+        _family(fresh_cache, *labels)
+    warm = {labels: _family(fresh_cache, *labels) for labels in cases}
     assert fresh_cache.hits >= len(cases)
     for labels in cases:
         fresh_cache.clear()
-        assert recoupling_coefficient(*labels) == warm[labels], labels
+        assert _family(fresh_cache, *labels) == warm[labels], labels
+        for i, n, d in warm[labels]:
+            assert recoupling_coefficient(*labels, i) == Fraction(n, d), (labels, i)
+
+
+def _loop_tet_over_thetas(a, b, c, d, j, i):
+    return loop_value(i) * tet_value(a, b, c, d, i, j) / (theta_value(a, d, i) * theta_value(b, c, i))
+
+
+def test_a_recoupling_family_is_loop_times_tet_over_thetas(fresh_cache):
+    # every admissible step with labels up to 6: a family lists exactly the
+    # admissible channels, in increasing order, each as the reduced pair of
+    # loop(i) tet / (theta theta) with a positive denominator
+    cases = _family_steps(6)
+    assert len(cases) == 1714
+    for a, b, c, d, j in cases:
+        family = ev._recoupling_family(a, b, c, d, j)
+        channels = [i for i in range(13) if vertex_admissible(a, d, i) and vertex_admissible(b, c, i)]
+        assert [i for i, _, _ in family] == channels, (a, b, c, d, j)
+        for i, n, den in family:
+            want = _loop_tet_over_thetas(a, b, c, d, j, i)
+            assert (type(n), type(den)) == (int, int)
+            assert (n, den) == (want.numerator, want.denominator), (a, b, c, d, j, i)
+
+
+def test_a_large_recoupling_family_is_loop_times_tet_over_thetas(fresh_cache):
+    # the large cases of the coefficient test: their channel, and the first
+    # and last of each family
+    large = [(384,) * 6, (600,) * 6, (384, 384, 600, 600, 768, 216), (600, 384, 600, 384, 600, 216)]
+    for *step, i in large:
+        family = {ch: (n, d) for ch, n, d in ev._recoupling_family(*step)}
+        assert list(family) == sorted(family) and i in family
+        for ch in (i, min(family), max(family)):
+            want = _loop_tet_over_thetas(*step, ch)
+            assert family[ch] == (want.numerator, want.denominator), (step, ch)
+
+
+def test_cached_move_factors_are_reduced_pairs(monkeypatch, fresh_cache, closed_nets, open_nets):
+    # every recoupling channel and triangle factor the label step multiplies
+    # in is in lowest terms: an unreduced pair grows the integers of every
+    # product it enters.  The corpora recouple little, so the closed-cold
+    # pool runs too.
+    for net in closed_nets + _closed_cold_pool(monkeypatch):
+        evaluate_closed(net)
+    for net, end_a, end_b in free_end_pairs(open_nets):
+        try:
+            join_free_ends(net, end_a, end_b)
+        except (NullState, UnsupportedNetwork):
+            pass
+    pairs = {"recoupling": [], "triangle": []}
+    for key, value in fresh_cache._data.items():
+        if key[0] == "recoupling":
+            pairs["recoupling"] += [(n, d) for _, n, d in value]
+        elif key[0] == "triangle":
+            pairs["triangle"].append(value)
+    assert len(pairs["recoupling"]) > 500 and len(pairs["triangle"]) > 500
+    for n, d in pairs["recoupling"] + pairs["triangle"]:
+        assert (type(n), type(d)) == (int, int)
+        assert d > 0 and math.gcd(n, d) == 1, (n, d)
+
+
+def test_a_family_past_the_label_bound_computes_no_channel(monkeypatch, fresh_cache):
+    # the top channel holds a family's largest label: past the bound, the
+    # family is refused before any tet is computed, though its cheaper
+    # channels (here, every i up to the bound) are within it
+    top = ev.MAX_CLOSED_FORM_LABEL
+
+    def forbidden(*_args):
+        raise AssertionError("a refused family computes no channel")
+
+    monkeypatch.setattr(ev, "_tet", forbidden)
+    with pytest.raises(TooLarge, match="closed-form bound"):
+        ev._recoupling_family(top, top, top, top, 2)
+    # the cube is one recoupling step; every label at the bound gives its
+    # family channels up to twice the bound
+    with pytest.raises(TooLarge, match="closed-form bound"):
+        evaluate_closed(cube_net(top, top))
+    assert len(fresh_cache) == 0
 
 
 def test_each_cached_triangle_factor_is_its_tet_over_its_theta(fresh_cache):
     # tet networks reduce by one triangle op; every factor cached under a
     # ("triangle", alpha, beta, gamma, p, q, r) key must be the pair the op
-    # multiplies in, built here from uncached tet and theta values
+    # multiplies in, in lowest terms, built here from uncached tet and
+    # theta values
     grid = [(a, b, c, d, e, f) for a, b, c, d, e, f in itertools.product(range(4), repeat=6)
             if _recoupling_admissible(a, b, c, d, f, e)]  # the tet's four vertex triples
     for labels in grid:
@@ -480,8 +574,8 @@ def test_each_cached_triangle_factor_is_its_tet_over_its_theta(fresh_cache):
     factors = {key[1:]: value for key, value in fresh_cache._data.items() if key[0] == "triangle"}
     assert len(factors) > 50
     for (alpha, beta, gamma, p, q, r), pair in factors.items():
-        tet, theta = tet_value(alpha, beta, q, r, p, gamma), ev._theta(alpha, beta, gamma)
-        assert pair == (tet.numerator * theta.denominator, tet.denominator * theta.numerator)
+        factor = tet_value(alpha, beta, q, r, p, gamma) / ev._theta(alpha, beta, gamma)
+        assert pair == (factor.numerator, factor.denominator)
 
 
 # -- the reference engine, the programs, the memo and the finders ------------
@@ -768,34 +862,38 @@ def _reference_value(net, steps=None):
     return value
 
 
-def _counting_coefficients(patch):
-    """Counts the recoupling coefficients computed while patch is open."""
-    count = [0]
-    coefficient = ev.recoupling_coefficient
-
-    def spy(*args):
-        count[0] += 1
-        return coefficient(*args)
-
-    patch.setattr(ev, "recoupling_coefficient", spy)
-    return count
+def _counting_coefficients(fn, *args):
+    """fn(*args) and the recoupling branches the evaluator took meanwhile,
+    one per recoupling coefficient it read, from its own counters."""
+    before = ev.counters()["recoupling_branches"]
+    result = fn(*args)
+    return result, ev.counters()["recoupling_branches"] - before
 
 
 def _reference_trace(monkeypatch, net):
     """The reference's value, the (state, cycle) of each recoupling step in
-    order, and the number of recoupling coefficients computed."""
+    order, and the number of recoupling coefficients it computed, one per
+    branch."""
     steps = []
+    count = 0
+    coefficient = ev.recoupling_coefficient
+
+    def spy(*args):
+        nonlocal count
+        count += 1
+        return coefficient(*args)
+
     with monkeypatch.context() as patch:
-        count = _counting_coefficients(patch)
+        patch.setattr(ev, "recoupling_coefficient", spy)
         value = _reference_value(net, steps)
-    return value, steps, count[0]
+    return value, steps, count
 
 
 def _evaluator_trace(monkeypatch, net):
     """evaluate_closed's value, the (state, cycle) of each recoupling step
     whose total it computes, in order, and the number of recoupling
-    coefficients computed.  It runs on an empty process cache of its own,
-    so that every step is planned by the spy class, not found compiled."""
+    branches it took.  It runs on an empty process cache of its own, so
+    that every step is planned by the spy class, not found compiled."""
     seen = []
     recouple = ev._recouple
 
@@ -812,11 +910,10 @@ def _evaluator_trace(monkeypatch, net):
 
     with monkeypatch.context() as patch:
         patch.setattr(ev, "_default_cache", EvalCache())
-        count = _counting_coefficients(patch)
         patch.setattr(ev, "_Recoupling", Step)
         patch.setattr(ev, "_recouple", spy)
-        value = evaluate_closed(net)
-    return value, [(state, tuple(map(tuple, step.cycle))) for state, step in seen], count[0]
+        value, count = _counting_coefficients(evaluate_closed, net)
+    return value, [(state, tuple(map(tuple, step.cycle))) for state, step in seen], count
 
 
 def _cubic_nets():
@@ -891,15 +988,17 @@ def _counted(monkeypatch, net, *names):
 
 
 def test_a_warm_evaluation_looks_up_move_factors_and_no_tet(monkeypatch, fresh_cache):
-    # a move's scalar is one cache entry: once the cache is warm no tet is
-    # looked up, and every branch still reads its recoupling coefficient
+    # a triangle's scalar and a recoupling step's channels are one cache
+    # entry each: once the cache is warm no tet is computed and no family
+    # built, and every branch still reads its recoupling coefficient
     net = _ladder(8, 33)
-    names = ("tet_value", "recoupling_coefficient")
-    cold_value, cold = _counted(monkeypatch, net, *names)
-    warm_value, warm = _counted(monkeypatch, net, *names)
+    names = ("_tet", "_recoupling_family")
+    (cold_value, cold), cold_branches = _counting_coefficients(_counted, monkeypatch, net, *names)
+    (warm_value, warm), warm_branches = _counting_coefficients(_counted, monkeypatch, net, *names)
     assert warm_value == cold_value == _reference_value(net)
-    assert cold["tet_value"] > 0 and warm["tet_value"] == 0
-    assert warm["recoupling_coefficient"] == cold["recoupling_coefficient"] > 0
+    assert cold["_tet"] > 0 and warm["_tet"] == 0
+    assert cold["_recoupling_family"] > 0 and warm["_recoupling_family"] == 0
+    assert warm_branches == cold_branches > cold["_recoupling_family"]
 
 
 def test_schedule_tree_searches_a_repeated_shape_once(monkeypatch, fresh_cache):
@@ -925,9 +1024,9 @@ def test_branches_share_programs_and_copy_no_graph(monkeypatch, fresh_cache):
         return copy(g)
 
     monkeypatch.setattr(ev._MGraph, "copy", counted_copy)
-    value, calls = _counted(monkeypatch, net, "_compile", "recoupling_coefficient")
+    (value, calls), branches = _counting_coefficients(_counted, monkeypatch, net, "_compile")
     assert value == want
-    assert copies <= calls["_compile"] < calls["recoupling_coefficient"]
+    assert copies <= calls["_compile"] < branches
 
 
 def _plans(ops):
@@ -1075,10 +1174,9 @@ def test_the_branch_bound_holds_on_cached_programs(monkeypatch, fresh_cache):
     assert len(fresh_cache) == size and key not in fresh_cache._data
 
 
-def test_each_labelling_of_a_join_keeps_its_own_budget(monkeypatch, fresh_cache):
-    # the join's three channels take two recoupling branches each: under a
-    # bound of two it answers, from a cached program too, though the call
-    # takes six
+def _three_channel_join():
+    """An open network and two of its free ends whose join has three
+    channels, each taking two recoupling branches."""
     net = SpinNetwork(
         tuple(Edge(eid, label) for eid, label in
               (("e0", 1), ("e1", 5), ("e2", 5), ("j1", 4), ("j2", 4), ("u1", 2), ("r1", 2))),
@@ -1088,14 +1186,21 @@ def test_each_labelling_of_a_join_keeps_its_own_budget(monkeypatch, fresh_cache)
             Vertex("x1", (End("j1", 1), End("u1", 0), End("r1", 0))),
         ),
     )
-    ends = End("e1", 0), End("u1", 1)
+    return net, (End("e1", 0), End("u1", 1))
+
+
+def test_each_labelling_of_a_join_keeps_its_own_budget(monkeypatch, fresh_cache):
+    # the join's three channels take two recoupling branches each: under a
+    # bound of two it answers, from a cached program too, though the call
+    # takes six
+    net, ends = _three_channel_join()
     want = join_free_ends(net, *ends)
     assert len(want.entries) == 3
     with monkeypatch.context() as patch:
-        count = _counting_coefficients(patch)
         patch.setattr(ev, "_MAX_BRANCHES", 2)
-        assert join_free_ends(net, *ends) == want
-    assert count[0] == 6
+        got, count = _counting_coefficients(join_free_ends, net, *ends)
+        assert got == want
+    assert count == 6
     monkeypatch.setattr(ev, "_MAX_BRANCHES", 1)
     with pytest.raises(TooLarge, match="recoupling branches"):
         join_free_ends(net, *ends)
@@ -1379,19 +1484,53 @@ def test_labellings_share_the_step_memos(monkeypatch):
     # left; joining two bare edges beside a closed network closes it into
     # two copies of it and a theta (1, 1, 2)
     net = _ladder(8, 33)
-    value, once = _counted(monkeypatch, net, "recoupling_coefficient")
+    value, once = _counting_coefficients(evaluate_closed, net)
     open_net = SpinNetwork(net.edges + (Edge("x", 1), Edge("y", 1)), net.vertices)
     labels = tuple(e.label for e in open_net.edges) + (2,)
-    calls = 0
-    coefficient = ev.recoupling_coefficient
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return coefficient(*args)
-
-    monkeypatch.setattr(ev, "recoupling_coefficient", counted)
     want = value**2 * theta_value(1, 1, 2)
-    pairs = ev._evaluate_mirror_closure(open_net, End("x", 0), End("y", 0), [labels, labels])
+    pairs, branches = _counting_coefficients(
+        ev._evaluate_mirror_closure, open_net, End("x", 0), End("y", 0), [labels, labels]
+    )
     assert [Fraction(*pair) for pair in pairs] == [want, want]
-    assert calls == 2 * once["recoupling_coefficient"] > 0
+    assert branches == 2 * once > 0
+
+
+def test_the_counters_add_each_evaluation_once(monkeypatch, fresh_cache):
+    # one evaluation per evaluate_closed call and per join, one labelling
+    # per value computed, and every branch taken, a refused call's too;
+    # reading with reset zeroes them
+    net = _ladder(8, 33)
+    _, _, branches = _evaluator_trace(monkeypatch, net)
+    ev.counters(reset=True)
+    assert ev.counters() == {"evaluations": 0, "labellings": 0, "recoupling_branches": 0}
+    evaluate_closed(net)
+    evaluate_closed(net)  # a warm cache still takes every branch
+    assert ev.counters() == {"evaluations": 2, "labellings": 2, "recoupling_branches": 2 * branches}
+    # refused once its branch count passes the bound, which is its last one
+    with monkeypatch.context() as patch:
+        patch.setattr(ev, "_MAX_BRANCHES", branches - 1)
+        with pytest.raises(TooLarge, match="recoupling branches"):
+            evaluate_closed(net)
+    assert ev.counters(reset=True) == {"evaluations": 3, "labellings": 2, "recoupling_branches": 3 * branches}
+    join_net, ends = _three_channel_join()
+    join_free_ends(join_net, *ends)
+    assert ev.counters() == {"evaluations": 1, "labellings": 3, "recoupling_branches": 6}
+    fresh_cache.clear()
+    assert ev.counters(reset=True)["evaluations"] == 1
+    assert ev.counters() == {"evaluations": 0, "labellings": 0, "recoupling_branches": 0}
+
+
+def test_one_closed_cold_pass_takes_3648_recoupling_branches(monkeypatch, fresh_cache):
+    # the benchmark's closed-cold pool, the cache cleared before each
+    # request as the benchmark clears it: the package's counters read the
+    # branches its traced runs counted through a wrapped binding before
+    # the label step read whole recoupling families
+    pool = _closed_cold_pool(monkeypatch)
+    before = ev.counters()
+    for net in pool:
+        fresh_cache.clear()
+        evaluate_closed(net)
+    after = ev.counters()
+    assert {name: after[name] - before[name] for name in after} == {
+        "evaluations": 75, "labellings": 75, "recoupling_branches": 3648,
+    }

@@ -550,6 +550,41 @@ def test_an_angle_does_not_depend_on_declaration_order():
     assert one.angle(End("a", 1), End("b", 1)) == other.angle(End("a", 1), End("b", 1))
 
 
+def _loose_vertices(count):
+    """count disjoint vertices (1, 1, 2): 3 * count free ends, none of
+    label 0."""
+    labels, vertices = {}, []
+    for k in range(count):
+        labels.update({f"a{k}": 1, f"b{k}": 1, f"t{k}": 2})
+        vertices.append((f"v{k}", (f"a{k}", f"b{k}", f"t{k}")))
+    return SpinNetwork.from_spec(labels, vertices)
+
+
+def test_an_angle_matrix_past_the_end_bound_is_too_large(monkeypatch):
+    # k ends take k(k-1)/2 exchanges: past the bound the matrix is refused
+    # before any exchange, and at the bound it measures every pair
+    net = _loose_vertices(100)
+    assert len(net.free_ends) == 300 and experiments.MAX_ANGLE_ENDS == 64
+
+    def forbidden(*_args):
+        raise AssertionError("a refused matrix runs no exchange")
+
+    monkeypatch.setattr(experiments, "_exchange", forbidden)
+    with pytest.raises(TooLarge, match="300 ends exceed the angle-matrix bound of 64"):
+        angle_matrix(net)
+    with pytest.raises(TooLarge, match="65 ends"):
+        angle_matrix(net, net.free_ends[:65])
+    pairs = []
+
+    def counted(_split, _unit_end, end_b):
+        pairs.append(end_b)
+        return ExchangeResult(F(1), F(0), 0.0)
+
+    monkeypatch.setattr(experiments, "_exchange", counted)
+    assert angle_matrix(net, net.free_ends[:64]).angles.shape == (64, 64)
+    assert len(pairs) == 64 * 63 // 2
+
+
 def test_angle_matrix_preconditions():
     with pytest.raises(TooFewEnds):
         angle_matrix(SpinNetwork.from_spec({"a": 2}), [End("a", 0)])

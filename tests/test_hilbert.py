@@ -410,7 +410,7 @@ def test_born_path_needs_no_radicals_and_no_closed_forms(open_nets, no_radicals,
     def forbidden(*_args, **_kwargs):
         raise AssertionError("the Born path must not reach this")
 
-    for name in ("theta_value", "tet_value", "evaluate_closed"):
+    for name in ("theta_value", "tet_value", "_tet", "evaluate_closed"):
         monkeypatch.setattr(evaluator, name, forbidden)
     # the process cache starts empty, so every tensor is built under the patches
     answered = 0
