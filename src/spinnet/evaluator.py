@@ -309,9 +309,11 @@ def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -
 # graph's shape (edge and vertex ids, ports) and which of its edges are
 # zero, nothing else: it picks each move (_next_move, _shortest_cycle),
 # rewires an _MGraph whose edges hold positions into a label tuple, and
-# returns the ops the moves leave as a tuple, its program.  The label step
-# (_run, _recouple) reads those ops on one label tuple, with one
-# closed-form lookup per op and one per recoupling step and state, in
+# returns the ops the moves leave as a tuple, its program.  A theta
+# component is a bubble whose two outer legs are one edge, so it leaves a
+# bubble op and the circle op its weld closes.  The label step (_run,
+# _recouple) reads those ops on one label tuple, with one closed-form lookup
+# per bubble or triangle op and one per recoupling step and state, in
 # integers: a value is a (numerator, denominator) pair, multiplied
 # unreduced, and reduced once per recoupling total, by one gcd, before the
 # evaluation memoises it.  A move's scalar is cached whole, as a reduced
@@ -480,7 +482,9 @@ def _next_move(g: _MGraph) -> tuple[str, object] | None:
     - ("loop", v): the lowest vertex holding a self-loop;
     - ("parallel", (u, v, edges)): the bundle between u < v, edges by id,
       the lowest (u, v) with three edges (a whole theta component), else
-      the lowest with two;
+      the lowest with two.  Both are reduced as the bubble on their first
+      two edges (see _bundle_op), so the preference only orders bubbles;
+      it is kept so that the schedule, and every value, does not move;
     - ("triangle", (t1, t2, t3, p, q, r)): the lexicographically first
       3-cycle t1 < t2 < t3, where p = t1t2, q = t2t3, r = t3t1.
     None means none applies: the graph has girth at least 4.
@@ -605,15 +609,15 @@ def _components(g: _MGraph) -> list[_MGraph]:
     return comps
 
 
-# Op codes.  An op is a tuple: its code, then label positions.
+# Op codes.  An op is a tuple: its code, then label positions.  A program
+# ends where its ops end, at a recoupling step or a dead op, or with nothing
+# left of its graph.
 _CIRCLE = 0    # (_CIRCLE, p): a closed loop
-_THETA = 1     # (_THETA, px, py, pz): a whole theta component
-_BUBBLE = 2    # (_BUBBLE, px, py, pcu, pcv): a two-edge face, 0 unless cu == cv
-_TRIANGLE = 3  # (_TRIANGLE, pa, pb, pg, pp, pq, pr): a 3-cycle with outer legs
+_BUBBLE = 1    # (_BUBBLE, px, py, pcu, pcv): a two-edge face, 0 unless cu == cv
+_TRIANGLE = 2  # (_TRIANGLE, pa, pb, pg, pp, pq, pr): a 3-cycle with outer legs
                # a, b, g and edges p, q, r, 0 unless (a, b, g) is admissible
-_RECOUPLE = 4  # (_RECOUPLE, step): the program's end, a _Recoupling
-_EMPTY = 5     # (_EMPTY,): the program's end, nothing left
-_DEAD = 6      # (_DEAD,): the program's end, a self-loop, value 0
+_RECOUPLE = 3  # (_RECOUPLE, step): the program's end, a _Recoupling
+_DEAD = 4      # (_DEAD,): the program's end, a self-loop, value 0
 
 
 class _Recoupling:
@@ -717,15 +721,11 @@ def _drop_zero_edge(g: _MGraph, e: int) -> None:
 
 
 def _bundle_op(g: _MGraph, u: int, v: int, edges: list[int]) -> tuple:
-    """Remove a two-vertex face; returns the op it leaves."""
-    if len(edges) == 3:
-        op = (_THETA, *(g.epos[e] for e in edges))
-        for e in edges:
-            g.drop_edge(e)
-        g.drop_vertex(u)
-        g.drop_vertex(v)
-        return op
-    e1, e2 = edges
+    """Remove the two-vertex face on the bundle's first two edges; returns
+    the op it leaves.  In a three-edge bundle, a whole theta component, the
+    third edge is both outer legs, and the weld closes it into a circle:
+    theta/loop for the bubble, times the loop."""
+    e1, e2 = edges[:2]
     outer_u = [p for p in g.vports[u] if p[0] not in (e1, e2)]
     outer_v = [p for p in g.vports[v] if p[0] not in (e1, e2)]
     assert len(outer_u) == 1 and len(outer_v) == 1
@@ -756,13 +756,14 @@ def _triangle_op(g: _MGraph, tri: tuple[int, int, int, int, int, int]) -> tuple:
 
 def _compile(g: _MGraph) -> tuple:
     """The shape step: the ops of g's program, found by rewiring g move by
-    move until it is empty, dead or at a recoupling step."""
+    move until it is empty, dead or at a recoupling step.  An empty graph's
+    program has no ops."""
     ops = []
     while not g.empty():
         move = _next_move(g)
         if move is None:
             ops.append((_RECOUPLE, _Recoupling(g)))
-            return tuple(ops)
+            break
         kind, arg = move
         if kind == "zero":
             _drop_zero_edge(g, arg)
@@ -770,14 +771,13 @@ def _compile(g: _MGraph) -> tuple:
             # a bundle closing onto its own vertex forces the third label to
             # zero; zero edges are gone here, so the component vanishes
             ops.append((_DEAD,))
-            return tuple(ops)
+            break
         elif kind == "parallel":
             ops.append(_bundle_op(g, *arg))
         else:
             ops.append(_triangle_op(g, arg))
         ops.extend((_CIRCLE, p) for p in g.circles)
         g.circles.clear()
-    ops.append((_EMPTY,))
     return tuple(ops)
 
 
@@ -811,18 +811,6 @@ def evaluate_closed(net: SpinNetwork) -> Fraction:
     """
     _require_closed_valid(net)
     return Fraction(*_evaluate(_shape(net), [tuple(e.label for e in net.edges)])[0])
-
-
-def _evaluate_mirror_closure(
-    net: SpinNetwork, end_a: End, end_b: End, labellings: list[tuple[int, ...]]
-) -> list[tuple[int, int]]:
-    """The value of the closure a join of end_a and end_b evaluates (see
-    ``_MGraph.from_shape``) under each labelling, net's labels followed by
-    the joined unit's, as an unreduced (numerator, denominator) pair (see
-    ``_evaluate``).  Nothing is checked: net must be valid, end_a and end_b
-    distinct free ends of it, and each labelling admissible at net's
-    vertices and the join vertex.  No merged network is built."""
-    return _evaluate(_shape(net, end_a, end_b), labellings)
 
 
 def _shape(net: SpinNetwork, *joined: End) -> tuple:
@@ -949,7 +937,7 @@ def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> tuple[int, int]:
     """Value of one connected component as an unreduced (numerator,
     denominator) pair: its program's ops read on its labels, each at the
     positions fixed when the program was compiled.  A dead op or a failed
-    label check returns (0, 1).
+    label check returns (0, 1), and a program with no ops (1, 1).
 
     One program serves every graph that reaches its node because:
     - _next_move reads labels only to find a zero edge, and _shortest_cycle
@@ -961,12 +949,14 @@ def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> tuple[int, int]:
     - a branch's shape, ids included, is fixed by its parent's shape and
       cycle;
     - a weld joins two equal labels (every vertex stays admissible, and a
-      bubble's outer legs are checked), so the position it keeps holds the
-      label of the edge it makes;
+      bubble's outer legs are checked; a theta's are one edge), so the
+      position it keeps holds the label of the edge it makes;
     - any other label fact (an inadmissible triangle, a bubble with unequal
       outer labels) ends the branch with value 0.
     """
     num = den = 1
+    # codes tested by how often a join's ops run: triangles, then bubbles
+    # and circles, a theta leaving one of each
     for op in ops:
         code = op[0]
         if code == _TRIANGLE:
@@ -980,13 +970,6 @@ def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> tuple[int, int]:
             )
             num *= tn
             den *= td
-        elif code == _RECOUPLE:
-            step = op[1]
-            key = (step, step.take(labels))
-            total = call.memo.get(key)
-            if total is None:
-                total = call.memo[key] = _recouple(step, key[1], call)
-            return num * total[0], den * total[1]
         elif code == _BUBBLE:
             _, px, py, pcu, pcv = op
             cu = labels[pcu]
@@ -995,16 +978,18 @@ def _run(ops: tuple, labels: tuple[int, ...], call: _Call) -> tuple[int, int]:
             theta = theta_value(labels[px], labels[py], cu)
             num *= theta.numerator
             den *= theta.denominator * _loop(cu)
-        elif code == _THETA:
-            theta = theta_value(labels[op[1]], labels[op[2]], labels[op[3]])
-            num *= theta.numerator
-            den *= theta.denominator
         elif code == _CIRCLE:
             num *= _loop(labels[op[1]])
-        elif code == _EMPTY:
-            return num, den
+        elif code == _RECOUPLE:
+            step = op[1]
+            key = (step, step.take(labels))
+            total = call.memo.get(key)
+            if total is None:
+                total = call.memo[key] = _recouple(step, key[1], call)
+            return num * total[0], den * total[1]
         else:
             return 0, 1
+    return num, den
 
 
 def _triangle(alpha: int, beta: int, gamma: int, p: int, q: int, r: int) -> tuple[int, int]:

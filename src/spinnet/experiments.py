@@ -38,7 +38,7 @@ from .errors import (
 )
 # evaluate_closed is not called here; it stays importable from this
 # module: perfbench/spans.py wraps the binding experiments.evaluate_closed.
-from .evaluator import _evaluate_mirror_closure, _loop, evaluate_closed, theta_value  # noqa: F401
+from .evaluator import _evaluate, _loop, _shape, evaluate_closed, theta_value  # noqa: F401
 # merge_free_ends is not called here either; it stays importable from this
 # module: perfbench/spans.py wraps the binding experiments.merge_free_ends.
 from .model import (
@@ -202,16 +202,16 @@ def _join(net: SpinNetwork, end_a: End, end_b: End) -> dict[int, int]:
     must be valid, and end_a and end_b distinct free ends of it.
     """
     a, b = net.label(end_a), net.label(end_b)
-    # Every channel closes onto one graph, in which the joined unit is fused
-    # with its mirror image: evaluate it under net's labels and each
-    # channel's.
+    # Every channel closes onto one graph, the join's closure (see
+    # evaluator._MGraph.from_shape), in which the joined unit is fused with
+    # its mirror image: evaluate it under net's labels and each channel's.
     channels = admissible_couplings(a, b)
     # a tuple made from a list, not a generator: tuple() sizes a generator's
     # result by a guess and shrinks it, and over many joins the shrunk
     # blocks pile up in the interpreter's tuple free lists (3 MB more peak
     # RSS over a 20 s probe-warm run)
     labels = tuple([e.label for e in net.edges])
-    values = _evaluate_mirror_closure(net, end_a, end_b, [labels + (c,) for c in channels])
+    values = _evaluate(_shape(net, end_a, end_b), [labels + (c,) for c in channels])
     # each value is an unreduced pair (n, d): the weight
     # loop(c)·n·theta_den / (d·theta_num) is reduced once, by Fraction
     weights = {}
@@ -248,14 +248,15 @@ def split_unit(
     two fresh edges are the new free ends.  The vertex takes a fresh
     ``x<n>`` id; edge ids default to fresh ``u<n>`` (the split-off unit)
     and ``r<n>`` (the remainder).
-    A k that is not a label ``validate_network`` accepts (a non-negative
-    ``int``), or exceeds a, raises InadmissibleSplit.  The vertex is
-    admissible and the ids are new, so the result is valid whenever net is.
+    A k or an end's label a that is not a label ``validate_network``
+    accepts (a non-negative ``int``), or a k that exceeds a, raises
+    InadmissibleSplit.  The vertex is admissible and the ids are new, so
+    the result is valid whenever net is.
     """
     if not net.is_free(end_a):
         raise NotAFreeEnd(f"end {end_a.edge}:{end_a.side} is not a free end")
     a = net.label(end_a)
-    if not (_is_label(k) and k <= a):
+    if not (_is_label(a) and _is_label(k) and k <= a):
         raise InadmissibleSplit(f"cannot split a unit of {k} from an end of label {a}")
     uid = unit_id if unit_id is not None else net.fresh_id("u")
     rid = rest_id if rest_id is not None else net.fresh_id("r")
@@ -291,14 +292,14 @@ def exchange_experiment(net: SpinNetwork, end_a: End, end_b: End) -> ExchangeRes
 
     The joined unit can only come out as b+1 or b-1; p = p_up defines the
     angle between the two ends through p = cos^2(theta/2).  net is
-    validated once, after the split's own checks; the split, valid by
-    construction, is joined without a second validation, and no
+    validated once, before any label is read, and then split; the split,
+    valid by construction, is joined without a second validation, and no
     ``OutcomeDistribution`` is built for the two outcomes.
     """
     if end_a == end_b:
         raise NotAFreeEnd("cannot exchange an end with itself")
-    split, unit_end = _split_off_unit(net, end_a)
     _require_valid(net)
+    split, unit_end = _split_off_unit(net, end_a)
     _require_free(net, end_b)
     return _exchange(split, unit_end, end_b)
 
@@ -322,10 +323,11 @@ def angle_matrix(net: SpinNetwork, ends: Sequence[End] | None = None) -> AngleMa
     """Angles between every pair of the given free ends (default: all).
 
     Each pair is measured counterfactually on the original network, so
-    the order of pairs cannot matter.  net is validated once, after the
-    ends are checked, and each chosen end but the last is split once: the
-    exchanges of the pairs (i, j), j > i, all join the split of end i.
-    More than ``MAX_ANGLE_ENDS`` ends raise TooLarge before any of that.
+    the order of pairs cannot matter.  net is validated once, before the
+    ends and their labels are checked, and each chosen end but the last is
+    split once: the exchanges of the pairs (i, j), j > i, all join the
+    split of end i.  More than ``MAX_ANGLE_ENDS`` ends raise TooLarge
+    before any of that.
     """
     chosen = tuple(ends) if ends is not None else net.free_ends
     if len(chosen) < 2:
@@ -334,11 +336,11 @@ def angle_matrix(net: SpinNetwork, ends: Sequence[End] | None = None) -> AngleMa
         raise TooLarge(f"{len(chosen)} ends exceed the angle-matrix bound of {MAX_ANGLE_ENDS}")
     if len(set(chosen)) != len(chosen):
         raise NotAFreeEnd("ends must be distinct")
+    _require_valid(net)
     for end in chosen:
         _require_free(net, end)
         if net.label(end) < 1:
             raise InadmissibleSplit(f"end {end.edge}:{end.side} has label 0, no unit to split")
-    _require_valid(net)
 
     matrix = np.zeros((len(chosen), len(chosen)))
     for i, end_a in enumerate(chosen[:-1]):
@@ -410,21 +412,22 @@ def stability_measure(
     repetition reads p_up from the pair's channel weights w_x and the
     vertex weights, and then multiplies each w_x by its branch's weight.
 
-    net is validated once, after the arguments are checked, also when no
-    repetition runs; a run of no repetition makes no join.
+    net is validated once, after the arguments and before the ends and
+    end_a's label are checked, also when no repetition runs; a run of no
+    repetition makes no join.
     """
     # a plain-int seed: random.Random also takes None, seeded from the OS
     if not (type(repetitions) is type(rng_seed) is int and repetitions >= 0):
         raise OutOfRange(f"need ints repetitions >= 0 and rng_seed, got {repetitions!r} and {rng_seed!r}")
     if end_a == end_b:
         raise NotAFreeEnd("cannot exchange an end with itself")
+    _require_valid(net)
     _require_free(net, end_a, end_b)
     if net.label(end_a) < repetitions:
         raise ExhaustedEnd(
             f"end {end_a.edge}:{end_a.side} (label {net.label(end_a)}) would reach 0 "
             f"before {repetitions} repetitions complete"
         )
-    _require_valid(net)
     rng = random.Random(rng_seed)
 
     angles: list[float] = []

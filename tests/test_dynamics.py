@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinnet import dynamics
@@ -315,6 +315,66 @@ def test_sequence_channel_matches_postselection_fold(ops):
             assert np.linalg.norm(mat[:, col]) < 1e-10
         else:
             assert np.allclose(mat[:, col], scale * state.amplitudes, atol=1e-10)
+
+
+# -- ancilla symmetry -----------------------------------------------------------
+
+# Every pair projector is (I +- SWAP)/2, so a sequence M commutes with U^(x)n
+# for every U in SU(2), and the map A = E^H M E it induces on the system
+# through an ancilla state commutes with every rotation that fixes that state
+# up to a phase (ROADMAP item 17).  Ancilla states as unnormalised integer
+# vectors:
+_SINGLET = (0, 1, -1, 0)
+_UP = (1, 0)
+_PLUS = (1, 1)
+
+
+def _kron(*states):
+    out = (1,)
+    for state in states:
+        out = tuple(x * y for x in out for y in state)
+    return out
+
+
+def _commutes_with_z(a):
+    return a[0][1] == a[1][0] == 0
+
+
+def _commutes_with_x(a):
+    return a[0][0] == a[1][1] and a[0][1] == a[1][0]
+
+
+# (ancilla state, the laws its map obeys): a singlet defines no direction,
+# so its map commutes with Z and X and is a multiple of I; up defines the z
+# axis, plus the x axis.  Plus with up fixes no rotation, so no law.
+_ANCILLAS = {
+    "singlet": (_SINGLET, (_commutes_with_z, _commutes_with_x)),
+    "singlet, up": (_kron(_SINGLET, _UP), (_commutes_with_z,)),
+    "up, up": (_kron(_UP, _UP), (_commutes_with_z,)),
+    "plus, plus": (_kron(_PLUS, _PLUS), (_commutes_with_x,)),
+}
+_PAIR_PROJECTORS = {
+    n: [pair_projector(n, i, j, ch) for i, j in itertools.combinations(range(n), 2) for ch in (SINGLET, TRIPLET)]
+    for n in (3, 4)
+}
+
+
+@pytest.mark.parametrize("ancilla", sorted(_ANCILLAS))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_an_ancilla_that_defines_no_direction_cannot_rotate(ancilla, data):
+    # A[s, t] = sum anc[x] M[(s, x), (t, y)] anc[y] in exact Fractions, the
+    # system qubit the most significant
+    anc, laws = _ANCILLAS[ancilla]
+    k = len(anc)
+    steps = data.draw(st.lists(st.sampled_from(_PAIR_PROJECTORS[k.bit_length()]), min_size=1, max_size=6))
+    m = sequence_channel(MeasurementSequence(tuple(steps))).matrix
+    a = [
+        [sum(anc[x] * m[s * k + x, t * k + y] * anc[y] for x in range(k) for y in range(k)) for t in (0, 1)]
+        for s in (0, 1)
+    ]
+    for law in laws:
+        assert law(a), (law.__name__, a)
 
 
 # -- the search ---------------------------------------------------------------

@@ -1054,7 +1054,7 @@ def _same_program(cached, fresh):
     down to every child the cached step has compiled.  Returns the number
     of recoupling steps compared."""
     assert _plans(cached) == _plans(fresh)
-    if cached[-1][0] != ev._RECOUPLE:
+    if not cached or cached[-1][0] != ev._RECOUPLE:
         return 0
     step, fresh_step = cached[-1][1], fresh[-1][1]
     return 1 + sum(
@@ -1473,7 +1473,7 @@ def test_a_relabelled_graph_evaluates_as_each_relabelled_network(open_nets):
         channels = admissible_couplings(net.label(end_a), net.label(end_b))
         merged = [merge_free_ends(net, end_a, end_b, c) for c in channels]
         labellings = [tuple(e.label for e in m.edges) for m in merged]
-        got = [Fraction(*pair) for pair in ev._evaluate_mirror_closure(net, end_a, end_b, labellings)]
+        got = [Fraction(*pair) for pair in ev._evaluate(ev._shape(net, end_a, end_b), labellings)]
         assert got == [evaluate_closed(reference_mirror_closure(m)[0]) for m in merged]
         checked += len(channels) > 1
     assert checked >= 40
@@ -1489,7 +1489,7 @@ def test_labellings_share_the_step_memos(monkeypatch):
     labels = tuple(e.label for e in open_net.edges) + (2,)
     want = value**2 * theta_value(1, 1, 2)
     pairs, branches = _counting_coefficients(
-        ev._evaluate_mirror_closure, open_net, End("x", 0), End("y", 0), [labels, labels]
+        ev._evaluate, ev._shape(open_net, End("x", 0), End("y", 0)), [labels, labels]
     )
     assert [Fraction(*pair) for pair in pairs] == [want, want]
     assert branches == 2 * once > 0

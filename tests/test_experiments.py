@@ -336,20 +336,25 @@ def test_the_exchange_identity_holds_on_the_born_path(open_nets):
     assert agreed > 1500
 
 
-def _row_sums(net, join):
-    """For each free end i, the sum over j != i of M_ij, where
-    M_ij = (<x(x+2)> - a_i(a_i+2) - a_j(a_j+2))/8 over the join of ends
-    i and j (the coupling <J_i . J_j> of the two ends), with the join read
-    by join."""
+def _couplings(net, join):
+    """The matrix M_ij = <J_i . J_j> over net's free ends, in exact
+    Fractions: M_ii = a_i(a_i+2)/4, and M_ij = (<x(x+2)> - a_i(a_i+2) -
+    a_j(a_j+2))/8 over the join of ends i and j, read by join."""
     ends = net.free_ends
-    sums = [F(0)] * len(ends)
+    labels = [net.label(end) for end in ends]
+    m = [[F(0)] * len(ends) for _ in ends]
+    for i, a in enumerate(labels):
+        m[i][i] = F(a * (a + 2), 4)
     for i, j in itertools.combinations(range(len(ends)), 2):
-        a, b = net.label(ends[i]), net.label(ends[j])
-        dist = join(net, ends[i], ends[j])
-        m = (sum(p * x * (x + 2) for x, p in dist.entries.items()) - a * (a + 2) - b * (b + 2)) / 8
-        sums[i] += m
-        sums[j] += m
-    return sums
+        a, b = labels[i], labels[j]
+        mean = sum(p * x * (x + 2) for x, p in join(net, ends[i], ends[j]).entries.items())
+        m[i][j] = m[j][i] = (mean - a * (a + 2) - b * (b + 2)) / 8
+    return m
+
+
+def _row_sums(net, join):
+    """For each free end i, the sum over j != i of M_ij (see _couplings)."""
+    return [sum(row) - row[i] for i, row in enumerate(_couplings(net, join))]
 
 
 def _row_sum_nets(nets):
@@ -513,6 +518,10 @@ def test_split_unit_rejects_bad_k():
             split_unit(net, End("a", 0), k)
     with pytest.raises(NotAFreeEnd):
         split_unit(singlet_net(), End("a", 0), 1)
+    # so is an end whose label is no label, on a network built directly
+    for label in ("x", 2.5, True):
+        with pytest.raises(InadmissibleSplit):
+            split_unit(SpinNetwork((Edge("a", label),), ()), End("a", 0), 1)
 
 
 # -- angle matrices and geometry ----------------------------------------------
@@ -673,6 +682,29 @@ def _inertia(m):
     return tuple(counts)
 
 
+# (positive, zero, negative) eigenvalue counts of the couplings M of
+# open_corpus() networks with five or more free ends, on both paths: M is
+# the Gram matrix of the ends' spins J_i, which sum to 0, and its rank
+# passes 3, so the ends' couplings do not fit 3-space (ROADMAP item 18)
+_COUPLING_INERTIA = {
+    14: (4, 3, 0), 47: (4, 3, 0), 105: (4, 3, 0), 142: (4, 3, 0),
+    37: (4, 1, 0), 179: (4, 1, 0),
+    146: (5, 2, 0),
+}
+
+
+@pytest.mark.parametrize("join", [join_free_ends, born_join_distribution])
+def test_the_couplings_have_their_exact_rank(open_nets, join):
+    for k, want in _COUPLING_INERTIA.items():
+        assert _inertia(_couplings(open_nets[k], join)) == want, k
+
+
+def test_the_couplings_of_four_ends_have_rank_three_on_the_born_path(open_nets):
+    # four spins summing to 0 span at most 3 directions; the evaluator reads
+    # (4, 0, 0) here, item 1's defect, which the row-sum xfail pins
+    assert _inertia(_couplings(open_nets[NONPLANAR_ROW_SUMS], born_join_distribution)) == (3, 1, 0)
+
+
 def test_inertia_counts_match_the_eigenvalues():
     rng = random.Random(20261020)
     for _ in range(200):
@@ -767,6 +799,15 @@ _PROBES = {
     "angle_matrix": lambda net: angle_matrix(net, [End("a", 1), End("b", 1), End("c", 1)]),
     "stability_measure": lambda net: stability_measure(net, End("a", 1), End("b", 1), 3, 1),
 }
+
+
+@pytest.mark.parametrize("entry", ["exchange_experiment", "angle_matrix", "stability_measure"])
+def test_a_probe_validates_before_it_reads_a_label(entry):
+    # a network built directly with a label that cannot be compared: each
+    # probe refuses it as invalid, as the joins do, before any label is read
+    net = SpinNetwork((Edge("a", "x"), Edge("b", 1)), ())
+    with pytest.raises(InvalidNetwork):
+        _END_TAKERS[entry](net, End("a", 1), End("b", 1))
 
 
 @pytest.mark.parametrize("entry", sorted(_PROBES))
