@@ -7,7 +7,9 @@ json-lines (`--format jsonl`, one record per line, keys sorted,
 byte-deterministic for a fixed seed).  Exact mode prints probabilities
 as `p/q`; `--numeric float` switches to decimals.  Exit codes: 0 ok, 1
 I/O, 2 usage or parse errors, 3 domain violations (invalid or unsuitable
-network, or a request over its size bound).
+network, or a request over its size bound).  `--stats` also writes the
+process's work counters (`evaluator.counters()` and the process cache's
+`stats`) to stderr as one JSON line, and leaves stdout as it is.
 
 Free ends are named by edge id, with an optional `:side` suffix (`e1:0`)
 when both sides of the edge are free.
@@ -27,7 +29,7 @@ import numpy as np
 from .dsl import parse_network
 from .dynamics import MAX_QUBITS, approximate_unitary_search
 from .errors import OutOfRange, SpinNetError
-from .evaluator import evaluate_closed
+from .evaluator import counters, default_cache, evaluate_closed
 from .experiments import (
     angle_matrix,
     exchange_experiment,
@@ -246,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "jsonl"), default="human")
     common.add_argument("--numeric", choices=("exact", "float"), default="exact")
+    common.add_argument("--stats", action="store_true", help="write the work counters to stderr as one JSON line")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a closed network")
@@ -298,7 +301,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        try:
+            return args.handler(args)
+        finally:
+            # the process's counts, so a refused command's work shows too;
+            # a cache that cannot be built raises its own error here
+            if args.stats:
+                stats = {**counters(), "cache": default_cache().stats}
+                print(json.dumps(stats, sort_keys=True), file=sys.stderr)
     except _Failure as exc:
         print(exc, file=sys.stderr)
         return exc.code

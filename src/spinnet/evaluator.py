@@ -861,7 +861,8 @@ def _evaluate(shape: tuple, labellings: list[tuple[int, ...]]) -> list[tuple[int
     values = []
     try:
         for labels in labellings:
-            zeros = tuple([k for k, x in enumerate(labels) if x == 0])
+            # most labellings have no zero label, and then no scan
+            zeros = tuple([k for k, x in enumerate(labels) if x == 0]) if 0 in labels else ()
             comps = programs.get(zeros)
             if comps is None:
                 key = ("program", shape, zeros)

@@ -18,6 +18,7 @@ normalized across candidates.  They are exact rationals.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,15 +72,18 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         allowed = set(admissible_couplings(self.label_a, self.label_b))
-        total = Fraction(0)
         for c, p in self.entries.items():
             if c not in allowed:
                 raise OutOfRange(f"label {c} cannot couple {self.label_a} and {self.label_b}")
-            if not 0 <= p <= 1:
+            _require_exact(p, f"probability for label {c}")
+            # a Fraction's denominator is positive, an int's is 1
+            if not 0 <= p.numerator <= p.denominator:
                 raise OutOfRange(f"probability {p} for label {c} is outside [0, 1]")
-            total += p
-        if total != 1:
-            raise OutOfRange(f"probabilities sum to {total}, not 1")
+        # the sum over the entries' least common denominator, in integers
+        den = math.lcm(*[p.denominator for p in self.entries.values()])
+        num = sum([p.numerator * (den // p.denominator) for p in self.entries.values()])
+        if num != den:
+            raise OutOfRange(f"probabilities sum to {Fraction(num, den)}, not 1")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -102,8 +106,12 @@ class ExchangeResult:
     theta: float
 
     def __post_init__(self):
-        if self.p_up + self.p_down != 1:
-            raise OutOfRange(f"p_up + p_down = {self.p_up + self.p_down}, not 1")
+        up, down = self.p_up, self.p_down
+        _require_exact(up, "p_up")
+        _require_exact(down, "p_down")
+        # up + down = 1, cross-multiplied
+        if up.numerator * down.denominator + down.numerator * up.denominator != up.denominator * down.denominator:
+            raise OutOfRange(f"p_up + p_down = {up + down}, not 1")
         if not 0 <= self.theta <= math.pi:
             raise OutOfRange(f"theta {self.theta} outside [0, pi]")
 
@@ -119,9 +127,14 @@ class AngleMatrix:
         k = len(self.ends)
         if self.angles.shape != (k, k):
             raise OutOfRange(f"angle matrix shape {self.angles.shape} does not match {k} ends")
-        if np.any(self.angles != self.angles.T) or np.any(np.diag(self.angles) != 0):
+        # on lists: a probe's matrix is a few ends wide, too small for numpy
+        # reductions to pay; a NaN fails the first check, as it differs from
+        # itself
+        rows = self.angles.tolist()
+        asymmetric = any(rows[i][j] != rows[j][i] for i in range(k) for j in range(i))
+        if asymmetric or any(rows[i][i] != 0 for i in range(k)):
             raise OutOfRange("angle matrix must be symmetric with zero diagonal")
-        if np.any(self.angles < 0) or np.any(self.angles > math.pi):
+        if not all(0 <= x <= math.pi for row in rows for x in row):
             raise OutOfRange("angles must lie in [0, pi]")
 
     def angle(self, end_a: End, end_b: End) -> float:
@@ -147,6 +160,12 @@ class StabilityReport:
     angles: tuple[float, ...]
     outcomes: tuple[int, ...]
     max_drift: float
+
+
+def _require_exact(p, name: str) -> None:
+    # a float or a bool compares as a probability would, but is not exact
+    if type(p) is not Fraction and type(p) is not int:
+        raise OutOfRange(f"{name} must be a Fraction or an int, got {p!r}")
 
 
 # -- joining -------------------------------------------------------------
@@ -213,22 +232,25 @@ def _join(net: SpinNetwork, end_a: End, end_b: End) -> dict[int, int]:
     labels = tuple([e.label for e in net.edges])
     values = _evaluate(_shape(net, end_a, end_b), [labels + (c,) for c in channels])
     # each value is an unreduced pair (n, d): the weight
-    # loop(c)·n·theta_den / (d·theta_num) is reduced once, by Fraction
+    # loop(c)·n·theta_den / (d·theta_num) is reduced once, by one gcd, to a
+    # numerator and a positive denominator
     weights = {}
     for c, (n, d) in zip(channels, values):
         # for every channel, a zero one too: each is refused past the label bound
         theta = theta_value(a, b, c)
         if n:
-            weights[c] = Fraction(_loop(c) * n * theta.denominator, d * theta.numerator)
+            num, den = _loop(c) * n * theta.denominator, d * theta.numerator
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            weights[c] = (num // g, den // g)
     if not weights:
         raise NullState("the network state vanishes; no outcome has weight")
-    if len({w > 0 for w in weights.values()}) > 1:
+    if len({num > 0 for num, _ in weights.values()}) > 1:
         raise UnsupportedNetwork(
             "the channel weights differ in sign: the mirror closure is nonplanar, and "
             "evaluate_closed does not read slot order as a rotation system yet (ROADMAP item 1)"
         )
-    scale = math.lcm(*(w.denominator for w in weights.values()))
-    return {c: abs(w.numerator) * (scale // w.denominator) for c, w in weights.items()}
+    scale = math.lcm(*[den for _, den in weights.values()])
+    return {c: abs(num) * (scale // den) for c, (num, den) in weights.items()}
 
 
 # -- splitting and the exchange ------------------------------------------
@@ -281,10 +303,11 @@ def _exchange(split: SpinNetwork, unit_end: End, end_b: End) -> ExchangeResult:
     b = split.label(end_b)
     weights = _join(split, unit_end, end_b)
     # the unit comes out as b+1 or b-1, the join's only channels; p_down is
-    # 1 - p_up, which takes no second reduction of the weights
+    # 1 - p_up, reduced as p_up is
     up = weights.get(b + 1, 0)
     p_up = Fraction(up, up + weights.get(b - 1, 0))
-    return ExchangeResult(p_up, 1 - p_up, angle_from_probability(p_up))
+    p_down = Fraction(p_up.denominator - p_up.numerator, p_up.denominator)
+    return ExchangeResult(p_up, p_down, angle_from_probability(p_up))
 
 
 def exchange_experiment(net: SpinNetwork, end_a: End, end_b: End) -> ExchangeResult:
@@ -305,7 +328,10 @@ def exchange_experiment(net: SpinNetwork, end_a: End, end_b: End) -> ExchangeRes
 
 
 def angle_from_probability(p) -> float:
-    """The angle theta in [0, pi] with cos^2(theta/2) = p."""
+    """The angle theta in [0, pi] with cos^2(theta/2) = p, for a real p: a
+    Fraction, an int or a float, but not a bool."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise OutOfRange(f"probability must be a real number, got {p!r}")
     if not 0 <= p <= 1:
         raise OutOfRange(f"probability {p} outside [0, 1]")
     return 2.0 * math.acos(math.sqrt(float(p)))

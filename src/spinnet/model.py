@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InadmissibleJoin, InvalidNetwork, NotAFreeEnd
 
@@ -47,8 +47,12 @@ def admissible_couplings(a: int, b: int) -> tuple[int, ...]:
     return tuple(range(abs(a - b), a + b + 1, 2))
 
 
-@dataclass(frozen=True, order=True)
-class End:
+# The records are named tuples: built, hashed and compared in C, which
+# every parse, validation and end lookup does many times.  So a record
+# equals any tuple of the same fields, a plain one or another record's.
+
+
+class End(NamedTuple):
     """One of the two ends of an edge; side is 0 or 1."""
 
     edge: str
@@ -58,14 +62,12 @@ class End:
         return End(self.edge, 1 - self.side)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     label: SpinLabel
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A trivalent vertex holding exactly three edge ends in slot order."""
 
     id: str

@@ -428,3 +428,68 @@ def test_usage_errors_exit_2(fx, capsys):
     assert run([], capsys)[0] == 2
     assert run(["nope"], capsys)[0] == 2
     assert run(["join", fx["singlet"], "a"], capsys)[0] == 2
+
+
+# -- --stats ---------------------------------------------------------------------
+
+THETA = b"edge a 2\nedge b 2\nedge c 2\nvertex v a b c\nvertex w a b c\n"
+
+
+def _console(args, data: bytes) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("SPINNET_CACHE_SIZE", None)
+    return subprocess.run([sys.executable, "-m", "spinnet", *args], input=data,
+                          capture_output=True, env=env, timeout=60)
+
+
+def test_stats_write_the_counters_to_stderr_and_leave_stdout_alone():
+    # a new process evaluates the theta once: one labelling, no recoupling,
+    # and two cache misses, its program and its theta value
+    plain = _console(["eval", "-"], THETA)
+    counted = _console(["eval", "-", "--stats"], THETA)
+    assert (plain.returncode, plain.stdout, plain.stderr) == (0, b"-3/1\n", b"")
+    assert (counted.returncode, counted.stdout) == (0, plain.stdout)
+    stats = json.loads(counted.stderr)
+    assert stats == {
+        "evaluations": 1, "labellings": 1, "recoupling_branches": 0,
+        "cache": {"hits": 0, "misses": 2, "size": 2},
+    }
+
+
+@pytest.mark.parametrize("args", [
+    ["join", "singlet", "a", "b", "--format", "jsonl"],
+    ["exchange", "triplet", "a", "b"],
+    ["angles", "aligned", "eA", "eB", "eC", "--numeric", "float"],
+    ["stability", "aligned", "eA", "eB", "--reps", "2", "--seed", "3"],
+    ["dynamics", "--max-len", "1", "--ancilla-state", "plus"],
+])
+def test_stats_leave_every_commands_stdout_byte_identical(fx, capsys, args):
+    args = [fx.get(a, a) for a in args]
+    code, out, err = run(args, capsys)
+    assert (code, err) == (0, "")
+    code, counted, err = run(args + ["--stats"], capsys)
+    assert (code, counted) == (0, out)
+    stats = json.loads(err)
+    assert sorted(stats) == ["cache", "evaluations", "labellings", "recoupling_branches"]
+    assert sorted(stats["cache"]) == ["hits", "misses", "size"]
+
+
+def test_stats_follow_a_refused_command_too(tmp_path, capsys, monkeypatch, fresh_cache):
+    path = tmp_path / "cube.snet"
+    path.write_text(serialize_network(cube_net(1, 2)))
+    monkeypatch.setattr(evaluator, "_MAX_BRANCHES", 0)
+    before = evaluator.counters()
+    code, out, err = run(["eval", str(path), "--stats"], capsys)
+    assert (code, out) == (3, "")
+    stats, refusal = err.splitlines()
+    assert json.loads(stats)["evaluations"] == before["evaluations"] + 1
+    assert refusal == "TooLarge: more than 0 recoupling branches"
+
+
+def test_stats_with_a_bad_cache_size_still_exit_3(fx, capsys, monkeypatch):
+    monkeypatch.setattr(evaluator, "_default_cache", None)
+    monkeypatch.setenv("SPINNET_CACHE_SIZE", "0")
+    code, out, err = run(["eval", fx["theta"], "--stats"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("OutOfRange: SPINNET_CACHE_SIZE must be a positive integer")

@@ -23,7 +23,7 @@ from spinnet.errors import (
     TooLarge,
     UnsupportedNetwork,
 )
-from spinnet.evaluator import MAX_CLOSED_FORM_LABEL
+from spinnet.evaluator import MAX_CLOSED_FORM_LABEL, _evaluate, _loop, _shape, theta_value
 from spinnet.experiments import (
     AngleMatrix,
     ExchangeResult,
@@ -132,6 +132,51 @@ def test_a_join_hands_back_positive_integer_weights_of_its_nonzero_channels(open
     assert joined > 300
 
 
+def _reference_join(net, end_a, end_b):
+    """The join's weights by its formula in Fractions: each channel c's
+    loop(c)·n·theta_den / (d·theta_num), for the mirror closure's value n/d
+    through c, scaled by the lcm of their denominators; the same refusals."""
+    channels = admissible_couplings(net.label(end_a), net.label(end_b))
+    labels = tuple(e.label for e in net.edges)
+    values = _evaluate(_shape(net, end_a, end_b), [labels + (c,) for c in channels])
+    weights = {}
+    for c, (n, d) in zip(channels, values):
+        theta = theta_value(net.label(end_a), net.label(end_b), c)
+        if n:
+            weights[c] = F(_loop(c) * n * theta.denominator, d * theta.numerator)
+    if not weights:
+        raise NullState("every weight is 0")
+    if len({w > 0 for w in weights.values()}) > 1:
+        raise UnsupportedNetwork("weights of mixed sign")
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    return {c: abs(w.numerator) * (scale // w.denominator) for c, w in weights.items()}
+
+
+def _join_or_refusal(join, net, end_a, end_b):
+    try:
+        weights = join(net, end_a, end_b)
+    except (NullState, UnsupportedNetwork) as exc:
+        return type(exc)
+    return list(weights.items())
+
+
+def test_a_joins_integer_weights_are_its_formula_in_fractions(open_nets):
+    # the weights stability_measure's chain reads, on every free-end pair of
+    # the open corpus and on the aligned triples, refusals included
+    pairs = [(net, *pair) for net in open_nets for pair in itertools.combinations(net.free_ends, 2)]
+    pairs += [(net, *pair) for net in map(aligned_triple, range(2, 129, 2)) for pair in [
+        (End("eA", 1), End("eB", 1)), (End("eA", 1), End("eC", 1)), (End("eB", 1), End("eR", 1)),
+    ]]
+    pairs.append(mixed_sign_join())
+    refused = set()
+    for net, end_a, end_b in pairs:
+        want = _join_or_refusal(_reference_join, net, end_a, end_b)
+        assert _join_or_refusal(experiments._join, net, end_a, end_b) == want
+        if isinstance(want, type):
+            refused.add(want)
+    assert refused == {NullState, UnsupportedNetwork}
+
+
 def test_join_agrees_with_born_oracle_sample(open_nets):
     for net in open_nets[:60]:
         ends = net.free_ends
@@ -206,14 +251,69 @@ def test_join_past_the_closed_form_bound_is_too_large():
 
 
 def test_outcome_distribution_validates():
-    with pytest.raises(OutOfRange):
-        OutcomeDistribution(1, 1, {0: F(1, 2)})  # does not sum to 1
-    with pytest.raises(OutOfRange):
-        OutcomeDistribution(1, 1, {1: F(1)})  # inadmissible channel
+    with pytest.raises(OutOfRange, match="sum to 1/2, not 1"):
+        OutcomeDistribution(1, 1, {0: F(1, 2)})
+    with pytest.raises(OutOfRange, match="label 1 cannot couple 1 and 1"):
+        OutcomeDistribution(1, 1, {1: F(1)})
+    with pytest.raises(OutOfRange, match="sum to 0, not 1"):
+        OutcomeDistribution(1, 1, {})
+    with pytest.raises(OutOfRange, match="sum to 3/2, not 1"):
+        OutcomeDistribution(2, 2, {0: F(1, 2), 2: 1})
+    # entries are checked in order, each for its channel before its value
+    with pytest.raises(OutOfRange, match="probability 3/2 for label 2 is outside"):
+        OutcomeDistribution(2, 2, {2: F(3, 2), 0: F(-1, 2)})
+    with pytest.raises(OutOfRange, match="probability -1/2 for label 0 is outside"):
+        OutcomeDistribution(2, 2, {0: F(-1, 2), 2: F(3, 2)})
+    with pytest.raises(OutOfRange, match="label 1 cannot couple 2 and 2"):
+        OutcomeDistribution(2, 2, {1: 0.5, 2: 1})
     dist = OutcomeDistribution(1, 1, {0: F(1, 4), 2: F(3, 4)})
     assert dist.support == (0, 2)
     assert dist.probability(2) == F(3, 4)
     assert dist.probability(4) == 0
+    assert OutcomeDistribution(1, 1, {0: 1}).entries == {0: 1}
+
+
+@pytest.mark.parametrize("entries", [
+    {0: 0.25, 2: 0.75}, {0: True}, {0: "x"}, {0: None}, {0: F(1, 4), 2: 0.75}, {0: 1.0},
+])
+def test_an_outcome_distribution_holds_exact_probabilities(entries):
+    # a float or a bool sums to 1 in value, but an entry is a Fraction or a
+    # plain int; what is not a number is refused the same way
+    with pytest.raises(OutOfRange):
+        OutcomeDistribution(1, 1, entries)
+
+
+@pytest.mark.parametrize("p_up, p_down", [
+    (0.5, 0.5), (F(1, 2), 0.5), (True, False), (False, 1), ("1", 0), (None, 1), (F(1, 2), F(1, 2) + 0j),
+])
+def test_an_exchange_result_holds_exact_probabilities(p_up, p_down):
+    with pytest.raises(OutOfRange):
+        ExchangeResult(p_up, p_down, 1.0)
+
+
+def test_an_exchange_result_checks_its_sum_and_angle():
+    assert ExchangeResult(F(1, 4), F(3, 4), 2.0).p_down == F(3, 4)
+    assert ExchangeResult(0, 1, math.pi).p_up == 0
+    with pytest.raises(OutOfRange, match=r"p_up \+ p_down = 5/4, not 1"):
+        ExchangeResult(F(1, 2), F(3, 4), 1.0)
+    with pytest.raises(OutOfRange, match="theta 4.0 outside"):
+        ExchangeResult(F(1, 2), F(1, 2), 4.0)
+
+
+@pytest.mark.parametrize("angles, message", [
+    ([[0, 1], [1, 0], [0, 0]], "shape"),
+    ([[0, 1], [2, 0]], "symmetric with zero diagonal"),
+    ([[1, 1], [1, 0]], "symmetric with zero diagonal"),
+    ([[0, math.nan], [math.nan, 0]], "symmetric with zero diagonal"),
+    ([[math.nan, 1], [1, 0]], "symmetric with zero diagonal"),
+    ([[0, -1], [-1, 0]], r"lie in \[0, pi\]"),
+    ([[0, 4], [4, 0]], r"lie in \[0, pi\]"),
+])
+def test_an_angle_matrix_is_symmetric_with_zero_diagonal_and_angles_in_range(angles, message):
+    ends = (End("a", 1), End("b", 1))
+    with pytest.raises(OutOfRange, match=message):
+        AngleMatrix(ends, np.array(angles, dtype=float))
+    assert AngleMatrix(ends, np.array([[0, math.pi], [math.pi, 0]])).angle(*ends) == math.pi
 
 
 # -- the exchange and angles -------------------------------------------------
@@ -475,6 +575,19 @@ def test_angle_rejects_out_of_range():
         angle_from_probability(F(-1, 10))
     with pytest.raises(OutOfRange):
         angle_from_probability(1.1)
+
+
+@pytest.mark.parametrize("p", [True, False, "x", None, "0.5", [0.5], 0.5j])
+def test_an_angle_comes_only_from_a_number(p):
+    # a bool is not a probability, though it compares as 0 or 1
+    with pytest.raises(OutOfRange):
+        angle_from_probability(p)
+
+
+@pytest.mark.parametrize("p, theta", [(1, 0.0), (0, math.pi), (0.5, math.pi / 2), (F(1, 2), math.pi / 2),
+                                      (np.float64(0.25), 2 * math.pi / 3)])
+def test_an_angle_still_comes_from_any_real_probability(p, theta):
+    assert angle_from_probability(p) == pytest.approx(theta, abs=1e-15)
 
 
 # -- splitting ----------------------------------------------------------------

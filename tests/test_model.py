@@ -216,3 +216,55 @@ def test_isomorphism_ignores_slot_order_but_not_labels():
 def test_grown_networks_always_validate(seed):
     net = grown_network(random.Random(seed))
     assert validate_network(net) == []
+
+
+# -- the records ---------------------------------------------------------------
+
+
+def test_the_records_keep_their_fields_order_and_repr():
+    end = End("a", 0)
+    assert (end.edge, end.side) == ("a", 0)
+    assert end.opposite() == End("a", 1) and end.opposite().opposite() == end
+    assert repr(end) == "End(edge='a', side=0)"
+    # ends sort by edge id, then side
+    assert sorted([End("b", 0), End("a", 1), End("a", 0)]) == [End("a", 0), End("a", 1), End("b", 0)]
+    edge = Edge("a", 2)
+    assert (edge.id, edge.label) == ("a", 2)
+    assert repr(edge) == "Edge(id='a', label=2)"
+    vertex = Vertex("v", (End("a", 0), End("b", 0), End("c", 1)))
+    assert vertex.id == "v" and vertex.ends == (End("a", 0), End("b", 0), End("c", 1))
+    assert repr(vertex) == (
+        "Vertex(id='v', ends=(End(edge='a', side=0), End(edge='b', side=0), End(edge='c', side=1)))"
+    )
+
+
+def test_equal_records_hash_equal_and_fields_cannot_be_assigned():
+    pairs = [
+        (End("a", 0), End("a", 0)),
+        (Edge("a", 2), Edge("a", 2)),
+        (Vertex("v", (End("a", 0), End("b", 0), End("c", 1))), Vertex("v", (End("a", 0), End("b", 0), End("c", 1)))),
+    ]
+    for x, y in pairs:
+        assert x == y and x is not y and hash(x) == hash(y)
+    assert End("a", 0) != End("a", 1) and Edge("a", 2) != Edge("a", 4)
+    for record, field in [(End("a", 0), "side"), (Edge("a", 2), "label"), (pairs[2][0], "id")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+
+
+def test_records_are_the_keys_of_a_networks_ends():
+    net = SpinNetwork.from_spec({"a": 1, "b": 1, "c": 2, "d": 2}, [("v", ("a", "b", "c"))])
+    assert net.free_ends == (End("a", 1), End("b", 1), End("c", 1), End("d", 0), End("d", 1))
+    assert net._attachment == {End("a", 0): "v", End("b", 0): "v", End("c", 0): "v"}
+    assert net.attachment(End("a", 0)) == "v" and net.attachment(End("a", 1)) is None
+    assert {end: net.label(end) for end in net.free_ends}[End("d", 1)] == 2
+
+
+def test_a_record_equals_a_tuple_of_its_fields():
+    # the records are named tuples, so they compare and hash as tuples do:
+    # with a plain tuple, and with another record of the same fields
+    assert End("a", 0) == ("a", 0) and hash(End("a", 0)) == hash(("a", 0))
+    assert Edge("a", 0) == End("a", 0) == ("a", 0)
+    assert Vertex("v", ()) == ("v", ())
+    net = SpinNetwork.from_spec({"a": 1, "b": 1, "c": 0}, [("v", ("a", "b", "c"))])
+    assert net.attachment(("a", 0)) == "v"
