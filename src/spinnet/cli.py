@@ -143,9 +143,9 @@ def _cmd_join(args) -> int:
 
 def _cmd_exchange(args) -> int:
     r = exchange_experiment(*_pair(args))
-    p_up, p_down = _rational(r.p_up, args), _rational(r.p_down, args)
-    human = f"p_up={p_up} p_down={p_down} theta={r.theta!r} rad ({math.degrees(r.theta):.6f} deg)"
-    _emit(args, {"p_up": p_up, "p_down": p_down, "theta": r.theta}, human)
+    p_up, p_down, theta = _rational(r.p_up, args), _rational(r.p_down, args), r.theta
+    human = f"p_up={p_up} p_down={p_down} theta={theta!r} rad ({math.degrees(theta):.6f} deg)"
+    _emit(args, {"p_up": p_up, "p_down": p_down, "theta": theta}, human)
     return EXIT_OK
 
 
@@ -158,12 +158,14 @@ def _angles_for(args):
 def _cmd_angles(args) -> int:
     am = _angles_for(args)
     names = [_end_name(e) for e in am.ends]
+    # as Python floats: a NumPy 2 scalar's repr is np.float64(...)
+    rows = am.angles.tolist()
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             _emit(
                 args,
-                {"end_a": names[i], "end_b": names[j], "theta": am.angles[i][j]},
-                f"{names[i]} {names[j]} theta={am.angles[i][j]!r}",
+                {"end_a": names[i], "end_b": names[j], "theta": rows[i][j]},
+                f"{names[i]} {names[j]} theta={rows[i][j]!r}",
             )
     return EXIT_OK
 

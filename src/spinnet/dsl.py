@@ -149,9 +149,10 @@ def parse_network(text: str) -> SpinNetwork | list[ParseError]:
 def serialize_network(net: SpinNetwork) -> str:
     """Canonical text for a valid network: edges then vertices, sorted by id.
 
-    parse_network(serialize_network(n)) reproduces n up to which side of an
-    edge each vertex slot holds (sides are re-claimed in declaration order),
-    an id-preserving isomorphism.
+    parse_network(serialize_network(n)) reproduces n up to the order of its
+    declarations and which side of an edge each vertex slot holds (sides
+    are re-claimed in declaration order), so serializing it again gives the
+    same text: ids, labels and each vertex's slot order all survive.
     """
     problems = validate_network(net)
     if problems:

@@ -289,20 +289,6 @@ def _recoupling_family(a: int, b: int, c: int, d: int, j: int) -> tuple[tuple[in
     return tuple([(i, *_coefficient(a, b, c, d, j, i)) for i in range(lo, top + 1, 2)])
 
 
-def recoupling_six_j_magnitude(a: int, b: int, c: int, d: int, e: int, f: int) -> float:
-    """|tet| normalized by the geometric mean of its four vertex thetas.
-
-    This is the bridge between network evaluation and angular momentum
-    recoupling: it equals the magnitude of the 6j symbol
-    {a/2 d/2 e/2; c/2 b/2 f/2}.
-    """
-    t = tet_value(a, b, c, d, e, f)
-    norm = theta_value(a, d, e) * theta_value(b, c, e) * theta_value(a, b, f) * theta_value(c, d, f)
-    # the exact ratio is the squared 6j, at most 1; float() of the thetas'
-    # product alone underflows to 0 once the labels pass a few hundred
-    return math.sqrt(float(t * t / abs(norm)))
-
-
 # -- reduction engine --------------------------------------------------
 #
 # The reducer works in two steps.  The shape step (_compile) reads a

@@ -62,8 +62,8 @@ class OutcomeDistribution:
     """Exact distribution over the possible labels of a joined unit.
 
     Only labels with nonzero probability appear in entries; every key is
-    an admissible coupling of the two joined labels and the values sum
-    to exactly 1.
+    a plain ``int``, an admissible coupling of the two joined labels, and
+    the values sum to exactly 1.
     """
 
     label_a: int
@@ -73,6 +73,9 @@ class OutcomeDistribution:
     def __post_init__(self):
         allowed = set(admissible_couplings(self.label_a, self.label_b))
         for c, p in self.entries.items():
+            # a float or a bool can equal a label, but is not one
+            if type(c) is not int:
+                raise OutOfRange(f"key {c!r} is not a label")
             if c not in allowed:
                 raise OutOfRange(f"label {c} cannot couple {self.label_a} and {self.label_b}")
             _require_exact(p, f"probability for label {c}")
@@ -98,22 +101,26 @@ class ExchangeResult:
     """Outcome of splitting a unit-1 off one end and joining it with another.
 
     The joined unit comes out as b+1 with probability p_up and b-1 with
-    p_down; theta is the angle reading of p_up.
+    p_down = 1 - p_up; theta is the angle reading of p_up.  Only p_up is
+    held, a Fraction or a plain int in [0, 1]: the other two are read
+    from it.
     """
 
     p_up: Fraction
-    p_down: Fraction
-    theta: float
 
     def __post_init__(self):
-        up, down = self.p_up, self.p_down
-        _require_exact(up, "p_up")
-        _require_exact(down, "p_down")
-        # up + down = 1, cross-multiplied
-        if up.numerator * down.denominator + down.numerator * up.denominator != up.denominator * down.denominator:
-            raise OutOfRange(f"p_up + p_down = {up + down}, not 1")
-        if not 0 <= self.theta <= math.pi:
-            raise OutOfRange(f"theta {self.theta} outside [0, pi]")
+        _require_exact(self.p_up, "p_up")
+        # a Fraction's denominator is positive, an int's is 1
+        if not 0 <= self.p_up.numerator <= self.p_up.denominator:
+            raise OutOfRange(f"p_up {self.p_up} is outside [0, 1]")
+
+    @property
+    def p_down(self) -> Fraction:
+        return 1 - self.p_up
+
+    @property
+    def theta(self) -> float:
+        return angle_from_probability(self.p_up)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +153,18 @@ class AngleMatrix:
 
 @dataclass(frozen=True, eq=False)
 class GeometryReport:
-    """Whether an angle collection fits directions in three dimensions."""
+    """Whether an angle collection fits directions in three dimensions.
+
+    embedding holds such directions, one unit row per end, exactly when
+    they exist, so embeddable is read from it.
+    """
 
     gram_residual: float
-    embeddable: bool
     embedding: np.ndarray | None
+
+    @property
+    def embeddable(self) -> bool:
+        return self.embedding is not None
 
 
 @dataclass(frozen=True)
@@ -159,7 +173,11 @@ class StabilityReport:
 
     angles: tuple[float, ...]
     outcomes: tuple[int, ...]
-    max_drift: float
+
+    @property
+    def max_drift(self) -> float:
+        """The largest distance of an angle from the first; 0.0 for no angle."""
+        return max((abs(t - self.angles[0]) for t in self.angles), default=0.0)
 
 
 def _require_exact(p, name: str) -> None:
@@ -302,12 +320,9 @@ def _exchange(split: SpinNetwork, unit_end: End, end_b: End) -> ExchangeResult:
     is), and end_b a free end of it other than the unit's."""
     b = split.label(end_b)
     weights = _join(split, unit_end, end_b)
-    # the unit comes out as b+1 or b-1, the join's only channels; p_down is
-    # 1 - p_up, reduced as p_up is
+    # the unit comes out as b+1 or b-1, the join's only channels
     up = weights.get(b + 1, 0)
-    p_up = Fraction(up, up + weights.get(b - 1, 0))
-    p_down = Fraction(p_up.denominator - p_up.numerator, p_up.denominator)
-    return ExchangeResult(p_up, p_down, angle_from_probability(p_up))
+    return ExchangeResult(Fraction(up, up + weights.get(b - 1, 0)))
 
 
 def exchange_experiment(net: SpinNetwork, end_a: End, end_b: End) -> ExchangeResult:
@@ -399,15 +414,14 @@ def geometry_consistency(am: AngleMatrix) -> GeometryReport:
     negative = max(0.0, -float(eigenvalues[0]))
     beyond_rank_3 = float(np.sum(np.abs(descending[3:])))
     residual = negative + beyond_rank_3
-    embeddable = negative <= _GEOMETRY_TOL and beyond_rank_3 <= _GEOMETRY_TOL
     embedding = None
-    if embeddable:
+    if negative <= _GEOMETRY_TOL and beyond_rank_3 <= _GEOMETRY_TOL:
         top = eigenvectors[:, ::-1][:, :3] * np.sqrt(np.clip(descending[:3], 0.0, None))
         if top.shape[1] < 3:
             top = np.pad(top, ((0, 0), (0, 3 - top.shape[1])))
         norms = np.linalg.norm(top, axis=1)
         embedding = top / norms[:, None]
-    return GeometryReport(residual, embeddable, embedding)
+    return GeometryReport(residual, embedding)
 
 
 # -- stability under committed repetitions ---------------------------------
@@ -472,5 +486,4 @@ def stability_measure(
         a, b = a - 1, (b + 1 if up else b - 1)
         outcomes.append(b)
 
-    drift = max((abs(t - angles[0]) for t in angles), default=0.0)
-    return StabilityReport(tuple(angles), tuple(outcomes), drift)
+    return StabilityReport(tuple(angles), tuple(outcomes))

@@ -268,20 +268,3 @@ def merge_free_ends(net: SpinNetwork, end_a: End, end_b: End, new_label: SpinLab
     new_vertex = Vertex(net.fresh_id("w"), (end_a, end_b, End(eid, 0)))
     return SpinNetwork(net.edges + (new_edge,), net.vertices + (new_vertex,))
 
-
-def networks_isomorphic(a: SpinNetwork, b: SpinNetwork) -> bool:
-    """Label- and incidence-preserving equality keyed on ids.
-
-    Vertex slot order and which physical end of an edge sits in a slot are
-    representation details, so both are ignored.
-    """
-    if {e.id: e.label for e in a.edges} != {e.id: e.label for e in b.edges}:
-        return False
-    by_id_a = {v.id: sorted(end.edge for end in v.ends) for v in a.vertices}
-    by_id_b = {v.id: sorted(end.edge for end in v.ends) for v in b.vertices}
-    if by_id_a != by_id_b:
-        return False
-    # free-end multiplicity per edge must agree even though sides may differ
-    free_a = sorted(end.edge for end in a.free_ends)
-    free_b = sorted(end.edge for end in b.free_ends)
-    return free_a == free_b

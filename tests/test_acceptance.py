@@ -38,7 +38,7 @@ from spinnet.experiments import (
     join_free_ends,
 )
 from spinnet.hilbert import StateVector, born_join_distribution
-from spinnet.model import End, SpinNetwork, admissible_couplings, networks_isomorphic
+from spinnet.model import End, SpinNetwork, admissible_couplings
 
 X_GATE = np.array([[0.0, 1.0], [1.0, 0.0]])
 X_PLUS_UP_FIDELITY = 0.535236766545937  # frozen exhaustive-search value
@@ -215,9 +215,10 @@ def test_criterion_7_dynamics_algebra_and_search():
 def test_criterion_8_parser_round_trip_and_fuzz(closed_nets, open_nets):
     start = time.perf_counter()
     for net in list(closed_nets) + list(open_nets):
-        back = parse_network(serialize_network(net))
+        text = serialize_network(net)
+        back = parse_network(text)
         assert isinstance(back, SpinNetwork)
-        assert networks_isomorphic(net, back)
+        assert serialize_network(back) == text
 
     rng = random.Random(20260815)
     words = [

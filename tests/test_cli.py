@@ -11,14 +11,21 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinnet import cli, evaluator, experiments
 from spinnet.dsl import serialize_network
+from spinnet.dynamics import approximate_unitary_search
 from spinnet.evaluator import theta_value
+from spinnet.hilbert import StateVector
 from spinnet.model import SpinNetwork
 
 from netgen import aligned_triple, cube_net, mixed_sign_join, theta_net
+
+
+# two label-2 vertices sharing the edge c; a, b, d and e are free
+CHAIN = "edge a 2\nedge b 2\nedge c 2\nedge d 2\nedge e 2\nvertex v a b c\nvertex w c d e\n"
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +43,7 @@ def fx(tmp_path_factory):
         "bad": "edge a -1\nfrob\n",
         "edges": "edge e0 0\nedge e1 1\nedge e2 2\n",
         "colon": "edge a:b 1\nedge c 1\n",
+        "chain": CHAIN,
     }
     paths = {}
     for name, text in files.items():
@@ -318,6 +326,24 @@ def test_angles_one_record_per_pair(fx, capsys):
     assert all(r["theta"] == 0.0 for r in records)
 
 
+# the chain's angles in pair order: a-b, a-d, a-e, b-d, b-e, d-e
+CHAIN_ANGLES = [1.9106332362490186] + [1.5707963267948966] * 4 + [1.9106332362490186]
+
+
+def test_angles_chain_golden_lines(fx, capsys):
+    # plain floats in both formats: a NumPy 2 scalar would print as np.float64(...)
+    pairs = [("a:1", "b:1"), ("a:1", "d:1"), ("a:1", "e:1"), ("b:1", "d:1"), ("b:1", "e:1"), ("d:1", "e:1")]
+    code, out, _ = run(["angles", fx["chain"], "a", "b", "d", "e"], capsys)
+    assert code == 0
+    assert out == "".join(f"{x} {y} theta={t!r}\n" for (x, y), t in zip(pairs, CHAIN_ANGLES))
+    code, out, _ = run(["angles", fx["chain"], "a", "b", "d", "e", "--format", "jsonl"], capsys)
+    assert code == 0
+    assert out == "".join(
+        json.dumps({"end_a": x, "end_b": y, "theta": t}, sort_keys=True) + "\n"
+        for (x, y), t in zip(pairs, CHAIN_ANGLES)
+    )
+
+
 def test_angles_past_the_end_bound_exits_3(tmp_path, capsys, monkeypatch):
     labels = {f"{name}{k}": label for k in range(100) for name, label in (("a", 1), ("b", 1), ("t", 2))}
     vertices = [(f"v{k}", (f"a{k}", f"b{k}", f"t{k}")) for k in range(100)]
@@ -424,10 +450,25 @@ def test_dynamics_ancillas_out_of_bounds_exit_3(capsys, ancillas, state):
     assert err.startswith("OutOfRange:")
 
 
+def test_dynamics_up_ancillas_start_every_ancilla_up(capsys):
+    code, out, _ = run(
+        ["dynamics", "--target", "z", "--max-len", "2", "--ancilla-state", "up", "--format", "jsonl"], capsys
+    )
+    assert code == 0
+    up = np.zeros(4, dtype=complex)
+    up[0] = 1
+    report = approximate_unitary_search(cli._GATES["z"], 2, 2, ancilla_state=StateVector((1, 1), up))
+    record = json.loads(out)
+    assert (record["fidelity"], record["success_prob"]) == (report.fidelity, report.success_prob)
+    assert record["fidelity"] == 0.5
+
+
 def test_usage_errors_exit_2(fx, capsys):
     assert run([], capsys)[0] == 2
     assert run(["nope"], capsys)[0] == 2
     assert run(["join", fx["singlet"], "a"], capsys)[0] == 2
+    # c joins the chain's two vertices, so neither of its ends is free
+    assert run(["join", fx["chain"], "c", "d"], capsys) == (2, "", "edge 'c' has no free end\n")
 
 
 # -- --stats ---------------------------------------------------------------------

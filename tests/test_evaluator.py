@@ -42,12 +42,12 @@ from spinnet.evaluator import (
     evaluate_closed,
     loop_value,
     recoupling_coefficient,
-    recoupling_six_j_magnitude,
     strand_expansion_oracle,
     tet_value,
     theta_value,
 )
 from spinnet.experiments import join_free_ends
+from spinnet.hilbert import wigner_6j
 from spinnet.model import (
     Edge,
     End,
@@ -57,6 +57,7 @@ from spinnet.model import (
     merge_free_ends,
     vertex_admissible,
 )
+from spinnet.radical import Radical
 
 THETA_CASES = [
     (1, 1, 0), (1, 1, 2), (2, 2, 2), (2, 2, 0), (3, 3, 0), (2, 1, 1),
@@ -399,42 +400,39 @@ def test_get_or_passes_its_arguments_and_keeps_nothing_from_a_failed_compute():
     assert cache.stats == {"size": 1, "hits": 1, "misses": 1}
 
 
-def _hilbert_six_j(a, b, c, d, e, f):
-    from fractions import Fraction as F
+def _tet_over_thetas(a, b, c, d, e, f):
+    """tet / sqrt|theta(a,d,e) theta(b,c,e) theta(a,b,f) theta(c,d,f)|,
+    exact and signed: Penrose's bridge from a tetrahedral network to the
+    6j symbol {a/2 d/2 e/2; c/2 b/2 f/2}."""
+    norm = theta_value(a, d, e) * theta_value(b, c, e) * theta_value(a, b, f) * theta_value(c, d, f)
+    return Radical(tet_value(a, b, c, d, e, f)) / Radical.sqrt(abs(norm))
 
-    from spinnet.hilbert import wigner_6j
 
-    return abs(float(wigner_6j(F(a, 2), F(d, 2), F(e, 2), F(c, 2), F(b, 2), F(f, 2))))
+def _wigner_six_j(a, b, c, d, e, f):
+    return wigner_6j(*(Fraction(x, 2) for x in (a, d, e, c, b, f)))
 
 
-# the four thetas' product at label 600 is too large for a float
+# at label 600 the four thetas' product is far past a float; the identity
+# is exact there too
 @pytest.mark.parametrize("labels", TET_CASES + [(600,) * 6])
 def test_six_j_bridge(labels):
-    got = recoupling_six_j_magnitude(*labels)
-    want = _hilbert_six_j(*labels)
-    assert got == pytest.approx(want, abs=1e-12)
+    assert _tet_over_thetas(*labels) == _wigner_six_j(*labels)
 
 
 def test_six_j_bridge_sweep():
-    checked = 0
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    for e in range(5):
-                        for f in range(5):
-                            if not (
-                                vertex_admissible(a, d, e)
-                                and vertex_admissible(b, c, e)
-                                and vertex_admissible(a, b, f)
-                                and vertex_admissible(c, d, f)
-                            ):
-                                continue
-                            assert recoupling_six_j_magnitude(
-                                a, b, c, d, e, f
-                            ) == pytest.approx(_hilbert_six_j(a, b, c, d, e, f), abs=1e-12)
-                            checked += 1
-    assert checked > 50
+    # the evaluator's tet, normalised by its four thetas, is the 6j of the
+    # independent Racah formula in hilbert, sign included, on every
+    # admissible labelling with labels 0-6
+    checked = zero = 0
+    for labels in itertools.product(range(7), repeat=6):
+        a, b, c, d, e, f = labels
+        if not all(vertex_admissible(*t) for t in ((a, d, e), (b, c, e), (a, b, f), (c, d, f))):
+            continue
+        got = _tet_over_thetas(*labels)
+        assert got == _wigner_six_j(*labels), labels
+        checked += 1
+        zero += got.is_zero()
+    assert (checked, zero) == (3418, 10)
 
 
 def _recoupling_admissible(a, b, c, d, j, i):

@@ -283,21 +283,43 @@ def test_an_outcome_distribution_holds_exact_probabilities(entries):
         OutcomeDistribution(1, 1, entries)
 
 
+@pytest.mark.parametrize("label_a, label_b, entries", [
+    (1, 1, {2.0: F(1)}), (1, 0, {True: F(1)}), (1, 1, {F(2): F(1)}), (1, 1, {0: F(1, 2), 2.0: F(1, 2)}),
+])
+def test_an_outcome_distribution_keys_are_labels(label_a, label_b, entries):
+    # each key equals an admissible coupling in value, but is not a plain int
+    with pytest.raises(OutOfRange, match="is not a label"):
+        OutcomeDistribution(label_a, label_b, entries)
+
+
 @pytest.mark.parametrize("p_up, p_down", [
     (0.5, 0.5), (F(1, 2), 0.5), (True, False), (False, 1), ("1", 0), (None, 1), (F(1, 2), F(1, 2) + 0j),
 ])
 def test_an_exchange_result_holds_exact_probabilities(p_up, p_down):
-    with pytest.raises(OutOfRange):
-        ExchangeResult(p_up, p_down, 1.0)
+    # a result holds p_up alone and reads p_down from it, so no p_down is
+    # taken; a value that is not a Fraction or a plain int is refused as
+    # p_up, also where it equals one
+    with pytest.raises(TypeError):
+        ExchangeResult(p_up, p_down)
+    for p in (p_up, p_down):
+        if type(p) is F or type(p) is int:
+            assert ExchangeResult(p).p_down == 1 - p
+        else:
+            with pytest.raises(OutOfRange):
+                ExchangeResult(p)
 
 
 def test_an_exchange_result_checks_its_sum_and_angle():
-    assert ExchangeResult(F(1, 4), F(3, 4), 2.0).p_down == F(3, 4)
-    assert ExchangeResult(0, 1, math.pi).p_up == 0
-    with pytest.raises(OutOfRange, match=r"p_up \+ p_down = 5/4, not 1"):
-        ExchangeResult(F(1, 2), F(3, 4), 1.0)
-    with pytest.raises(OutOfRange, match="theta 4.0 outside"):
-        ExchangeResult(F(1, 2), F(1, 2), 4.0)
+    # p_down and theta are read from p_up, so they cannot disagree with it
+    quarter = ExchangeResult(F(1, 4))
+    assert quarter.p_down == F(3, 4) and type(quarter.p_down) is F
+    assert quarter.theta == angle_from_probability(F(1, 4)) == pytest.approx(2 * math.pi / 3)
+    assert (ExchangeResult(0).p_down, ExchangeResult(0).theta) == (1, math.pi)
+    assert (ExchangeResult(F(1)).p_down, ExchangeResult(F(1)).theta) == (0, 0.0)
+    assert ExchangeResult(F(2, 4)) == ExchangeResult(F(1, 2))
+    for p_up in (F(3, 2), F(-1, 2), 2, -1):
+        with pytest.raises(OutOfRange, match=r"p_up .* is outside \[0, 1\]"):
+            ExchangeResult(p_up)
 
 
 @pytest.mark.parametrize("angles, message", [
@@ -637,6 +659,13 @@ def test_split_unit_rejects_bad_k():
             split_unit(SpinNetwork((Edge("a", label),), ()), End("a", 0), 1)
 
 
+@pytest.mark.parametrize("ids", [{"unit_id": "a"}, {"rest_id": "x1"}, {"unit_id": "p", "rest_id": "p"}])
+def test_split_unit_refuses_ids_that_collide(ids):
+    # with an edge id, with the vertex's fresh x1, and with each other
+    with pytest.raises(InvalidNetwork, match="collide"):
+        split_unit(SpinNetwork.from_spec({"a": 3}), End("a", 0), 1, **ids)
+
+
 # -- angle matrices and geometry ----------------------------------------------
 
 
@@ -672,6 +701,43 @@ def test_an_angle_does_not_depend_on_declaration_order():
     assert one.angle(End("a", 1), End("b", 1)) == other.angle(End("a", 1), End("b", 1))
 
 
+# The network of probe-warm's slowest request, `angles` on e0, u2, j4, e1: two
+# of its pairs' own joins close nonplanar, and their split joins read wrong
+# angles, which the benchmark's frozen reference holds.
+TAIL_NET = (
+    {"e0": 14, "e1": 13, "e2": 4, "j1": 14, "u2": 13, "r2": 1, "j3": 13, "j4": 14},
+    [("w1", ("e0", "e2", "j1")), ("x2", ("j1", "u2", "r2")), ("w3", ("e2", "e1", "j3")), ("w4", ("j3", "r2", "j4"))],
+)
+TAIL_PAIRS = [(End("e0", 1), End("j4", 1)), (End("u2", 1), End("e1", 1))]
+
+
+def test_the_tail_requests_wrong_pairs_refuse_their_own_joins():
+    net = SpinNetwork.from_spec(*TAIL_NET)
+    for end_a, end_b in TAIL_PAIRS:
+        with pytest.raises(UnsupportedNetwork):
+            join_free_ends(net, end_a, end_b)
+
+
+def _born_p_up(net, end_a, end_b):
+    # the Born rule on the network the exchange joins: end_a's split
+    uid = net.fresh_id("u")
+    split = split_unit(net, end_a, 1, unit_id=uid)
+    return born_join_distribution(split, End(uid, 1), end_b).probability(net.label(end_b) + 1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP items 1 and 19: the split's mirror closure is nonplanar too, and "
+    "evaluate_closed misreads it without refusing; Born gives 502/2205 and 502/1911",
+)
+def test_the_tail_requests_exchanges_equal_the_born_rule():
+    # the evaluator reads 525746/5060811 (angle 2.4852, Born 2.1468) and
+    # 5890/8281 (angle 1.1346, Born 2.0653)
+    net = SpinNetwork.from_spec(*TAIL_NET)
+    got = [exchange_experiment(net, end_a, end_b).p_up for end_a, end_b in TAIL_PAIRS]
+    assert got == [_born_p_up(net, end_a, end_b) for end_a, end_b in TAIL_PAIRS]
+
+
 def _loose_vertices(count):
     """count disjoint vertices (1, 1, 2): 3 * count free ends, none of
     label 0."""
@@ -700,7 +766,7 @@ def test_an_angle_matrix_past_the_end_bound_is_too_large(monkeypatch):
 
     def counted(_split, _unit_end, end_b):
         pairs.append(end_b)
-        return ExchangeResult(F(1), F(0), 0.0)
+        return ExchangeResult(F(1))
 
     monkeypatch.setattr(experiments, "_exchange", counted)
     assert angle_matrix(net, net.free_ends[:64]).angles.shape == (64, 64)
@@ -880,7 +946,7 @@ def test_an_end_with_no_such_side_is_not_free(entry, side):
         _END_TAKERS[entry](net, End("a", side), End("b", 0))
 
 
-@pytest.mark.parametrize("entry", ["exchange_experiment", "stability_measure"])
+@pytest.mark.parametrize("entry", ["exchange_experiment", "stability_measure", "join_free_ends", "born_join_distribution"])
 def test_an_end_is_not_exchanged_with_itself(entry):
     # refused as a repeated end, not as an attached one: the end is free
     net = SpinNetwork.from_spec({"a": 2, "b": 2})
@@ -914,7 +980,9 @@ _PROBES = {
 }
 
 
-@pytest.mark.parametrize("entry", ["exchange_experiment", "angle_matrix", "stability_measure"])
+@pytest.mark.parametrize(
+    "entry", ["exchange_experiment", "angle_matrix", "stability_measure", "join_free_ends", "born_join_distribution"]
+)
 def test_a_probe_validates_before_it_reads_a_label(entry):
     # a network built directly with a label that cannot be compared: each
     # probe refuses it as invalid, as the joins do, before any label is read
@@ -1091,8 +1159,7 @@ def _committing_stability(net, end_a, end_b, repetitions, rng_seed):
         current = merge_free_ends(split, End(uid, 1), cur_b, c)
         cur_a, cur_b = End(rid, 1), End(jid, 1)
 
-    drift = max((abs(t - angles[0]) for t in angles), default=0.0)
-    return StabilityReport(tuple(angles), tuple(outcomes), drift)
+    return StabilityReport(tuple(angles), tuple(outcomes))
 
 
 def _report_or_refusal(run, *args):

@@ -20,6 +20,8 @@ from spinnet.errors import (
 )
 from spinnet.evaluator import evaluate_closed, theta_value
 from spinnet.hilbert import (
+    LinearMapRep,
+    StateVector,
     _cg_tensor,
     _contract_network,
     _project,
@@ -94,6 +96,14 @@ def test_cg_rows_orthogonal(j1, j2):
 def test_six_j_triad_violations_are_zero():
     assert wigner_6j(1, 1, 3, 1, 1, 1) == Radical(0)  # triangle fails
     assert wigner_6j(F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1, 2)) == Radical(0)
+
+
+@pytest.mark.parametrize("position", range(6))
+def test_six_j_refuses_a_negative_spin(position):
+    spins = [1] * 6
+    spins[position] = -1
+    with pytest.raises(MalformedArguments, match="cannot be negative"):
+        wigner_6j(*spins)
 
 
 def test_six_j_column_permutations():
@@ -241,6 +251,17 @@ def test_linear_map_rejects_bad_inputs():
         network_to_linear_map(net, [End("a", 0)], [End("a", 0)])
     with pytest.raises(InvalidPartition):
         network_to_linear_map(net, [End("a", 0)], [End("a", 1)])  # b missing
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StateVector((1, 2), np.zeros(5)),
+    lambda: StateVector((1,), np.zeros((2, 1))),
+    lambda: LinearMapRep((1,), (2,), np.zeros((2, 3), dtype=object)),
+    lambda: LinearMapRep((1, 1), (), np.zeros((1, 2), dtype=object)),
+])
+def test_a_state_or_map_refuses_a_shape_its_labels_do_not_fix(build):
+    with pytest.raises(MalformedArguments, match="shape"):
+        build()
 
 
 def test_intertwiner_residual_on_fixtures():

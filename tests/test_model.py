@@ -14,7 +14,6 @@ from spinnet.model import (
     Vertex,
     admissible_couplings,
     merge_free_ends,
-    networks_isomorphic,
     validate_network,
     vertex_admissible,
 )
@@ -105,6 +104,19 @@ def test_validate_flags_shared_end():
     assert any(v.kind == "structure" for v in validate_network(net))
 
 
+_ABC = (End("a", 0), End("b", 0), End("c", 0))
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ((Vertex("v", _ABC), Vertex("v", (End("a", 1), End("b", 1), End("c", 1)))), "duplicate vertex id"),
+    ((Vertex("v", _ABC[:2]),), "vertex must have 3 slots, got 2"),
+    ((Vertex("v", (End("a", 0), End("b", 0), End("c", 2))),), "edge end side must be 0 or 1, got 2"),
+])
+def test_validate_flags_each_malformed_vertex(vertices, message):
+    net = SpinNetwork((Edge("a", 2), Edge("b", 2), Edge("c", 2)), vertices)
+    assert [(v.kind, v.subject, v.message) for v in validate_network(net)] == [("structure", "v", message)]
+
+
 def test_merge_adds_vertex_and_free_end():
     net = SpinNetwork.from_spec({"a": 1, "b": 1})
     merged = merge_free_ends(net, End("a", 0), End("b", 0), 0)
@@ -147,6 +159,8 @@ def test_merge_requires_free_distinct_ends():
         merge_free_ends(net, End("a", 0), End("b", 1), 2)  # a:0 sits in v
     with pytest.raises(NotAFreeEnd):
         merge_free_ends(net, End("a", 1), End("a", 1), 2)
+    with pytest.raises(NotAFreeEnd, match="no edge 'zz' in network"):
+        merge_free_ends(net, End("zz", 0), End("b", 1), 2)
 
 
 def test_is_free_only_for_side_0_or_1():
@@ -202,14 +216,6 @@ def test_a_network_is_validated_once_and_each_call_gets_its_own_list(monkeypatch
     assert [v.kind for v in second] == ["admissibility"]
     assert second is not validate_network(net)
     assert calls == 1
-
-
-def test_isomorphism_ignores_slot_order_but_not_labels():
-    a = SpinNetwork.from_spec({"x": 1, "y": 1, "z": 2}, [("v", ("x", "y", "z"))])
-    b = SpinNetwork.from_spec({"z": 2, "y": 1, "x": 1}, [("v", ("y", "z", "x"))])
-    c = SpinNetwork.from_spec({"x": 1, "y": 1, "z": 0}, [("v", ("y", "x", "z"))])
-    assert networks_isomorphic(a, b)
-    assert not networks_isomorphic(a, c)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
