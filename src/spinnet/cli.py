@@ -9,7 +9,8 @@ as `p/q`; `--numeric float` switches to decimals.  Exit codes: 0 ok, 1
 I/O, 2 usage or parse errors, 3 domain violations (invalid or unsuitable
 network, or a request over its size bound).  `--stats` also writes the
 process's work counters (`evaluator.counters()` and the process cache's
-`stats`) to stderr as one JSON line, and leaves stdout as it is.
+`stats` with its entries per key kind) to stderr as one JSON line, and
+leaves stdout as it is.
 
 Free ends are named by edge id, with an optional `:side` suffix (`e1:0`)
 when both sides of the edge are free.
@@ -309,7 +310,8 @@ def main(argv: list[str] | None = None) -> int:
             # the process's counts, so a refused command's work shows too;
             # a cache that cannot be built raises its own error here
             if args.stats:
-                stats = {**counters(), "cache": default_cache().stats}
+                cache = default_cache()
+                stats = {**counters(), "cache": {**cache.stats, "kinds": cache.kinds()}}
                 print(json.dumps(stats, sort_keys=True), file=sys.stderr)
     except _Failure as exc:
         print(exc, file=sys.stderr)

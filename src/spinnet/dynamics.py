@@ -379,9 +379,13 @@ def approximate_unitary_search(
             lifts, last, seqs = kids, op, np.concatenate((seqs[parent], op[:, None]), axis=1)
 
     steps = tuple(ops[o] for o in best_seq.tolist())
+    # projectors never raise a norm, so the exact value is at most 1; the
+    # float64 sum of squares can round past it (1.0000000000000002 for the
+    # empty sequence on two singlets)
+    success = min(1.0, float(np.sum(np.abs(best_lift) ** 2)) / (1 << k))
     return SearchReport(
         MeasurementSequence(steps, ancilla_count=ancillas),
         best_fid,
-        float(np.sum(np.abs(best_lift) ** 2)) / (1 << k),
+        success,
         tuple(best_by_length),
     )

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 import os
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from typing import Callable, TypeVar
 
@@ -41,8 +41,10 @@ class EvalCache:
     channel i, in increasing i, each pair reduced) and its compiled
     programs (``program``: one per network shape and set of zero-labelled
     positions, which hold no label), and the ``hilbert`` tensors with their
-    scales (``cg-band``, ``vertex-3j``, ``pairing``, ``bargmann-metric``),
-    whose arrays are read-only because every caller shares them.  Every
+    scales (``operand``: a vertex's 3j with its slots' pairings applied and
+    any self-loop traced, keyed by its labels, pairings and loop alone;
+    ``cg-band``, ``vertex-3j``, ``pairing``, ``bargmann-metric``), whose
+    arrays are read-only because every caller shares them.  Every
     pair has a positive denominator.  Tets are not cached: each is
     computed when a move factor built from it misses; and neither are
     ``tet_value``, ``recoupling_coefficient`` and the public ``hilbert``
@@ -104,6 +106,11 @@ class EvalCache:
     @property
     def stats(self) -> dict:
         return {"size": len(self._data), "hits": self.hits, "misses": self.misses}
+
+    def kinds(self) -> dict[str, int]:
+        """The number of entries of each key kind (a key's first item),
+        counted over the keys on each call, so lookups never pay for it."""
+        return dict(Counter(key[0] for key in self._data))
 
 
 _default_cache: EvalCache | None = None

@@ -175,8 +175,11 @@ def _six_j(j1, j2, j3, j4, j5, j6) -> Radical:
 # - An edge pairing is w_k at [k, n-k], k indexing the edge's side-0 end.
 #   Applying it to an axis weights the axis by w and reverses it: (n+1)
 #   products per entry of the other axes, not (n+1)^2.  Each pairing that
-#   meets a vertex is applied to that vertex's tensor before contracting;
-#   only a bare edge, both ends free, stays a tensor of its own.
+#   meets a vertex is applied to that vertex's tensor, and a self-loop is
+#   traced out, once per process: the result, the vertex's operand, is
+#   cached under its labels, its slots' pairings and its loop, which fix
+#   it on any network.  Only a bare edge, both ends free, stays a tensor
+#   of its own.
 # - The contraction is greedy by size: each step takes the pending tensor
 #   whose product with the accumulated one has the fewest entries.  Sizes
 #   are known before anything is allocated, so a step, an operand or a
@@ -278,42 +281,61 @@ def _refuse_above_bound(entries: int, what: str) -> None:
         raise TooLarge(f"{what} would have {entries} entries, more than {_MAX_ENTRIES}")
 
 
+def _operand(labels: tuple[int, ...], pairings: tuple[int, ...], loop: tuple[int, ...]):
+    """Bargmann form (B, s) of a vertex's 3j tensor with the pairings its
+    slots apply, codes as in `_operands`, and the self-loop its two slots
+    in loop trace out."""
+    arr, scale = _vertex_tensor(*labels)
+    for axis, (n, code) in enumerate(zip(labels, pairings)):
+        if code:
+            w, s = _pairing(n, int(code > 1))
+            scale *= s
+            # w is indexed by the side-0 end; read from side 1, it reverses
+            arr = _apply_pairing(arr, axis, w[::-1] if code == 3 else w)
+    if loop:
+        arr = np.trace(arr, axis1=loop[0], axis2=loop[1])
+    return _frozen(arr), scale
+
+
 def _operands(net: SpinNetwork) -> tuple[list[tuple[np.ndarray, list]], Fraction]:
     """The network's tensors with every pairing that meets a vertex applied.
 
     An axis is keyed by the free end it stands for, or by its edge's id
     when the edge joins two vertex ends.  Per edge:
-    - internal, between two vertices: side 0's vertex applies the pairing,
-      and the two tensors share the edge's key;
+    - internal, between two vertices: side 0's vertex applies the pairing
+      (code 1) and side 1's none (code 0), and the two tensors share the
+      edge's key;
     - a self-loop, both ends on one vertex: side 0's axis applies the
       pairing, then the two axes are traced out;
-    - one free end: the vertex applies the pairing, and its axis becomes
-      the free end;
-    - both ends free: the dense (n+1)x(n+1) pairing is a tensor of its own;
-    - label 0: the pairing is the 1x1 identity and is skipped.
+    - one free end: the vertex applies the pairing (code 2 from side 0,
+      3 from side 1), and its axis becomes the free end;
+    - both ends free: the dense (n+1)x(n+1) pairing is a tensor of its own.
+    A vertex's operand depends on nothing but its labels, codes and loop,
+    so it is built once per process, under one `operand` key.
     """
+    cache = default_cache()
     tensors: list[tuple[np.ndarray, list]] = []
     scale = Fraction(1)
     for v in net.vertices:
-        labels = [net.label(end) for end in v.ends]
+        labels = tuple([net.label(end) for end in v.ends])
         _refuse_above_bound(math.prod(n + 1 for n in labels), f"the tensor of vertex {v.id}")
-        arr, s = _vertex_tensor(*labels)
-        scale *= s
         keys: list = []
-        for axis, (end, n) in enumerate(zip(v.ends, labels)):
+        pairings = []
+        for end in v.ends:
             other = end.opposite()
-            free = net.is_free(other)
-            keys.append(other if free else end.edge)
-            if free or end.side == 0:
-                w, s = _pairing(n, int(free))
-                scale *= s
-                if n:
-                    # w is indexed by the side-0 end; read from side 1, it reverses
-                    arr = _apply_pairing(arr, axis, w if end.side == 0 else w[::-1])
-        if len(set(keys)) < len(keys):
-            i, j = (axis for axis, key in enumerate(keys) if keys.count(key) == 2)
-            arr = np.trace(arr, axis1=i, axis2=j)
+            if net.is_free(other):
+                keys.append(other)
+                pairings.append(2 + end.side)
+            else:
+                keys.append(end.edge)
+                pairings.append(1 - end.side)
+        loop = ()
+        if len(set(keys)) < 3:
+            loop = tuple(axis for axis, key in enumerate(keys) if keys.count(key) == 2)
             keys = [key for key in keys if keys.count(key) == 1]
+        pairings = tuple(pairings)
+        arr, s = cache.get_or(("operand", *labels, *pairings, *loop), _operand, labels, pairings, loop)
+        scale *= s
         tensors.append((arr, keys))
     for e in net.edges:
         ends = [End(e.id, 0), End(e.id, 1)]
@@ -537,8 +559,9 @@ def born_join_distribution(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeD
 
     The network state is projected onto each total-spin-c/2 subspace of
     the two ends while every other free end is summed over its magnetic
-    states with uniform weight (an isotropic boundary).  The weights come
-    out rational and normalize exactly.
+    states with uniform weight (an isotropic boundary).  Each channel's
+    weight is an integer numerator and denominator; the weights are put
+    over their lcm, and each probability is one exact ``Fraction``.
     """
     problems = validate_network(net)
     if problems:
@@ -560,15 +583,15 @@ def born_join_distribution(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeD
     diag = _skew(psi.reshape(a + 1, b + 1, -1) * joined[:, :, None])
     rest_metric = _outer_all([_bargmann_metric(net.label(end)) for end in rest])
 
-    weights: dict[int, Fraction] = {}
+    weights = {}  # c -> the numerator and denominator of r * total / c!
     for c in admissible_couplings(a, b):
         amp, r = _project(diag, a, b, c)
         total = _bargmann_metric(c).dot((amp * amp).dot(rest_metric.reshape(-1)))
-        weights[c] = r * total / math.factorial(c)
-
-    nonzero = {c: w for c, w in weights.items() if w}
-    if not nonzero:
+        if total:
+            weights[c] = (r.numerator * total, r.denominator * math.factorial(c))
+    if not weights:
         raise NullState("the network state vanishes; no outcome has weight")
-    grand = sum(nonzero.values())
-    entries = {c: w / grand for c, w in sorted(nonzero.items())}
-    return OutcomeDistribution(a, b, entries)
+    den = math.lcm(*[d for _, d in weights.values()])
+    nums = {c: n * (den // d) for c, (n, d) in weights.items()}
+    grand = sum(nums.values())
+    return OutcomeDistribution(a, b, {c: Fraction(n, grand) for c, n in nums.items()})

@@ -426,6 +426,10 @@ def test_dynamics_search_jsonl(fx, capsys):
     )
 
 
+def test_dynamics_with_its_defaults_prints_a_probability_of_at_most_one(capsys):
+    assert run(["dynamics"], capsys) == (0, "fidelity=0.0 success_prob=1.0 sequence=[]\n", "")
+
+
 def test_dynamics_zero_beam_width_exits_3(capsys):
     code, out, err = run(["dynamics", "--max-len", "1", "--beam-width", "0"], capsys)
     assert (code, out) == (3, "")
@@ -494,7 +498,7 @@ def test_stats_write_the_counters_to_stderr_and_leave_stdout_alone():
     stats = json.loads(counted.stderr)
     assert stats == {
         "evaluations": 1, "labellings": 1, "recoupling_branches": 0,
-        "cache": {"hits": 0, "misses": 2, "size": 2},
+        "cache": {"hits": 0, "misses": 2, "size": 2, "kinds": {"program": 1, "theta": 1}},
     }
 
 
@@ -513,7 +517,18 @@ def test_stats_leave_every_commands_stdout_byte_identical(fx, capsys, args):
     assert (code, counted) == (0, out)
     stats = json.loads(err)
     assert sorted(stats) == ["cache", "evaluations", "labellings", "recoupling_branches"]
-    assert sorted(stats["cache"]) == ["hits", "misses", "size"]
+    assert sorted(stats["cache"]) == ["hits", "kinds", "misses", "size"]
+    assert sum(stats["cache"]["kinds"].values()) == stats["cache"]["size"]
+
+
+def test_stats_count_the_born_paths_entries_by_kind(fx, capsys, fresh_cache):
+    # the singlet's one vertex is one operand, built from one 3j and the
+    # pairings of its two label-1 free ends and its label-0 one
+    code, out, err = run(["born", fx["singlet"], "a", "b", "--stats"], capsys)
+    assert (code, out) == (0, "c=0 p=1/1\n")
+    assert json.loads(err)["cache"]["kinds"] == {
+        "bargmann-metric": 3, "cg-band": 2, "operand": 1, "pairing": 2, "vertex-3j": 1,
+    }
 
 
 def test_stats_follow_a_refused_command_too(tmp_path, capsys, monkeypatch, fresh_cache):

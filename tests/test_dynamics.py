@@ -397,6 +397,15 @@ def test_search_identity_needs_no_steps(ancillas):
     assert report.success_prob == pytest.approx(1.0, abs=1e-12)
 
 
+def test_search_success_probability_is_at_most_one():
+    # the default search (x, two singlet ancillas, length 4) keeps the empty
+    # sequence, which succeeds with probability exactly 1; the float norm of
+    # its lift rounds to 1.0000000000000002 unless bounded
+    report = approximate_unitary_search(np.array([[0, 1], [1, 0]]), 2, 4)
+    assert report.best_sequence.steps == ()
+    assert report.success_prob == 1.0
+
+
 def test_search_with_zero_length_reports_identity_fidelity():
     t_gate = np.diag([1, np.exp(1j * math.pi / 4)])
     report = approximate_unitary_search(t_gate, 0, max_len=0)
@@ -618,7 +627,7 @@ def whole_level_search(target, ancillas, max_len, ancilla_state=None, beam_width
     return SearchReport(
         MeasurementSequence(steps, ancilla_count=ancillas),
         best_fid,
-        float(np.sum(np.abs(best_lift) ** 2)) / (1 << k),
+        min(1.0, float(np.sum(np.abs(best_lift) ** 2)) / (1 << k)),
         tuple(best_by_length),
     )
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -411,6 +412,7 @@ def test_cached_tensors_are_read_only(open_nets, fresh_cache):
         if isinstance(part, np.ndarray)
     ]
     assert arrays
+    assert any(key[0] == "operand" for key in fresh_cache._data)
     assert not any(arr.flags.writeable for arr in arrays)
 
 
@@ -517,20 +519,84 @@ def _edge_kinds(net):
     return kinds
 
 
-def test_contraction_equals_dense_reference(open_nets):
+def test_contraction_equals_dense_reference(open_nets, fresh_cache):
     """Pairings applied as flips and the size-greedy order give exactly
     the state, the axis order (the free ends') and the scale of the dense,
-    first-shared-axis contraction."""
+    first-shared-axis contraction.  The corpus runs twice, so every cached
+    operand is checked once as built and once as read back."""
     kinds = set()
     for net in open_nets:
         kinds |= _edge_kinds(net)
-        got, keys, scale = _contract_network(net)
-        want, want_keys, want_scale = _reference_contraction(net)
-        assert keys == list(net.free_ends)
-        assert scale == want_scale
-        want = np.transpose(want, [want_keys.index(end) for end in keys])
-        assert got.shape == want.shape and got.tolist() == want.tolist()
+    # vertex ends read from side 1, whose operands reverse the pairing
+    side_one = [end for net in open_nets for v in net.vertices for end in v.ends
+                if end.side == 1 and net.is_free(end.opposite())]
+    assert len(side_one) == 67
     assert kinds == {"internal", "self-loop", "one free end", "bare", "label 0"}
+    for run in ("cold", "warm"):
+        misses = fresh_cache.misses
+        for net in open_nets:
+            got, keys, scale = _contract_network(net)
+            want, want_keys, want_scale = _reference_contraction(net)
+            assert keys == list(net.free_ends)
+            assert scale == want_scale
+            want = np.transpose(want, [want_keys.index(end) for end in keys])
+            assert got.shape == want.shape and got.tolist() == want.tolist()
+        assert (fresh_cache.misses > misses) == (run == "cold")
+
+
+def test_a_vertex_tensor_above_the_bound_is_refused_before_its_lookup(monkeypatch, fresh_cache):
+    # the state has 9 entries and vertex v's operand 16
+    net = SpinNetwork.from_spec(
+        {"a": 2, "b": 2, "c": 0, "l": 3}, [("v", ("c", "l", "l")), ("w", ("a", "b", "c"))]
+    )
+    monkeypatch.setattr(hilbert, "_MAX_ENTRIES", 15)
+    with pytest.raises(TooLarge, match="tensor of vertex v"):
+        born_join_distribution(net, End("a", 1), End("b", 1))
+    assert len(fresh_cache) == 0
+
+
+def test_born_answers_the_open_corpus_as_before(open_nets):
+    # a digest of the distribution on every pair of free ends of the open
+    # corpus, taken before vertex operands were cached and channel weights
+    # kept in integers; no pair passes the size bound
+    answers = []
+    for net, end_a, end_b in free_end_pairs(open_nets):
+        try:
+            entries = born_join_distribution(net, end_a, end_b).entries
+            answer = " ".join(f"{c}={p}" for c, p in entries.items())
+        except NullState:
+            answer = "null"
+        answers.append(f"{end_a.edge}:{end_a.side} {end_b.edge}:{end_b.side} {answer}")
+    assert len(answers) == 1307
+    assert sum(a.endswith("null") for a in answers) == 193
+    h = hashlib.sha256()
+    for answer in answers:
+        h.update(answer.encode() + b"\n")
+    assert h.hexdigest() == "2781b30fe367dbbf877a7b3f2e6ad4b5f92addd214a5c8f0f505f782cd23a734"
+
+
+def test_a_linear_map_with_every_operand_kind_is_as_before(open_nets, fresh_cache):
+    """Corpus network 148 has a self-loop, internal edges and free ends
+    read from either side: its map from e2:0 and j1:1 to u1:1 and j3:1,
+    cold and warm, has the entries it had before operands were cached."""
+    net = open_nets[148]
+    ends = list(net.free_ends)
+    assert ends == [End("e2", 0), End("j1", 1), End("u1", 1), End("j3", 1)]
+
+    def root(q):
+        return Radical.sqrt(abs(q)) * Radical(1 if q > 0 else -1)
+
+    want = {
+        (2, 0): root(F(-1, 80)), (3, 1): root(F(-3, 160)), (5, 0): root(F(1, 60)),
+        (6, 1): root(F(1, 480)), (7, 2): root(F(-1, 80)), (8, 0): root(F(-1, 80)),
+        (9, 1): root(F(1, 480)), (10, 2): root(F(1, 60)), (12, 1): root(F(-3, 160)),
+        (13, 2): root(F(-1, 80)),
+    }
+    for _run in ("cold", "warm"):
+        rep = network_to_linear_map(net, ends[:2], ends[2:])
+        assert (rep.in_labels, rep.out_labels, rep.matrix.shape) == ((2, 0), (3, 3), (16, 3))
+        got = {(r, c): x for (r, c), x in np.ndenumerate(rep.matrix) if not x.is_zero()}
+        assert got == want
 
 
 def _dodecahedron():
