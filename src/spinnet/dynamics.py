@@ -8,14 +8,19 @@ over short postselection sequences for ones whose induced action on a
 system register (with ancillas prepared and read back in a reference
 state) approximates a chosen unitary.
 
-Every projector entry is 0, +-1/2 or 1.  A pair projector is the value
-(pair, channel, n_qubits); its float matrix, laid out by one index
-builder, and its exact ``Fraction`` rep, which sequence_channel composes,
-are derived from it on first use and hold the same entries, since they
-are dyadic.  States run in complex double precision with identities checked
-to 1e-12.  The search runs in real double precision when the ancilla
-state is real, as every named one is, and in complex double precision
-otherwise.
+Every projector entry is 0, +-1/2 or 1.  One builder, _pair_projectors,
+lays out float projectors: it stacks the singlet and triplet projectors
+of any list of pairs from index arithmetic on the basis states.  The
+search takes every pair of its register from it in one call.  A pair
+projector is the value (pair, channel, n_qubits); its float matrix, read
+from that builder, and its exact ``Fraction`` rep, which sequence_channel
+composes, are derived from it on first use and hold the same entries,
+since they are dyadic.  States run in complex double precision with
+identities checked to 1e-12.  The search runs in real double precision
+when the ancilla state is real, as every named one is, and in complex
+double precision otherwise.  A beam keeps the children of highest
+fidelity, exact ties in the order of their steps' (i, j, channel value)
+lists, which it reads as (the parent's rank among the parents, the op).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Sequence
 
@@ -85,7 +90,7 @@ class PairProjector:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        full = _pair_matrix(self.n_qubits, *self.pair, self.channel)
+        full = _pair_projectors(self.n_qubits, [self.pair])[0, int(self.channel is TRIPLET)]
         full.flags.writeable = False
         return full
 
@@ -113,19 +118,25 @@ class MeasurementSequence:
             raise BadIndices("ancilla count must leave at least one system qubit")
 
 
-def _pair_matrix(n_qubits: int, i: int, j: int, channel: PairChannel) -> np.ndarray:
-    """The pair projector as a float matrix on the whole register.
+def _pair_projectors(n_qubits: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The singlet and triplet projectors of each pair, as one float64 stack.
 
-    The singlet projector is (1 - SWAP)/2 and the triplet one (1 + SWAP)/2,
-    where SWAP exchanges qubits i and j.
+    Entry [p, c] is pair p's projector on the whole register, c = 0 the
+    singlet (1 - SWAP)/2 and c = 1 the triplet (1 + SWAP)/2, where SWAP
+    exchanges the pair's two qubits: it takes basis state x to x with
+    those two bits exchanged.  Shape (len(pairs), 2, 2^n, 2^n).
     """
     dim = 1 << n_qubits
-    shift_i, shift_j = n_qubits - 1 - i, n_qubits - 1 - j
+    shifts = n_qubits - 1 - np.asarray(pairs, dtype=np.intp).reshape(-1, 2, 1)
     x = np.arange(dim)
-    differ = ((x >> shift_i) ^ (x >> shift_j)) & 1
-    swap = np.eye(dim)[x ^ (differ << shift_i) ^ (differ << shift_j)]
-    eye = np.eye(dim)
-    return (eye - swap if channel is SINGLET else eye + swap) / 2
+    differ = ((x >> shifts[:, 0]) ^ (x >> shifts[:, 1])) & 1
+    swap = (x ^ (differ << shifts[:, 0]) ^ (differ << shifts[:, 1]))[:, :, None] == x
+    eye = x[:, None] == x
+    stack = np.empty((len(swap), 2, dim, dim))
+    np.subtract(eye, swap, out=stack[:, 0], dtype=np.float64)
+    np.add(eye, swap, out=stack[:, 1], dtype=np.float64)
+    stack /= 2
+    return stack
 
 
 def pair_projector(n_qubits: int, i: int, j: int, channel: PairChannel) -> PairProjector:
@@ -193,14 +204,16 @@ class SearchReport:
 
 
 def default_ancilla_state(ancillas: int) -> StateVector:
-    """Product of singlets on ancilla pairs (last qubit up when odd)."""
-    vec = np.array([1.0 + 0j])
+    """Product of singlets on ancilla pairs (last qubit up when odd).
+
+    ancillas must be a plain ``int`` >= 0, else OutOfRange.
+    """
+    if type(ancillas) is not int or ancillas < 0:
+        raise OutOfRange(f"ancillas must be an int >= 0, got {ancillas!r}")
     singlet = np.array([0, 1, -1, 0], dtype=np.complex128) / math.sqrt(2)
-    for _ in range(ancillas // 2):
-        vec = np.kron(vec, singlet)
-    if ancillas % 2:
-        vec = np.kron(vec, np.array([1, 0], dtype=np.complex128))
-    return StateVector((1,) * ancillas, vec)
+    factors = [singlet] * (ancillas // 2) + [np.array([1, 0], dtype=np.complex128)] * (ancillas % 2)
+    vec = reduce(np.multiply.outer, factors, np.ones((), dtype=np.complex128))
+    return StateVector((1,) * ancillas, vec.ravel())
 
 
 def _sigma_max(maps: np.ndarray) -> np.ndarray:
@@ -273,7 +286,8 @@ def approximate_unitary_search(
     A = E^H M E on the system.  Breadth-first over sequences up to max_len
     (consecutive repeats of a projector are skipped as no-ops); when
     beam_width is set only the best beam_width prefixes per length are
-    extended.  Fidelity is _map_fidelities; success_prob is ||M E||^2 / 2^k,
+    extended, exact ties in fidelity broken by the steps' (i, j, channel
+    value) lists.  Fidelity is _map_fidelities; success_prob is ||M E||^2 / 2^k,
     the mean squared norm of M applied to basis system states with the
     prepared ancilla.
 
@@ -321,21 +335,24 @@ def approximate_unitary_search(
     anc = np.asarray(ancilla_state.amplitudes, dtype=np.complex128) / norm
     if not anc.imag.any():
         anc = anc.real  # then every lift is real: carry float64
-    embed = np.kron(np.eye(1 << k), anc[:, None])  # (2^n, 2^k)
+    embed = np.zeros((1 << k, len(anc), 1 << k), dtype=anc.dtype)
+    embed[np.arange(1 << k), :, np.arange(1 << k)] = anc
+    embed = embed.reshape(1 << n, 1 << k)  # I (x) |anc>
     embed_h = embed.conj().T
 
-    ops = [
-        pair_projector(n, i, j, ch)
-        for i, j in itertools.combinations(range(n), 2)
-        for ch in (SINGLET, TRIPLET)
-    ]
-    mats = np.array([p.matrix for p in ops], dtype=embed.dtype).reshape(len(ops), 1 << n, 1 << n)
+    pairs = list(itertools.combinations(range(n), 2))
+    ops = [pair_projector(n, i, j, ch) for i, j in pairs for ch in (SINGLET, TRIPLET)]
+    mats = _pair_projectors(n, pairs).astype(embed.dtype, copy=False).reshape(len(ops), 1 << n, 1 << n)
 
-    # Row c of seqs holds the indices into ops of frontier sequence c.  ops
-    # is listed in (i, j, channel value) order, so comparing rows orders
-    # the beam exactly as comparing the steps' (i, j, channel value) lists.
+    # Row c of seqs holds the indices into ops of frontier sequence c, and
+    # rank[c] its place among the frontier's sequences in row order.  ops
+    # is listed in (i, j, channel value) order, so row order is the order
+    # of the steps' (i, j, channel value) lists, and since a frontier's
+    # sequences are distinct, children in row order are in (parent's rank,
+    # op) order.
     lifts = embed[None]  # the lifts M E of the frontier, in frontier order
     seqs = np.zeros((1, 0), dtype=np.intp)
+    rank = np.zeros(1, dtype=np.intp)
     last = np.array([-1])  # index in ops of each sequence's last step
     best_fid = float(_map_fidelities(target, embed_h @ embed[None])[0])
     best_seq, best_lift = seqs[0], embed
@@ -371,10 +388,13 @@ def approximate_unitary_search(
         if not size:
             break
         if beam_width is not None:
-            seqs = np.concatenate((seqs[parent], op[:, None]), axis=1)
-            order = np.lexsort((*seqs.T[::-1], -fids))[:beam_width]
-            lifts = mats[op[order]] @ lifts[parent[order]]
-            last, seqs = op[order], seqs[order]
+            # the best beam_width children, exact ties in row order
+            row = rank[parent] * len(ops) + op
+            order = np.lexsort((row, -fids))[:beam_width]
+            parent, last, row = parent[order], op[order], row[order]
+            lifts = mats[last] @ lifts[parent]
+            seqs = np.concatenate((seqs[parent], last[:, None]), axis=1)
+            rank = np.argsort(np.argsort(row))
         elif frontier:
             lifts, last, seqs = kids, op, np.concatenate((seqs[parent], op[:, None]), axis=1)
 

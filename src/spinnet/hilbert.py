@@ -297,8 +297,9 @@ def _operand(labels: tuple[int, ...], pairings: tuple[int, ...], loop: tuple[int
     return _frozen(arr), scale
 
 
-def _operands(net: SpinNetwork) -> tuple[list[tuple[np.ndarray, list]], Fraction]:
-    """The network's tensors with every pairing that meets a vertex applied.
+def _operands(net: SpinNetwork) -> tuple[list[tuple[np.ndarray, list]], list[Fraction]]:
+    """The network's tensors with every pairing that meets a vertex applied,
+    and each vertex operand's scale (the network's scale is their product).
 
     An axis is keyed by the free end it stands for, or by its edge's id
     when the edge joins two vertex ends.  Per edge:
@@ -315,7 +316,7 @@ def _operands(net: SpinNetwork) -> tuple[list[tuple[np.ndarray, list]], Fraction
     """
     cache = default_cache()
     tensors: list[tuple[np.ndarray, list]] = []
-    scale = Fraction(1)
+    scales = []
     for v in net.vertices:
         labels = tuple([net.label(end) for end in v.ends])
         _refuse_above_bound(math.prod(n + 1 for n in labels), f"the tensor of vertex {v.id}")
@@ -335,21 +336,22 @@ def _operands(net: SpinNetwork) -> tuple[list[tuple[np.ndarray, list]], Fraction
             keys = [key for key in keys if keys.count(key) == 1]
         pairings = tuple(pairings)
         arr, s = cache.get_or(("operand", *labels, *pairings, *loop), _operand, labels, pairings, loop)
-        scale *= s
+        scales.append(s)
         tensors.append((arr, keys))
     for e in net.edges:
         ends = [End(e.id, 0), End(e.id, 1)]
         if all(map(net.is_free, ends)):
             w, _ = _pairing(e.label, 2)
             tensors.append((np.diag(w)[:, ::-1], ends))
-    return tensors, scale
+    return tensors, scales
 
 
-def _contract_network(net: SpinNetwork) -> tuple[np.ndarray, list[End], Fraction]:
+def _contract_network(net: SpinNetwork) -> tuple[np.ndarray, list[End], list[Fraction]]:
     """Contract the network to the Bargmann form of its state.
 
-    Returns (B, keys, scale) with keys = net.free_ends, the free ends
-    labelling the axes of B in order.  The edge pairings are applied as
+    Returns (B, keys, scales) with keys = net.free_ends, the free ends
+    labelling the axes of B in order, and scales one per vertex, whose
+    product is the state's scale.  The edge pairings are applied as
     weighted flips (see `_operands`), then the tensors are contracted one
     at a time into an accumulator, each step taking the pending tensor
     whose result has the fewest entries (the lowest index on a tie).
@@ -358,9 +360,9 @@ def _contract_network(net: SpinNetwork) -> tuple[np.ndarray, list[End], Fraction
     """
     free = list(net.free_ends)
     _refuse_above_bound(math.prod(net.label(end) + 1 for end in free), "the network state")
-    tensors, scale = _operands(net)
+    tensors, scales = _operands(net)
     if not tensors:
-        return np.array(1, dtype=object), [], scale
+        return np.array(1, dtype=object), [], scales
     acc, keys = tensors[0]
     pending = tensors[1:]
     while pending:
@@ -374,7 +376,7 @@ def _contract_network(net: SpinNetwork) -> tuple[np.ndarray, list[End], Fraction
         )
         keys = [k for k in keys if k not in shared] + [k for k in ks if k not in shared]
     assert set(keys) == set(free), "contraction lost track of free ends"
-    return np.transpose(acc, [keys.index(end) for end in free]), free, scale
+    return np.transpose(acc, [keys.index(end) for end in free]), free, scales
 
 
 def _product_size(acc: np.ndarray, keys: list, arr: np.ndarray, ks: list) -> int:
@@ -456,7 +458,8 @@ def network_to_linear_map(
         raise InvalidPartition(
             "in_ends and out_ends must be disjoint and cover every free end"
         )
-    acc, keys, scale = _contract_network(net)
+    acc, keys, scales = _contract_network(net)
+    scale = math.prod(scales, start=Fraction(1))
     if combined:
         acc = np.transpose(acc, [keys.index(end) for end in combined])
     for in_end in ins:
@@ -573,7 +576,7 @@ def born_join_distribution(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeD
             raise NotAFreeEnd(f"end {end.edge}:{end.side} is not a free end")
     a, b = net.label(end_a), net.label(end_b)
 
-    acc, keys, _scale = _contract_network(net)
+    acc, keys, _scales = _contract_network(net)
     rest = [end for end in keys if end not in (end_a, end_b)]
     psi = np.transpose(acc, [keys.index(end) for end in [end_a, end_b] + rest])
     # the projection contracts the two joined axes and the squared norm

@@ -20,7 +20,7 @@ from spinnet.dynamics import (
     PairProjector,
     SearchReport,
     _map_fidelities,
-    _pair_matrix,
+    _pair_projectors,
     _serial_best,
     _sigma_max,
     apply_postselected,
@@ -59,6 +59,29 @@ def qubit_state(*amps: np.ndarray) -> StateVector:
     return StateVector((1,) * len(amps), vec)
 
 
+def eye_permutation_projector(n_qubits, i, j, channel):
+    """A pair projector built one at a time, as (1 -+ SWAP)/2 with SWAP a
+    row permutation of the identity: the reference for the package's
+    stacked builder."""
+    dim = 1 << n_qubits
+    shift_i, shift_j = n_qubits - 1 - i, n_qubits - 1 - j
+    x = np.arange(dim)
+    differ = ((x >> shift_i) ^ (x >> shift_j)) & 1
+    swap = np.eye(dim)[x ^ (differ << shift_i) ^ (differ << shift_j)]
+    eye = np.eye(dim)
+    return (eye - swap if channel is SINGLET else eye + swap) / 2
+
+
+def kron_singlet_product(ancillas):
+    """The default ancilla amplitudes by repeated np.kron."""
+    vec = np.array([1.0 + 0j])
+    for _ in range(ancillas // 2):
+        vec = np.kron(vec, SINGLET_VEC)
+    if ancillas % 2:
+        vec = np.kron(vec, UP)
+    return vec
+
+
 # -- projector algebra --------------------------------------------------------
 
 
@@ -91,9 +114,24 @@ def test_dynamics_builds_no_radicals(no_radicals):
 def test_float_projectors_equal_exact_ones_bit_for_bit(n):
     for i, j in itertools.combinations(range(n), 2):
         for channel in (SINGLET, TRIPLET):
-            floats = _pair_matrix(n, i, j, channel).astype(np.complex128)
+            floats = eye_permutation_projector(n, i, j, channel).astype(np.complex128)
             exact = pair_projector(n, i, j, channel).rep.to_complex()
             assert floats.tobytes() == exact.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_stacked_projectors_equal_the_eye_permutation_construction(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    stack = _pair_projectors(n, pairs)
+    assert stack.shape == (len(pairs), 2, 1 << n, 1 << n) and stack.dtype == np.float64
+    assert stack.flags.c_contiguous
+    for p, (i, j) in enumerate(pairs):
+        for c, channel in enumerate((SINGLET, TRIPLET)):
+            want = eye_permutation_projector(n, i, j, channel)
+            assert stack[p, c].tobytes() == want.tobytes()
+            assert pair_projector(n, i, j, channel).matrix.tobytes() == want.tobytes()
+    if n == 1:
+        assert stack.size == 0  # one qubit has no pairs
 
 
 def test_pair_projector_embeds_by_kron_on_adjacent_pairs():
@@ -149,7 +187,7 @@ def test_a_pair_projector_past_the_qubit_bound_is_too_large(monkeypatch):
     def forbidden(*_args):
         raise AssertionError("no matrix may be built past the bound")
 
-    monkeypatch.setattr(dynamics, "_pair_matrix", forbidden)
+    monkeypatch.setattr(dynamics, "_pair_projectors", forbidden)
     with pytest.raises(TooLarge, match="qubits"):
         pair_projector(16, 0, 1, SINGLET)
     with pytest.raises(TooLarge, match="qubits"):
@@ -169,7 +207,7 @@ def test_a_pair_projector_derives_a_read_only_float_matrix_once():
     p = pair_projector(3, 0, 2, TRIPLET)
     assert p.matrix is p.matrix and p.rep is p.rep
     assert p.matrix.dtype == np.float64
-    assert p.matrix.tobytes() == _pair_matrix(3, 0, 2, TRIPLET).tobytes()
+    assert p.matrix.tobytes() == eye_permutation_projector(3, 0, 2, TRIPLET).tobytes()
     with pytest.raises(ValueError):
         p.matrix[0, 0] = 2.0
 
@@ -387,6 +425,17 @@ def test_default_ancilla_state_is_singlet_product():
     assert three.labels == (1, 1, 1)
     assert np.allclose(three.amplitudes, np.kron(SINGLET_VEC, UP), atol=1e-15)
     assert three.norm == pytest.approx(1.0, abs=1e-12)
+    for ancillas in range(7):
+        state = default_ancilla_state(ancillas)
+        assert state.amplitudes.tobytes() == kron_singlet_product(ancillas).tobytes()
+
+
+@pytest.mark.parametrize("ancillas", [True, False, -1, 2.0, "2", None, np.int64(2)])
+def test_default_ancilla_state_refuses_a_count_that_is_not_an_int_at_least_0(ancillas):
+    # refused as the search refuses them: True would build one qubit, -1 a
+    # state of the wrong size, and 2.0 would fail only inside numpy
+    with pytest.raises(OutOfRange):
+        default_ancilla_state(ancillas)
 
 
 @pytest.mark.parametrize("ancillas", [0, 1, 2])
@@ -582,12 +631,15 @@ def whole_level_search(target, ancillas, max_len, ancilla_state=None, beam_width
 
     One stacked matmul makes every child of a level, a boolean mask drops
     consecutive repeats, and the masked copy of every child's lift is
-    scored in one call.  Inputs are taken to be valid.
+    scored in one call.  It builds what it runs on its own: each projector
+    from a permuted identity, the embedding and the default singlets by
+    np.kron, and the beam by a lexsort over whole sequences.  Inputs are
+    taken to be valid.
     """
     k = target.shape[0].bit_length() - 1
     n = k + ancillas
     if ancilla_state is None:
-        ancilla_state = default_ancilla_state(ancillas)
+        ancilla_state = StateVector((1,) * ancillas, kron_singlet_product(ancillas))
     anc = np.asarray(ancilla_state.amplitudes, dtype=np.complex128) / ancilla_state.norm
     if not anc.imag.any():
         anc = anc.real
@@ -595,7 +647,7 @@ def whole_level_search(target, ancillas, max_len, ancilla_state=None, beam_width
     embed_h = embed.conj().T
     ops = [(i, j, ch) for i, j in itertools.combinations(range(n), 2) for ch in (SINGLET, TRIPLET)]
     mats = np.array(
-        [_pair_matrix(n, i, j, ch) for i, j, ch in ops], dtype=embed.dtype
+        [eye_permutation_projector(n, i, j, ch) for i, j, ch in ops], dtype=embed.dtype
     ).reshape(len(ops), 1 << n, 1 << n)
 
     def score(lifts):
@@ -857,6 +909,20 @@ def test_search_refuses_a_count_that_is_not_an_int(monkeypatch, name, value):
     args[name] = value
     with pytest.raises(OutOfRange):
         approximate_unitary_search(X_GATE, args.pop("ancillas"), args.pop("max_len"), **args)
+
+
+def test_the_search_builds_its_ops_through_the_pair_projector_binding(monkeypatch):
+    # the benchmark's trace times dynamics.projector by wrapping this binding
+    calls = []
+    build = dynamics.pair_projector
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(dynamics, "pair_projector", counted)
+    approximate_unitary_search(H_GATE, 3, 2, beam_width=4)
+    assert len(calls) == 4 * 3  # every pair of 4 qubits, both channels
 
 
 def test_search_rejects_out_of_range_sizes():

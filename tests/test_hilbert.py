@@ -535,10 +535,10 @@ def test_contraction_equals_dense_reference(open_nets, fresh_cache):
     for run in ("cold", "warm"):
         misses = fresh_cache.misses
         for net in open_nets:
-            got, keys, scale = _contract_network(net)
+            got, keys, scales = _contract_network(net)
             want, want_keys, want_scale = _reference_contraction(net)
             assert keys == list(net.free_ends)
-            assert scale == want_scale
+            assert math.prod(scales, start=F(1)) == want_scale
             want = np.transpose(want, [want_keys.index(end) for end in keys])
             assert got.shape == want.shape and got.tolist() == want.tolist()
         assert (fresh_cache.misses > misses) == (run == "cold")
@@ -636,7 +636,8 @@ def _contraction_identity_holds(net):
     """value^2 = scale * B^2 * prod_v |theta(a_v, b_v, c_v)|, exactly: the
     contraction is the standard-basis network of 3j tensors, each of which
     is the evaluator's vertex normalised by its theta."""
-    state, _, scale = _contract_network(net)
+    state, _, scales = _contract_network(net)
+    scale = math.prod(scales, start=F(1))
     thetas = math.prod(
         abs(theta_value(*(net.label(end) for end in v.ends))) for v in net.vertices
     )
