@@ -43,8 +43,12 @@ class EvalCache:
     positions, which hold no label), and the ``hilbert`` tensors with their
     scales (``operand``: a vertex's 3j with its slots' pairings applied and
     any self-loop traced, keyed by its labels, pairings and loop alone;
-    ``cg-band``, ``vertex-3j``, ``pairing``, ``bargmann-metric``), whose
-    arrays are read-only because every caller shares them.  Every
+    ``cg-band``: every channel of a Born join of labels (a, b), one entry
+    per pair, each channel's Clebsch-Gordan band on the axis k_a + k_b,
+    along which the projection reads only the state's J_z-conserving
+    entries;
+    ``vertex-3j``, ``pairing``, ``bargmann-metric``), whose arrays are
+    read-only because every caller shares them.  Every
     pair has a positive denominator.  Tets are not cached: each is
     computed when a move factor built from it misses; and neither are
     ``tet_value``, ``recoupling_coefficient`` and the public ``hilbert``

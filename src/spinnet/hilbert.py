@@ -184,9 +184,11 @@ def _six_j(j1, j2, j3, j4, j5, j6) -> Radical:
 #   whose product with the accumulated one has the fewest entries.  Sizes
 #   are known before anything is allocated, so a step, an operand or a
 #   final state larger than _MAX_ENTRIES is refused with TooLarge.
-# - The Born projection reads each Clebsch-Gordan tensor on its band
-#   k_M = k_a + k_b - (a+b-c)/2, from a copy of the state skewed so that
-#   k_a + k_b is an axis.
+# - A network's state has total magnetic number 0, so the Born projection
+#   reads it only where k_a + k_b of the joined ends is what the other free
+#   ends' indices leave: one gather, from which every channel is weighed.
+#   One `cg-band` entry per (a, b) stacks every channel's Clebsch-Gordan
+#   band k_M = k_a + k_b - (a+b-c)/2 on that axis.
 # Cached arrays are read-only.
 
 # Largest intermediates measured: 3,969 entries on the benchmark's Born
@@ -518,43 +520,66 @@ def intertwiner_residual(rep: LinearMapRep) -> float:
 # -- Born-rule join ---------------------------------------------------------
 
 
-def _cg_tensor(a: int, b: int, c: int) -> tuple[np.ndarray, Fraction]:
-    """Bargmann form (band, r) of <a/2 m_a; b/2 m_b | c/2 M> on its band.
+def _cg_tensor(a: int, b: int) -> tuple[np.ndarray, np.ndarray, tuple[Fraction, ...]]:
+    """Bargmann forms of every channel of a join of labels a and b, on the
+    axis K = k_a + k_b: (bands, metrics, scales), channel i being c_i, the
+    i-th of admissible_couplings(a, b).
 
-    The tensor T[k_a, k_b, k_M] of `_racah_tensor` can be nonzero only at
-    k_b = k_M + s - k_a with s = (a+b-c)/2; band[k_a, k_M] holds that entry
-    (0 where k_b falls outside 0..b).
+    The tensor T[k_a, k_b, k_M] of `_racah_tensor` for c_i can be nonzero
+    only at k_M = K - s_i with s_i = (a+b-c_i)/2.  bands[i, k_a, K] holds
+    that entry, metrics[i, K] holds k_M!(c_i-k_M)!, the metric of the k_M
+    axis, and both are 0 where k_M falls outside 0..c_i (bands also where
+    k_b = K - k_a falls outside 0..b).  scales[i] is T's scale r.
     """
 
-    def build() -> tuple[np.ndarray, Fraction]:
-        t, r = _racah_tensor(a, b, c)
-        s = (a + b - c) // 2
-        band = np.zeros((a + 1, c + 1), dtype=object)
-        for ka in range(a + 1):
-            for km in range(max(0, ka - s), min(c, b + ka - s) + 1):
-                band[ka, km] = t[ka, km + s - ka, km]
-        return _frozen(band), r
+    def build() -> tuple[np.ndarray, np.ndarray, tuple[Fraction, ...]]:
+        channels = admissible_couplings(a, b)
+        bands = np.zeros((len(channels), a + 1, a + b + 1), dtype=object)
+        metrics = np.zeros((len(channels), a + b + 1), dtype=object)
+        scales = []
+        for i, c in enumerate(channels):
+            t, r = _racah_tensor(a, b, c)
+            s = (a + b - c) // 2
+            metrics[i, s : s + c + 1] = _bargmann_metric(c)
+            for k in range(s, s + c + 1):
+                for ka in range(max(0, k - b), min(a, k) + 1):
+                    bands[i, ka, k] = t[ka, k - ka, k - s]
+            scales.append(r)
+        return _frozen(bands), _frozen(metrics), tuple(scales)
 
-    return default_cache().get_or(("cg-band", a, b, c), build)
-
-
-def _skew(psi: np.ndarray) -> np.ndarray:
-    """diag[k_a, k_a + k_b, rest] = psi[k_a, k_b, rest], zero elsewhere."""
-    na, nb, rest = psi.shape
-    diag = np.zeros((na, na + nb - 1, rest), dtype=object)
-    for ka in range(na):
-        diag[ka, ka : ka + nb] = psi[ka]
-    return diag
+    return default_cache().get_or(("cg-band", a, b), build)
 
 
-def _project(diag: np.ndarray, a: int, b: int, c: int) -> tuple[np.ndarray, Fraction]:
-    """The amplitudes [k_M, rest] of the state `_skew`ed into diag on
-    channel c, and the scale r of the Clebsch-Gordan tensor.  Entry k_M
-    sums band[k_a, k_M] * psi[k_a, k_M + s - k_a] over k_a, one band
-    product."""
-    band, r = _cg_tensor(a, b, c)
-    s = (a + b - c) // 2
-    return (band[:, :, None] * diag[:, s : s + c + 1]).sum(0), r
+def _channel_totals(psi: np.ndarray) -> tuple[list[int], tuple[Fraction, ...]]:
+    """The Born weight of every channel of a join, up to common factors.
+
+    psi is a Bargmann-form state of total magnetic number 0, its first two
+    axes the joined ends (labels a and b) and the rest any others.
+    Returns (totals, scales), one of each per channel c_i: the integer
+    squared norm of the state's projection onto c_i, summed over the rest,
+    each axis through its metric, and the scale r that `_cg_tensor` gives,
+    so that r * total / c_i! is the weight up to the state's scale and n!
+    per axis.
+    """
+    a, b, *rest_labels = (n - 1 for n in psi.shape)
+    # one column per rest index; the state's indices sum to half its
+    # labels, which fixes K = k_a + k_b there
+    rest_sums = functools.reduce(np.add.outer, [np.arange(n + 1) for n in rest_labels], 0)
+    joint = (a + b + sum(rest_labels)) // 2 - np.reshape(rest_sums, -1)
+    # the (column, k_a) pairs with k_b = K - k_a in 0..b, column-major: the
+    # only entries of the state that can be nonzero.  A column's run starts
+    # at k_a = 0 or at k_b = b.
+    col, ka = np.nonzero(np.abs(2 * (joint[:, None] - np.arange(a + 1)) - b) <= b)
+    k = joint[col]
+    kb = k - ka
+    first = np.flatnonzero((ka == 0) | (kb == b))
+    gathered = psi.reshape(a + 1, b + 1, -1)[ka, kb, col]
+    gathered = gathered * _bargmann_metric(a)[ka] * _bargmann_metric(b)[kb]
+    bands, metrics, scales = _cg_tensor(a, b)
+    amps = np.add.reduceat(bands[:, ka, k] * gathered, first, axis=1)  # [channel, column]
+    col = col[first]
+    rest_metric = _outer_all([_bargmann_metric(n) for n in rest_labels]).reshape(-1)
+    return (amps * amps * metrics[:, joint[col]] * rest_metric[col]).sum(1).tolist(), scales
 
 
 def born_join_distribution(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeDistribution:
@@ -562,9 +587,12 @@ def born_join_distribution(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeD
 
     The network state is projected onto each total-spin-c/2 subspace of
     the two ends while every other free end is summed over its magnetic
-    states with uniform weight (an isotropic boundary).  Each channel's
-    weight is an integer numerator and denominator; the weights are put
-    over their lcm, and each probability is one exact ``Fraction``.
+    states with uniform weight (an isotropic boundary).  The state is
+    rotation-invariant, so its total J_z is 0, and the projection reads
+    only the entries where it is: those k_a + k_b fixes from the other
+    ends' indices.  Each channel's weight is an integer numerator and
+    denominator; the weights are put over their lcm, and each probability
+    is one exact ``Fraction``.
     """
     problems = validate_network(net)
     if problems:
@@ -577,19 +605,12 @@ def born_join_distribution(net: SpinNetwork, end_a: End, end_b: End) -> OutcomeD
     a, b = net.label(end_a), net.label(end_b)
 
     acc, keys, _scales = _contract_network(net)
-    rest = [end for end in keys if end not in (end_a, end_b)]
-    psi = np.transpose(acc, [keys.index(end) for end in [end_a, end_b] + rest])
-    # the projection contracts the two joined axes and the squared norm
-    # sums over the rest, each through its metric; the scale of the state
-    # and the n! in each metric are common to all channels
-    joined = _outer_all([_bargmann_metric(a), _bargmann_metric(b)])
-    diag = _skew(psi.reshape(a + 1, b + 1, -1) * joined[:, :, None])
-    rest_metric = _outer_all([_bargmann_metric(net.label(end)) for end in rest])
-
+    order = [end_a, end_b] + [end for end in keys if end not in (end_a, end_b)]
+    # the scale of the state and the n! in each metric are common to all
+    # channels
+    totals, scales = _channel_totals(np.transpose(acc, [keys.index(end) for end in order]))
     weights = {}  # c -> the numerator and denominator of r * total / c!
-    for c in admissible_couplings(a, b):
-        amp, r = _project(diag, a, b, c)
-        total = _bargmann_metric(c).dot((amp * amp).dot(rest_metric.reshape(-1)))
+    for c, total, r in zip(admissible_couplings(a, b), totals, scales):
         if total:
             weights[c] = (r.numerator * total, r.denominator * math.factorial(c))
     if not weights:

@@ -7,9 +7,12 @@ evaluator: the closure graph a join runs.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import random
+import sys
+from pathlib import Path
 
 import networkx as nx
 
@@ -325,3 +328,17 @@ def mixed_sign_join() -> tuple[SpinNetwork, End, End]:
         ],
     )
     return net, End("e2", 1), End("u1", 1)
+
+
+def perfbench_workloads(monkeypatch):
+    """The benchmark's perfbench/workloads.py, loaded by path without
+    writing bytecode next to it; its modules leave sys.modules after the
+    test."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    for name in ("gen", "workloads"):  # workloads imports gen
+        spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    return module

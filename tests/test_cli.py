@@ -527,7 +527,7 @@ def test_stats_count_the_born_paths_entries_by_kind(fx, capsys, fresh_cache):
     code, out, err = run(["born", fx["singlet"], "a", "b", "--stats"], capsys)
     assert (code, out) == (0, "c=0 p=1/1\n")
     assert json.loads(err)["cache"]["kinds"] == {
-        "bargmann-metric": 3, "cg-band": 2, "operand": 1, "pairing": 2, "vertex-3j": 1,
+        "bargmann-metric": 3, "cg-band": 1, "operand": 1, "pairing": 2, "vertex-3j": 1,
     }
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import itertools
 import math
 import os
@@ -20,6 +19,7 @@ from netgen import (
     cycle_labelled_net,
     dumbbell_net,
     free_end_pairs,
+    perfbench_workloads,
     prism_net,
     random_cubic_graph,
     reference_mirror_closure,
@@ -1063,16 +1063,8 @@ def _same_program(cached, fresh):
 
 
 def _closed_cold_pool(monkeypatch):
-    """The benchmark's closed-cold networks, from perfbench/workloads.py,
-    loaded by path without writing bytecode next to it."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    for name in ("gen", "workloads"):  # workloads imports gen
-        spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, name, module)
-        spec.loader.exec_module(module)
-    return [parse_network(req.text) for req in module.closed_pool()]
+    """The benchmark's closed-cold networks."""
+    return [parse_network(req.text) for req in perfbench_workloads(monkeypatch).closed_pool()]
 
 
 def test_a_cached_program_is_a_fresh_compile(monkeypatch, fresh_cache, closed_nets, open_nets):

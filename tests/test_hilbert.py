@@ -8,9 +8,16 @@ from fractions import Fraction as F
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from netgen import cycle_labelled_net, free_end_pairs, random_cubic_graph, theta_net
+from netgen import (
+    cycle_labelled_net,
+    free_end_pairs,
+    grown_network,
+    perfbench_workloads,
+    random_cubic_graph,
+    theta_net,
+)
 from spinnet import evaluator, hilbert
 from spinnet.errors import (
     InvalidNetwork,
@@ -19,15 +26,15 @@ from spinnet.errors import (
     NullState,
     TooLarge,
 )
+from spinnet.dsl import parse_network
 from spinnet.evaluator import evaluate_closed, theta_value
 from spinnet.hilbert import (
     LinearMapRep,
     StateVector,
     _cg_tensor,
+    _channel_totals,
     _contract_network,
-    _project,
     _racah_tensor,
-    _skew,
     _vertex_tensor,
     born_join_distribution,
     clebsch_gordan,
@@ -378,17 +385,25 @@ def test_born_sums_to_one_on_corpus(open_nets):
 
 def test_bargmann_tensors_match_public_symbols():
     for a, b in itertools.product(range(6), repeat=2):
-        for c in admissible_couplings(a, b):
-            band, r = _cg_tensor(a, b, c)
+        channels = admissible_couplings(a, b)
+        bands, metrics, scales = _cg_tensor(a, b)
+        assert bands.shape == (len(channels), a + 1, a + b + 1)
+        assert metrics.shape == (len(channels), a + b + 1) and len(scales) == len(channels)
+        for i, c in enumerate(channels):
+            r = scales[i]
             three_j, s = _vertex_tensor(a, b, c)
             ja, jb, jc = F(a, 2), F(b, 2), F(c, 2)
             shift = (a + b - c) // 2
-            for ka, kc in itertools.product(range(a + 1), range(c + 1)):
-                if not 0 <= kc + shift - ka <= b:
-                    assert band[ka, kc] == 0
+            for k in range(a + b + 1):
+                kc = k - shift
+                on_band = 0 <= kc <= c
+                assert metrics[i, k] == (math.factorial(kc) * math.factorial(c - kc) if on_band else 0)
+                for ka in range(a + 1):
+                    if not (on_band and 0 <= k - ka <= b):
+                        assert bands[i, ka, k] == 0
             for ka, kb, kc in itertools.product(range(a + 1), range(b + 1), range(c + 1)):
                 binomials = math.comb(a, ka) * math.comb(b, kb) * math.comb(c, kc)
-                cg = band[ka, kc] if kb == kc + shift - ka else 0
+                cg = bands[i, ka, ka + kb] if kc == ka + kb - shift else 0
                 assert Radical.sqrt(r / binomials) * cg == clebsch_gordan(
                     ja, ja - ka, jb, jb - kb, jc, jc - kc
                 )
@@ -455,18 +470,34 @@ def _dense_projection(psi, a, b, c):
     return np.tensordot(cg, psi, ([0, 1], [0, 1])), r
 
 
+def _metric(n):
+    """k!(n-k)! for k = 0..n, the Bargmann metric of a label-n axis times n!."""
+    return np.array([math.factorial(k) * math.factorial(n - k) for k in range(n + 1)], dtype=object)
+
+
 def test_banded_projection_equals_dense_reference():
+    # random integer states of total magnetic number 0, so supported where
+    # the indices sum to half the labels, with 1-3 rest axes
     rng = random.Random(17)
+    answered = 0
     for a, b in itertools.product(range(9), repeat=2):
-        rest = rng.randint(1, 3)
-        entries = [rng.randint(-99, 99) for _ in range((a + 1) * (b + 1) * rest)]
-        psi = np.array(entries, dtype=object).reshape(a + 1, b + 1, rest)
-        diag = _skew(psi)
-        for c in admissible_couplings(a, b):
-            amp, r = _project(diag, a, b, c)
-            want, want_r = _dense_projection(psi, a, b, c)
+        rest = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))]
+        rest[-1] += (a + b + sum(rest)) % 2
+        labels = (a, b, *rest)
+        psi = np.zeros([n + 1 for n in labels], dtype=object)
+        for index in np.ndindex(*psi.shape):
+            if 2 * sum(index) == sum(labels):
+                psi[index] = rng.randint(-99, 99)
+        totals, scales = _channel_totals(psi)
+        joined = np.multiply.outer(_metric(a), _metric(b)).reshape(psi.shape[:2] + (1,) * len(rest))
+        rest_metric = functools.reduce(np.multiply.outer, [_metric(n) for n in rest])
+        for c, total, r in zip(admissible_couplings(a, b), totals, scales, strict=True):
+            amp, want_r = _dense_projection(psi * joined, a, b, c)
             assert r == want_r
-            assert amp.shape == want.shape and amp.tolist() == want.tolist()
+            assert type(total) is int
+            assert total == (amp * amp * np.multiply.outer(_metric(c), rest_metric)).sum()
+            answered += total != 0
+    assert answered > 200
 
 
 def _dense_pairing(n, free):
@@ -573,6 +604,98 @@ def test_born_answers_the_open_corpus_as_before(open_nets):
     for answer in answers:
         h.update(answer.encode() + b"\n")
     assert h.hexdigest() == "2781b30fe367dbbf877a7b3f2e6ad4b5f92addd214a5c8f0f505f782cd23a734"
+
+
+# -- the Born projection reads only where J_z is conserved ---------------------
+
+
+def _conserves_total_magnetic_number(net):
+    """Whether every nonzero entry of the network's state has indices
+    summing to half its free labels: total J_z = 0."""
+    state, keys, _ = _contract_network(net)
+    half_sums = 2 * np.indices(state.shape).reshape(state.ndim, state.size).sum(0)
+    return all(half_sums[np.flatnonzero(state)] == sum(net.label(end) for end in keys))
+
+
+def test_a_born_state_conserves_total_magnetic_number(open_nets, monkeypatch):
+    # the precondition of the Born projection, which reads no other entry
+    pool = [parse_network(req.text) for req in perfbench_workloads(monkeypatch).born_pool()]
+    assert len(pool) == 25
+    for net in open_nets + pool:
+        assert _conserves_total_magnetic_number(net)
+
+
+_open_networks = st.integers(min_value=0, max_value=2**32 - 1).map(
+    lambda seed: grown_network(random.Random(seed), max_label=8)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_open_networks)
+def test_a_drawn_born_state_conserves_total_magnetic_number(net):
+    assert _conserves_total_magnetic_number(net)
+
+
+def skewed_projection_reference(net, end_a, end_b):
+    """The Born distribution's entries by the route born_join_distribution
+    took before it read only J_z-conserving entries: a copy of the whole
+    state skewed so that k_a + k_b is an axis, times each channel's
+    Clebsch-Gordan band band[k_a, k_M], channel by channel.  Raises
+    NullState where no channel has weight."""
+    a, b = net.label(end_a), net.label(end_b)
+    acc, keys, _ = _contract_network(net)
+    rest = [end for end in keys if end not in (end_a, end_b)]
+    psi = np.transpose(acc, [keys.index(end) for end in [end_a, end_b] + rest])
+    psi = psi.reshape(a + 1, b + 1, -1) * np.multiply.outer(_metric(a), _metric(b))[:, :, None]
+    diag = np.zeros((a + 1, a + b + 1, psi.shape[2]), dtype=object)
+    for ka in range(a + 1):
+        diag[ka, ka : ka + b + 1] = psi[ka]
+    rest_metric = functools.reduce(
+        np.multiply.outer, [_metric(net.label(end)) for end in rest], np.array(1, dtype=object)
+    ).reshape(-1)
+    weights = {}
+    for c in admissible_couplings(a, b):
+        t, r = _racah_tensor(a, b, c)
+        s = (a + b - c) // 2
+        band = np.zeros((a + 1, c + 1), dtype=object)
+        for ka in range(a + 1):
+            for km in range(max(0, ka - s), min(c, b + ka - s) + 1):
+                band[ka, km] = t[ka, km + s - ka, km]
+        amp = (band[:, :, None] * diag[:, s : s + c + 1]).sum(0)
+        total = _metric(c).dot((amp * amp).dot(rest_metric))
+        if total:
+            weights[c] = r * total / math.factorial(c)
+    if not weights:
+        raise NullState("no channel has weight")
+    grand = sum(weights.values())
+    return {c: w / grand for c, w in weights.items()}
+
+
+# joined bare edges, label-0 joined ends, tadpole self-loops and joins with
+# no rest end, each in an explicit example besides the drawn networks
+@settings(deadline=None, max_examples=60)
+@given(_open_networks)
+@example(SpinNetwork.from_spec({"e": 3}))
+@example(SpinNetwork.from_spec({"a": 3, "z": 0}))
+@example(SpinNetwork.from_spec(
+    {"a": 2, "b": 2, "c": 0, "l": 3}, [("v", ("c", "l", "l")), ("w", ("a", "b", "c"))]
+))
+@example(SpinNetwork.from_spec(
+    {"a": 2, "b": 2, "c": 0, "l": 3, "d": 1}, [("v", ("c", "l", "l")), ("w", ("a", "b", "c"))]
+))
+@example(SpinNetwork.from_spec(
+    {"a": 2, "b": 3, "c": 3, "d": 4, "e": 3}, [("v", ("a", "b", "c")), ("w", ("c", "d", "e"))]
+))
+def test_born_equals_the_skewed_projection_reference(net):
+    for end_a, end_b in itertools.permutations(net.free_ends, 2):
+        try:
+            want = skewed_projection_reference(net, end_a, end_b)
+        except NullState:
+            with pytest.raises(NullState):
+                born_join_distribution(net, end_a, end_b)
+            continue
+        got = born_join_distribution(net, end_a, end_b).entries
+        assert list(got.items()) == list(want.items())
 
 
 def test_a_linear_map_with_every_operand_kind_is_as_before(open_nets, fresh_cache):
